@@ -103,8 +103,8 @@ def _is_linear_nonzerodivisor(x: Polynomial, bundle: Analysis) -> bool:
         if d >= stable and len(basis_d) == len(basis_d1):
             return True
         d += 1
-        if d > len(series.hvector) + 4:  # safety; unreachable for dim 1
-            return True
+        if d > len(series.hvector) + 4:  # unreachable for dim 1
+            raise InputError("nonzerodivisor test: the Hilbert function never stabilized")
 
 
 def _rewrite_from_bundle(

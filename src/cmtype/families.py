@@ -18,9 +18,9 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import Budgets, DEFAULT_BUDGETS, InputError
-from .groebner import buchberger, minimalize_presentation, normal_form
+from .groebner import buchberger, minimalize_presentation
 from .parsing import parse_presentation
-from .poly import Polynomial, VariableSet, monomials_of_degree
+from .poly import Polynomial, VariableSet
 from .presentation import IdealPresentation, RingPresentation, make_presentation
 
 
@@ -281,25 +281,16 @@ def binary_form_profile(f: Polynomial) -> tuple[int, ...]:
 
 # The catalog's permutation-matched families are all quadric-generated, so the
 # search is pruned with a permutation-equivariant signature of the degree-2
-# piece: the union of monomial supports over the whole row space assigns each
-# variable the pair (does its square occur, how many cross terms occur), and a
-# relabeling can only map variables with equal signatures onto each other.
+# piece: the union of monomial supports over the whole row space (the same for
+# every basis of it, such as the echelon rows) assigns each variable the pair
+# (does its square occur, how many cross terms occur), and a relabeling can
+# only map variables with equal signatures onto each other.
 
 
-def _degree2_rref(gens: Sequence[Polynomial], nvars: int):
-    basis = monomials_of_degree(nvars, 2)
-    rows = [[g.coefficient(m) for m in basis] for g in gens]
-    mat, pivots = linalg.rref(rows)
-    mat = mat[: len(pivots)]
-    return mat, pivots, basis
-
-
-def _support_signatures(mat, basis, nvars: int) -> list[tuple[int, int]]:
+def _support_signatures(echelon: linalg.Echelon, nvars: int) -> list[tuple[int, int]]:
     support = set()
-    for row in mat:
-        for c, value in enumerate(row):
-            if value:
-                support.add(basis[c])
+    for row in echelon.rows.values():
+        support.update(row)
     squares = [0] * nvars
     crosses = [0] * nvars
     for m in support:
@@ -392,7 +383,8 @@ def match_named_family(
 
     Quadrics and binary forms are tagged by their invariants; all other
     families are searched over variable permutations in lexicographic order
-    (first match wins), with degree statistics used for pruning.  A match is
+    (first match wins), pruned by the rank and support signatures of the
+    quadric span.  A match is
     only reported after the permuted family reproduces the input's reduced
     Groebner basis bit for bit.
     """
@@ -412,51 +404,27 @@ def match_named_family(
 
     if n > 9:
         return FamilyTag("none", attempted=False)
+    if any(g.degree() != 2 for g in gens):
+        return FamilyTag("none")  # every permutation-matched family is quadric-generated
 
     input_gb = buchberger(minimal.ideal, budgets=budgets)
-    input_degrees = sorted(g.degree() for g in gens)
-    all_quadrics = input_degrees == [2] * len(gens)
-    if all_quadrics:
-        input_mat, input_pivots, basis2 = _degree2_rref(gens, n)
-        input_sigs = _support_signatures(input_mat, basis2, n)
-
-    def verify(tag: FamilyTag, permuted, sigma) -> FamilyTag | None:
-        candidate_gb = buchberger(
-            IdealPresentation(minimal.variables, tuple(permuted)), budgets=budgets
-        )
-        if candidate_gb.elements == input_gb.elements:
-            return FamilyTag(tag.kind, param=tag.param, certificate=tuple(sigma))
-        return None
-
+    input_echelon = linalg.Echelon(g.terms for g in gens)
+    input_sigs = _support_signatures(input_echelon, n)
     for tag, family in _permutation_candidates(n):
-        family_min = minimalize_presentation(family)
-        family_gens = family_min.generators
-        if sorted(g.degree() for g in family_gens) != input_degrees:
+        family_gens = minimalize_presentation(family).generators
+        family_echelon = linalg.Echelon(g.terms for g in family_gens)
+        if len(family_echelon.rows) != len(input_echelon.rows):
             continue
-        if all_quadrics:
-            fam_mat, fam_pivots, _ = _degree2_rref(family_gens, n)
-            if len(fam_pivots) != len(input_pivots):
+        fam_sigs = _support_signatures(family_echelon, n)
+        for sigma in _constrained_permutations(fam_sigs, input_sigs, n):
+            permuted = [g.permute_variables(sigma) for g in family_gens]
+            if any(input_echelon.residual(pg.terms) for pg in permuted):
                 continue
-            fam_sigs = _support_signatures(fam_mat, basis2, n)
-            for sigma in _constrained_permutations(fam_sigs, input_sigs, n):
-                permuted = [g.permute_variables(sigma) for g in family_gens]
-                vectors = [[pg.coefficient(m) for m in basis2] for pg in permuted]
-                if any(
-                    any(linalg.reduce_against(vec, input_mat, input_pivots))
-                    for vec in vectors
-                ):
-                    continue
-                found = verify(tag, permuted, sigma)
-                if found:
-                    return found
-        else:
-            for sigma in permutations(range(n)):
-                permuted = [g.permute_variables(sigma) for g in family_gens]
-                if any(normal_form(pg, input_gb) for pg in permuted):
-                    continue
-                found = verify(tag, permuted, sigma)
-                if found:
-                    return found
+            candidate_gb = buchberger(
+                IdealPresentation(minimal.variables, tuple(permuted)), budgets=budgets
+            )
+            if candidate_gb.elements == input_gb.elements:
+                return FamilyTag(tag.kind, param=tag.param, certificate=tuple(sigma))
     return FamilyTag("none")
 
 

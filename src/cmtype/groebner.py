@@ -9,6 +9,7 @@ Gebauer-Moeller refinement of the Buchberger product and chain criteria.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -186,8 +187,10 @@ def initial_ideal(gb: GroebnerBasis) -> IdealPresentation:
 # minimal presentations
 
 
-def _coefficient_vector(p: Polynomial, basis: Sequence[Monomial]) -> list[Fraction]:
-    return [p.coefficient(m) for m in basis]
+# Cap on the monomial multiples of one kept generator that the minimal-generator
+# echelon materializes in one degree; more raises BudgetError instead of
+# exhausting time and memory (x^2, y^100000000 would need 10^8 of them).
+MAX_SEED_MULTIPLES = 20_000
 
 
 def _minimal_homogeneous_generators(
@@ -195,23 +198,34 @@ def _minimal_homogeneous_generators(
 ) -> list[Polynomial]:
     """Prune to a minimal homogeneous generating set.
 
-    Degree by degree: a generator of degree d is redundant exactly when its
-    degree-d coefficient vector lies in the span of the degree-d monomial
-    multiples of the generators kept so far (lower degrees cannot be helped
-    by higher ones in the homogeneous setting).
+    Degree by degree: a generator of degree d is redundant exactly when it
+    lies in the span of the degree-d monomial multiples of the generators
+    kept so far (lower degrees cannot be helped by higher ones in the
+    homogeneous setting).  For each degree one exact sparse echelon is seeded
+    with the multiples of the lower-degree generators kept; the degree-d
+    generators are then reduced into it in ``sort_key`` order, and each is
+    kept exactly when it leaves a nonzero residual, so duplicates and
+    combinations of earlier generators drop out.
     """
     kept: list[Polynomial] = []
+    degree = None
     for g in sorted(gens, key=lambda g: g.sort_key()):
         d = g.degree()
-        basis = monomials_of_degree(nvars, d)
-        rows = []
-        for h in kept:
-            shift = d - h.degree()
-            for m in monomials_of_degree(nvars, shift):
-                rows.append(_coefficient_vector(h.mul_term(m, 1), basis))
-        if rows and linalg.in_row_space(rows, _coefficient_vector(g, basis)):
-            continue
-        kept.append(g)
+        if d != degree:
+            degree = d
+            echelon = linalg.Echelon()
+            for h in kept:
+                shift = d - h.degree()
+                count = math.comb(nvars + shift - 1, shift)
+                if count > MAX_SEED_MULTIPLES:
+                    raise BudgetError(
+                        f"minimalize_presentation: degree {d} needs {count} multiples "
+                        f"of a degree-{h.degree()} generator (cap {MAX_SEED_MULTIPLES})"
+                    )
+                for m in monomials_of_degree(nvars, shift):
+                    echelon.add(h.mul_term(m, 1).terms)
+        if echelon.add(g.terms):
+            kept.append(g)
     return kept
 
 
@@ -241,13 +255,7 @@ def minimalize_presentation(pres: RingPresentation) -> RingPresentation:
         gens = [g.drop_variable(i) for g in gens]
         variables = variables.drop(i)
 
-    seen: set[Polynomial] = set()
-    unique = []
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            unique.append(g)
-    minimal = _minimal_homogeneous_generators(unique, len(variables))
+    minimal = _minimal_homogeneous_generators(gens, len(variables))
     return RingPresentation(
         IdealPresentation(variables, tuple(minimal)),
         minimalized=True,

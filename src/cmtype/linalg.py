@@ -1,16 +1,14 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Matrices are lists of rows of Fractions.  Everything here is small; no
-attempt is made at asymptotic cleverness, only at determinism and exactness.
+Dense matrices are lists of rows of Fractions.  Span membership tests that
+grow one vector at a time use a sparse echelon instead, whose vectors are
+dicts from coordinate to Fraction.  Everything is exact and deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
-
-Row = list
-
+from typing import Iterable, Sequence
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form (copy) and the list of pivot columns."""
@@ -46,19 +44,41 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(rref(rows)[1])
 
 
-def reduce_against(vec: Sequence[Fraction], mat: list[list[Fraction]], pivots: list[int]) -> list[Fraction]:
-    """Residual of vec after elimination by an rref basis."""
-    v = [Fraction(x) for x in vec]
-    for row, c in zip(mat, pivots):
-        if v[c]:
-            f = v[c]
-            v = [x - f * y for x, y in zip(v, row)]
-    return v
+class Echelon:
+    """Sparse row echelon form of the vectors added so far.
 
+    A vector is a dict from coordinate (any totally ordered key, such as a
+    monomial) to a nonzero Fraction.  ``rows`` maps each pivot, the largest
+    coordinate of its row, to that row scaled to pivot entry 1.  Pivots are
+    distinct, so the rows are independent and their count is the rank.
+    """
 
-def in_row_space(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> bool:
-    mat, pivots = rref(rows)
-    return not any(reduce_against(vec, mat, pivots))
+    def __init__(self, vectors: Iterable[dict] = ()):
+        self.rows: dict = {}
+        for vec in vectors:
+            self.add(vec)
+
+    def residual(self, vec: dict) -> dict:
+        """vec minus row multiples until its largest coordinate is no pivot;
+        empty exactly when vec lies in the span of the rows."""
+        v = dict(vec)
+        while v and (row := self.rows.get(pivot := max(v))) is not None:
+            f = v[pivot]
+            for k, x in row.items():
+                c = v.get(k, 0) - f * x
+                if c:
+                    v[k] = c
+                else:
+                    del v[k]
+        return v
+
+    def add(self, vec: dict) -> bool:
+        """Reduce vec; if a nonzero residual is left, store it and return True."""
+        v = self.residual(vec)
+        if v:
+            pivot = max(v)
+            self.rows[pivot] = {k: x / v[pivot] for k, x in v.items()}
+        return bool(v)
 
 
 def solve_combination(

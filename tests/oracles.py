@@ -3,7 +3,9 @@
 Nothing here goes through the Groebner engine: Hilbert functions come from
 dense rank computations on monomial bases, semigroup lengths from explicit
 exponent-set differences, and arrangement lengths from graded linear algebra
-in the quotient of the 2-variable polynomial ring.  The paths under test and
+in the quotient of the 2-variable polynomial ring.  Minimal generators and
+the family matcher's quadric-span data come from the original dense
+algorithms: a fresh rref for every membership test.  The paths under test and
 the oracle paths share only the Polynomial arithmetic and the rref routine.
 """
 
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 from cmtype import Polynomial
 from cmtype.drozd_roiter import NumericalSemigroup
-from cmtype.linalg import rank
+from cmtype.linalg import rank, rref
 from cmtype.poly import monomials_of_degree
 
 
@@ -134,9 +136,76 @@ def linear_change(p: Polynomial, matrix) -> Polynomial:
 
 def random_invertible_matrix(rng: random.Random, n: int):
     """Random integer matrix with nonzero determinant (for change of variables)."""
-    from cmtype.linalg import rref
-
     while True:
         matrix = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         if len(rref(matrix)[1]) == n:
             return matrix
+
+
+# ---------------------------------------------------------------------------
+# dense span membership: the algorithms the sparse echelon replaced
+
+
+def _reduce_against(vec, mat, pivots):
+    """Residual of vec after elimination by an rref basis."""
+    v = [Fraction(x) for x in vec]
+    for row, c in zip(mat, pivots):
+        if v[c]:
+            f = v[c]
+            v = [x - f * y for x, y in zip(v, row)]
+    return v
+
+
+def _in_row_space(rows, vec) -> bool:
+    mat, pivots = rref(rows)
+    return not any(_reduce_against(vec, mat, pivots))
+
+
+def _coefficient_vector(p, basis):
+    return [p.coefficient(m) for m in basis]
+
+
+def minimal_homogeneous_generators_oracle(gens, nvars: int):
+    """Prune to a minimal homogeneous generating set, one dense rref over
+    the degree-d multiples of every kept generator per generator tested."""
+    kept = []
+    for g in sorted(gens, key=lambda g: g.sort_key()):
+        d = g.degree()
+        basis = monomials_of_degree(nvars, d)
+        rows = []
+        for h in kept:
+            shift = d - h.degree()
+            for m in monomials_of_degree(nvars, shift):
+                rows.append(_coefficient_vector(h.mul_term(m, 1), basis))
+        if rows and _in_row_space(rows, _coefficient_vector(g, basis)):
+            continue
+        kept.append(g)
+    return kept
+
+
+def degree2_rref_oracle(gens, nvars: int):
+    """Dense rref of the quadrics' coefficient rows: (rows, pivots, basis)."""
+    basis = monomials_of_degree(nvars, 2)
+    rows = [[g.coefficient(m) for m in basis] for g in gens]
+    mat, pivots = rref(rows)
+    mat = mat[: len(pivots)]
+    return mat, pivots, basis
+
+
+def support_signatures_oracle(mat, basis, nvars: int):
+    """Per variable: (square occurs, cross-term count) over the rows' supports."""
+    support = set()
+    for row in mat:
+        for c, value in enumerate(row):
+            if value:
+                support.add(basis[c])
+    squares = [0] * nvars
+    crosses = [0] * nvars
+    for m in support:
+        live = [i for i, e in enumerate(m) if e]
+        if len(live) == 1:
+            squares[live[0]] += 1
+        else:
+            crosses[live[0]] += 1
+            crosses[live[1]] += 1
+    return list(zip(squares, crosses))

@@ -21,6 +21,7 @@ from cmtype import (
     veronese_cone_ideal,
 )
 from cmtype.citations import CITATIONS
+from cmtype.invariants import analyze
 from cmtype.singularity import SingularityReport
 
 
@@ -308,6 +309,12 @@ class TestRewriteInXm:
             rewrite_in_xm(
                 parse_presentation("ring: x,y,z ; ideal: x^2, x*y, y^3"), 0, 1, 2
             )
+
+    def test_nonzerodivisor_guard_raises_when_the_function_never_stabilizes(self):
+        # k[x, y] is two-dimensional, so its Hilbert function keeps growing
+        bundle = analyze(parse_presentation("ring: x,y ; ideal:"))
+        with pytest.raises(InputError, match="never stabilized"):
+            classifier_module._is_linear_nonzerodivisor(Polynomial.variable(2, 0), bundle)
 
 
 class TestReports:

@@ -177,6 +177,15 @@ class TestDeterminismAndExitCodes:
         code, out, err = run_cli(capsys, "gb", path, "--budget-pairs", "0")
         assert code == 3
 
+    def test_minimalize_budget_exits_cleanly(self, capsys, tmp_path):
+        path = write(tmp_path, "huge.ring", "ring: x, y\nideal: x^2, y^100000000\n")
+        code, out, err = run_cli(capsys, "analyze", path)
+        assert code == 3
+        assert "minimalize_presentation" in err and "Traceback" not in err
+        code, out, err = run_cli(capsys, "classify", path, "--json")
+        assert code == 0 and "Traceback" not in err
+        assert json.loads(out)["verdict"] == "out_of_scope"
+
     def test_inhomogeneous_classify_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, "inhom.ring", "ring: x, y\nideal: x^2 + y\n")
         code, out, err = run_cli(capsys, "classify", path)

@@ -21,10 +21,22 @@ from cmtype import (
     scroll_ideal,
     veronese_cone_ideal,
 )
-from cmtype.families import ScrollType, _scroll_types_with_nvars, sum_of_squares
+from cmtype import linalg
+from cmtype.families import (
+    ScrollType,
+    _permutation_candidates,
+    _scroll_types_with_nvars,
+    _support_signatures,
+    sum_of_squares,
+)
 from cmtype.presentation import IdealPresentation
 
-from oracles import linear_change, random_invertible_matrix
+from oracles import (
+    degree2_rref_oracle,
+    linear_change,
+    random_invertible_matrix,
+    support_signatures_oracle,
+)
 
 X = Polynomial.variable(2, 0)
 Y = Polynomial.variable(2, 1)
@@ -181,9 +193,18 @@ class TestMatchNamedFamily:
 
     def test_recognition_soundness_replay(self):
         # permute a family, match it, then replay the certificate and require
-        # bit-exact equality of reduced bases
+        # bit-exact equality of reduced bases; the tags are pinned
         rng = random.Random(4)
-        for family in (gw12_ideal(), graded12_ideal(), scroll_ideal((1, 2)), scroll_ideal((3,))):
+        cases = (
+            (gw12_ideal(), ("gw12", None, (2, 1, 0))),
+            (graded12_ideal(), ("graded12", None, (0, 1, 2))),
+            (scroll_ideal((1, 2)), ("scroll", (1, 2), (2, 4, 3, 1, 0))),
+            (scroll_ideal((3,)), ("scroll", (3,), (0, 1, 2, 3))),
+            (scroll_ideal((1, 1, 2)), ("scroll", (1, 1, 2), (2, 4, 5, 3, 6, 0, 1))),
+            (scroll_ideal((2, 3)), ("scroll", (2, 3), (4, 3, 5, 1, 2, 0, 6))),
+            (veronese_cone_ideal(5), ("veronese_cone", 5, (0, 3, 5, 2, 1, 4))),
+        )
+        for family, expected in cases:
             n = family.nvars
             sigma = list(range(n))
             rng.shuffle(sigma)
@@ -192,8 +213,7 @@ class TestMatchNamedFamily:
                 [g.permute_variables(tuple(sigma)) for g in family.generators],
             )
             tag = match_named_family(permuted)
-            assert tag.kind != "none"
-            assert tag.certificate is not None
+            assert (tag.kind, tag.param, tag.certificate) == expected
             canonical = minimalize_presentation(
                 catalog_presentation_for_tag(tag, n)
             )
@@ -205,6 +225,30 @@ class TestMatchNamedFamily:
             )
             input_gb = buchberger(minimalize_presentation(permuted).ideal)
             assert replay_gb.elements == input_gb.elements
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_echelon_rank_and_signatures_match_dense_rref(self, n):
+        reverse = tuple(reversed(range(n)))
+        for _, family in _permutation_candidates(n):
+            minimal = minimalize_presentation(family).generators
+            for gens in (minimal, [g.permute_variables(reverse) for g in minimal]):
+                mat, pivots, basis = degree2_rref_oracle(gens, n)
+                echelon = linalg.Echelon(g.terms for g in gens)
+                assert len(echelon.rows) == len(pivots)
+                assert _support_signatures(echelon, n) == (
+                    support_signatures_oracle(mat, basis, n)
+                )
+
+    def test_minimalize_and_match_use_no_dense_elimination(self, monkeypatch):
+        # a return to dense rref on this path fails here on a call, not on time
+        def refuse(rows):
+            raise AssertionError("dense rref called")
+
+        monkeypatch.setattr(linalg, "rref", refuse)
+        pres = scroll_ideal((1, 1, 1, 2))
+        assert set(minimalize_presentation(pres).generators) == set(pres.generators)
+        tag = match_named_family(pres)
+        assert (tag.kind, tag.param) == ("scroll", (1, 1, 1, 2))
 
     def test_large_rings_skip_the_search(self):
         pres = scroll_ideal((4, 4))  # 10 variables

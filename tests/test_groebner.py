@@ -1,8 +1,11 @@
 """Buchberger engine, normal forms, initial ideals, minimal presentations."""
 
 import random
+import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmtype import (
     BudgetError,
@@ -18,9 +21,14 @@ from cmtype import (
 )
 from cmtype.groebner import _minimal_homogeneous_generators
 from cmtype.invariants import hilbert_numerator, hilbert_series_from_gb
+from cmtype.poly import monomials_of_degree
 from cmtype.presentation import IdealPresentation
 
-from oracles import hilbert_function_oracle, random_homogeneous_ideal
+from oracles import (
+    hilbert_function_oracle,
+    minimal_homogeneous_generators_oracle,
+    random_homogeneous_ideal,
+)
 
 
 def gb_of(text):
@@ -164,6 +172,64 @@ class TestMinimalize:
             "ring: x,y ; ideal: x^2, x*y, x^2 + x*y"
         ).generators
         assert len(_minimal_homogeneous_generators(list(gens), 2)) == 2
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_matches_the_dense_oracle(self, data):
+        nvars, gens = data.draw(generator_sets())
+        assert _minimal_homogeneous_generators(gens, nvars) == (
+            minimal_homogeneous_generators_oracle(gens, nvars)
+        )
+
+    def test_huge_degree_hypersurface_is_already_minimal(self):
+        pres = parse_presentation("ring: x, y ; ideal: x^100000000*y - y^100000001")
+        started = time.perf_counter()
+        minimal = minimalize_presentation(pres)
+        assert time.perf_counter() - started < 1.0
+        assert minimal.generators == pres.generators
+
+    def test_seed_multiples_are_budgeted(self):
+        pres = parse_presentation("ring: x, y ; ideal: x^2, y^100000000")
+        with pytest.raises(BudgetError, match="minimalize_presentation: degree 100000000 needs 99999999"):
+            minimalize_presentation(pres)
+
+
+@st.composite
+def generator_sets(draw):
+    """Homogeneous forms in at most 5 variables of degrees 1-3, plus planted
+    dependents: duplicates, scalar multiples and rational combinations of
+    monomial multiples of earlier forms."""
+    nvars = draw(st.integers(1, 5))
+    small = st.integers(-3, 3).filter(bool)
+
+    def ratio():
+        return Fraction(draw(small), draw(st.integers(1, 3)))
+
+    def monomial(degree):
+        return st.sampled_from(monomials_of_degree(nvars, degree))
+
+    def form(degree):
+        monomials = draw(st.lists(monomial(degree), min_size=1, max_size=4, unique=True))
+        return Polynomial(nvars, [(m, draw(small)) for m in monomials])
+
+    gens = [form(draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("duplicate", "scalar", "combination")))
+        g = draw(st.sampled_from(gens))
+        if kind == "duplicate":
+            gens.append(g)
+        elif kind == "scalar":
+            gens.append(g * ratio())
+        else:
+            degree = draw(st.integers(g.degree(), 3))
+            combination = Polynomial.zero(nvars)
+            for h in gens:
+                if h.degree() <= degree and draw(st.booleans()):
+                    shift = draw(monomial(degree - h.degree()))
+                    combination = combination + h.mul_term(shift, ratio())
+            if combination:
+                gens.append(combination)
+    return nvars, draw(st.permutations(gens))
 
 
 class TestRandomSuite:
