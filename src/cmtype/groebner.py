@@ -9,10 +9,12 @@ Gebauer-Moeller refinement of the Buchberger product and chain criteria.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import add, le, sub
+from typing import Sequence
 
 from . import linalg
 from .errors import BudgetError, Budgets, DEFAULT_BUDGETS, InhomogeneousError, InputError
@@ -22,13 +24,14 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     VariableSet,
+    integer_multiple,
     monomial_degree,
     monomial_div,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
     monomials_of_degree,
-    unit_monomial,
+    polynomial_from_descending,
 )
 from .presentation import IdealPresentation, RingPresentation
 
@@ -40,7 +43,6 @@ class GroebnerBasis:
     variables: VariableSet
     order: MonomialOrder
     elements: tuple[Polynomial, ...]
-    reduced: bool = True
 
     @property
     def nvars(self) -> int:
@@ -61,7 +63,17 @@ def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Pol
 def normal_form(p: Polynomial, basis, order: MonomialOrder | None = None) -> Polynomial:
     """Full remainder of p under division by the basis (no term divisible by a
     leading term survives).  Against a Groebner basis the result is the unique
-    normal form; in particular it is zero exactly for ideal members."""
+    normal form; in particular it is zero exactly for ideal members.
+
+    The leading remaining term is always divided by the first basis element
+    whose leading monomial divides it.  The division runs in one dict of
+    integers: ``work`` starts as the primitive integer multiple of p, each
+    step cancels the leading term against the primitive integer multiple of
+    the divisor, and the rational ``scale`` with ``p == scale * work + (ideal
+    multiples) + remainder`` absorbs every multiplier and removed content.
+    Remainder terms leave as ``scale * c``, so the result is exactly the
+    rational remainder of dividing p itself.
+    """
     if isinstance(basis, GroebnerBasis):
         elements = basis.elements
         order = order or basis.order
@@ -71,20 +83,47 @@ def normal_form(p: Polynomial, basis, order: MonomialOrder | None = None) -> Pol
     elements = tuple(g for g in elements if not g.is_zero)
     if not elements:
         return p
-    leads = [g.leading_term(order) for g in elements]
+    if any(g.nvars != p.nvars for g in elements):
+        raise InputError("polynomials are over different variable sets")
+    reducers = [g.reducer(order) for g in elements]
+    heap_key = order.heap_key
+    scale, work = integer_multiple(p.terms)
+    heap = [(heap_key(m), m) for m in work]
+    heapq.heapify(heap)
     remainder: dict[Monomial, Fraction] = {}
-    work = p
-    while work:
-        m, c = work.leading_term(order)
-        for g, (lm, lc) in zip(elements, leads):
-            q = monomial_div(m, lm)
-            if q is not None:
-                work = work - g.mul_term(q, c / lc)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, 0)
+        if not c:  # stale: the monomial cancelled after it was pushed
+            continue
+        for lm, lc, tail in reducers:
+            if all(map(le, lm, m)):
                 break
         else:
-            remainder[m] = c
-            work = work - Polynomial(p.nvars, [(m, c)])
-    return Polynomial(p.nvars, remainder)
+            remainder[m] = scale * c
+            continue
+        q = tuple(map(sub, m, lm))
+        g = math.gcd(c, lc)
+        a, b = lc // g, c // g
+        if a != 1:
+            for t in work:
+                work[t] *= a
+            scale /= a
+        for t, d in tail:
+            t = tuple(map(add, t, q))
+            v = work.get(t)
+            if v is None:
+                work[t] = -b * d
+                heapq.heappush(heap, (heap_key(t), t))
+            elif v := v - b * d:
+                work[t] = v
+            else:
+                del work[t]
+        if a != 1 and (content := math.gcd(*work.values())) > 1:
+            for t in work:
+                work[t] //= content
+            scale *= content
+    return polynomial_from_descending(p.nvars, remainder, order)
 
 
 def _generators_of(source) -> tuple[VariableSet, tuple[Polynomial, ...]]:
@@ -176,8 +215,6 @@ def _interreduce(elements: Sequence[Polynomial], order: MonomialOrder) -> tuple[
 def initial_ideal(gb: GroebnerBasis) -> IdealPresentation:
     """The monomial ideal of leading terms; its quotient shares the Hilbert
     function of the original quotient."""
-    if not gb.reduced:
-        raise InputError("initial_ideal expects a reduced basis")
     n = gb.nvars
     gens = tuple(Polynomial(n, [(m, 1)]) for m in gb.leading_monomials())
     return IdealPresentation(gb.variables, gens)

@@ -9,6 +9,7 @@ and the Cohen-Macaulay type is the socle dimension of that reduction.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from typing import Sequence
 
 from . import linalg
 from .errors import (
+    BudgetError,
     Budgets,
     DEFAULT_BUDGETS,
     InhomogeneousError,
@@ -31,6 +33,7 @@ from .poly import (
     Polynomial,
     monomial_degree,
     monomial_divides,
+    monomial_lcm,
     monomials_of_degree,
 )
 from .presentation import IdealPresentation, RingPresentation, render_polynomial
@@ -103,6 +106,11 @@ def _numerator(gens: tuple[Monomial, ...], nvars: int) -> list[int]:
     return _poly_add(n_plus, [0] + n_colon)
 
 
+# Cap on the degree of a Hilbert numerator, whose coefficient lists are dense:
+# x^100000000*y - y^100000001 would need a factor 1 - t^100000001.
+MAX_NUMERATOR_DEGREE = 10_000
+
+
 def hilbert_numerator(monomial_ideal: IdealPresentation) -> list[int]:
     """N(t) with Hilbert series of the quotient equal to N(t)/(1-t)^nvars."""
     exps = []
@@ -110,7 +118,15 @@ def hilbert_numerator(monomial_ideal: IdealPresentation) -> list[int]:
         if len(g.terms) != 1:
             raise InputError("hilbert_numerator requires monomial generators")
         exps.append(next(iter(g.terms)))
-    return _strip(_numerator(tuple(exps), monomial_ideal.nvars))
+    gens = _minimal_monomials(exps)
+    # Every term of N(t) is +-t^deg lcm(S) for a set S of minimal generators
+    # (the Taylor resolution), so deg lcm(all) bounds its degree.
+    bound = monomial_degree(functools.reduce(monomial_lcm, gens, (0,) * monomial_ideal.nvars))
+    if bound > MAX_NUMERATOR_DEGREE:
+        raise BudgetError(
+            f"hilbert_numerator: degree bound {bound} exceeds the cap {MAX_NUMERATOR_DEGREE}"
+        )
+    return _strip(_numerator(gens, monomial_ideal.nvars))
 
 
 # ---------------------------------------------------------------------------

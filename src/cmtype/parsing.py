@@ -108,11 +108,17 @@ class _Stream:
 #   atom   := number ['/' number] | ident | '(' expr ')'
 
 
+# Parenthesis nesting allowed in one expression.  Each level costs four
+# recursive calls, so this stays well inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _PolyParser:
     def __init__(self, stream: _Stream, variables: VariableSet):
         self.stream = stream
         self.variables = variables
         self.nvars = len(variables)
+        self.depth = 0
 
     def parse_expr(self) -> Polynomial:
         sign = 1
@@ -162,8 +168,14 @@ class _PolyParser:
                 raise ParseError(f"unknown variable {tok.value!r}", tok.line, tok.column)
             return Polynomial.variable(self.nvars, self.variables.index(tok.value))
         if tok.kind == "op" and tok.value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.column
+                )
             self.stream.next()
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.stream.expect_op(")")
             return inner
         if tok.kind == "end":

@@ -1,13 +1,17 @@
 """Exact multivariate polynomial arithmetic and monomial orders.
 
-Coefficients are ``fractions.Fraction`` throughout; nothing in the library
-ever rounds.  A monomial is a plain exponent tuple, one entry per variable,
+Coefficients are exact rationals (``fractions.Fraction``) at every interface;
+nothing in the library ever rounds.  Division by a basis runs internally on
+primitive integer multiples (:func:`integer_multiple`, :meth:`Polynomial.reducer`)
+whose rational scale is tracked exactly, so every result is again a Fraction
+polynomial.  A monomial is a plain exponent tuple, one entry per variable,
 and the position of a variable in its :class:`VariableSet` fixes its
 significance for the monomial orders (earlier = more significant).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -89,6 +93,12 @@ class MonomialOrder(Enum):
             return (sum(m), tuple(-e for e in reversed(m)))
         return tuple(m)
 
+    def heap_key(self, m: Monomial):
+        """Ascending sort key for a min-heap; smaller key = larger monomial."""
+        if self is MonomialOrder.DEGREVLEX:
+            return (-sum(m), m[::-1])
+        return tuple(-e for e in m)
+
     def compare(self, a: Monomial, b: Monomial) -> int:
         """-1, 0 or 1 as a <, =, > b in this order."""
         if len(a) != len(b):
@@ -158,10 +168,12 @@ class Polynomial:
     """Immutable sparse polynomial over the rationals.
 
     Stored as a map from exponent tuple to nonzero Fraction; two equal
-    polynomials therefore have identical term maps.
+    polynomials therefore have identical term maps.  Leading terms and
+    reducer data are memoized per monomial order in ``_memo``, a dict created
+    on first use.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_memo")
 
     def __init__(self, nvars: int, terms: dict | Iterable[tuple] = ()):
         data: dict[Monomial, Fraction] = {}
@@ -228,11 +240,38 @@ class Polynomial:
     def coefficient(self, m: Monomial) -> Fraction:
         return self.terms.get(tuple(m), Fraction(0))
 
+    def _remember(self, key, value):
+        try:
+            memo = self._memo
+        except AttributeError:
+            memo = {}
+            object.__setattr__(self, "_memo", memo)
+        memo[key] = value
+        return value
+
     def leading_term(self, order: MonomialOrder = DEGREVLEX) -> tuple[Monomial, Fraction]:
-        if not self.terms:
-            raise InputError("zero polynomial has no leading term")
+        try:
+            return self._memo[order]
+        except (AttributeError, KeyError):
+            if not self.terms:
+                raise InputError("zero polynomial has no leading term") from None
         m = max(self.terms, key=order.key)
-        return m, self.terms[m]
+        return self._remember(order, (m, self.terms[m]))
+
+    def reducer(self, order: MonomialOrder = DEGREVLEX) -> tuple[Monomial, int, tuple]:
+        """``(lm, lc, tail)`` of the primitive integer multiple of self whose
+        lead coefficient ``lc`` is positive; ``tail`` lists the other terms as
+        ``(monomial, int)`` pairs.  The form in which division divides by self."""
+        key = (order, "reducer")
+        try:
+            return self._memo[key]
+        except (AttributeError, KeyError):
+            pass
+        lm = self.leading_term(order)[0]
+        ints = integer_multiple(self.terms)[1]
+        sign = 1 if ints[lm] > 0 else -1
+        lc = sign * ints.pop(lm)
+        return self._remember(key, (lm, lc, tuple((m, sign * c) for m, c in ints.items())))
 
     def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Monomial:
         return self.leading_term(order)[0]
@@ -321,8 +360,12 @@ class Polynomial:
     def monic(self, order: MonomialOrder = DEGREVLEX) -> "Polynomial":
         if not self.terms:
             return self
-        _, lc = self.leading_term(order)
-        return self * (1 / lc)
+        m, lc = self.leading_term(order)
+        if lc == 1:
+            return self
+        out = self * (1 / lc)
+        out._remember(order, (m, Fraction(1)))
+        return out
 
     # -- structural operations ----------------------------------------------
 
@@ -415,6 +458,27 @@ def _raw(nvars: int, data: dict) -> Polynomial:
     object.__setattr__(p, "nvars", nvars)
     object.__setattr__(p, "terms", data)
     return p
+
+
+def polynomial_from_descending(nvars: int, data: dict, order: MonomialOrder) -> Polynomial:
+    """Polynomial from a clean term map whose first key is its leading
+    monomial under ``order``, which is remembered."""
+    p = _raw(nvars, data)
+    if data:
+        m = next(iter(data))
+        p._remember(order, (m, data[m]))
+    return p
+
+
+def integer_multiple(terms: dict) -> tuple[Fraction, dict[Monomial, int]]:
+    """``(scale, ints)`` with ``terms == scale * ints``, where ``ints`` has
+    integer coefficients without common factor: the primitive integer multiple."""
+    denominator = math.lcm(*(c.denominator for c in terms.values()))
+    ints = {m: c.numerator * (denominator // c.denominator) for m, c in terms.items()}
+    content = math.gcd(*ints.values())
+    if content > 1:
+        ints = {m: c // content for m, c in ints.items()}
+    return Fraction(content, denominator), ints
 
 
 def compare_monomials(order: MonomialOrder, m1: Monomial, m2: Monomial) -> int:

@@ -5,8 +5,10 @@ dense rank computations on monomial bases, semigroup lengths from explicit
 exponent-set differences, and arrangement lengths from graded linear algebra
 in the quotient of the 2-variable polynomial ring.  Minimal generators and
 the family matcher's quadric-span data come from the original dense
-algorithms: a fresh rref for every membership test.  The paths under test and
-the oracle paths share only the Polynomial arithmetic and the rref routine.
+algorithms: a fresh rref for every membership test.  The normal form oracle
+is the original division over Fraction polynomials, one new polynomial per
+step.  The paths under test and the oracle paths share only the Polynomial
+arithmetic and the rref routine.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from fractions import Fraction
 
 from cmtype import Polynomial
 from cmtype.drozd_roiter import NumericalSemigroup
+from cmtype.groebner import GroebnerBasis
 from cmtype.linalg import rank, rref
-from cmtype.poly import monomials_of_degree
+from cmtype.poly import DEGREVLEX, Monomial, MonomialOrder, monomial_div, monomials_of_degree
 
 
 def hilbert_function_oracle(generators, nvars: int, degree: int) -> int:
@@ -209,3 +212,36 @@ def support_signatures_oracle(mat, basis, nvars: int):
             crosses[live[0]] += 1
             crosses[live[1]] += 1
     return list(zip(squares, crosses))
+
+
+# ---------------------------------------------------------------------------
+# division over Fraction polynomials: the algorithm the integer division replaced
+
+
+def normal_form_oracle(p: Polynomial, basis, order: MonomialOrder | None = None) -> Polynomial:
+    """Full remainder of p under division by the basis (no term divisible by a
+    leading term survives).  Against a Groebner basis the result is the unique
+    normal form; in particular it is zero exactly for ideal members."""
+    if isinstance(basis, GroebnerBasis):
+        elements = basis.elements
+        order = order or basis.order
+    else:
+        elements = tuple(basis)
+        order = order or DEGREVLEX
+    elements = tuple(g for g in elements if not g.is_zero)
+    if not elements:
+        return p
+    leads = [g.leading_term(order) for g in elements]
+    remainder: dict[Monomial, Fraction] = {}
+    work = p
+    while work:
+        m, c = work.leading_term(order)
+        for g, (lm, lc) in zip(elements, leads):
+            q = monomial_div(m, lm)
+            if q is not None:
+                work = work - g.mul_term(q, c / lc)
+                break
+        else:
+            remainder[m] = c
+            work = work - Polynomial(p.nvars, [(m, c)])
+    return Polynomial(p.nvars, remainder)

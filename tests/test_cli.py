@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, report documents, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -185,6 +186,26 @@ class TestDeterminismAndExitCodes:
         code, out, err = run_cli(capsys, "classify", path, "--json")
         assert code == 0 and "Traceback" not in err
         assert json.loads(out)["verdict"] == "out_of_scope"
+
+    def test_hilbert_numerator_budget_exits_cleanly(self, capsys, tmp_path):
+        path = write(tmp_path, "huge.ring", "ring: x, y\nideal: x^100000000*y - y^100000001\n")
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "classify", path, "--json")
+        assert code == 0 and "Traceback" not in err
+        report = json.loads(out)
+        assert report["verdict"] == "out_of_scope"
+        assert "hilbert_numerator: degree bound 100000001" in report["reason"]
+        code, out, err = run_cli(capsys, "analyze", path)
+        assert time.perf_counter() - started < 1.0
+        assert code == 3
+        assert "hilbert_numerator" in err and "Traceback" not in err
+
+    def test_deeply_nested_parentheses_exit_2(self, capsys, tmp_path):
+        path = write(tmp_path, "deep.ring", "ring: x\nideal: " + "(" * 5000 + "x" + ")" * 5000 + "\n")
+        code, out, err = run_cli(capsys, "classify", path)
+        assert code == 2
+        assert "nested deeper than" in err and "line 2, column 108" in err
+        assert "Traceback" not in err
 
     def test_inhomogeneous_classify_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, "inhom.ring", "ring: x, y\nideal: x^2 + y\n")

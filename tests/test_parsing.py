@@ -76,6 +76,13 @@ def test_syntax_error_carries_location():
     assert err.value.column > 0
 
 
+def test_nesting_depth_limit():
+    x = Polynomial.variable(1, 0)
+    assert parse_polynomial("(" * 100 + "x" + ")" * 100, VariableSet(("x",))) == x
+    with pytest.raises(ParseError, match=r"nested deeper than 100 \(line 1, column 101\)"):
+        parse_polynomial("(" * 101 + "x" + ")" * 101, VariableSet(("x",)))
+
+
 def test_unknown_variable():
     with pytest.raises(ParseError) as err:
         parse_presentation("ring: x ; ideal: x*q")
