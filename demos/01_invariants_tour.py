@@ -3,13 +3,7 @@
 Run with:  python demos/01_invariants_tour.py
 """
 
-from cmtype import (
-    artinian_reduction,
-    minimalize_presentation,
-    parse_presentation,
-    render_polynomial,
-    ring_invariants,
-)
+from cmtype import analyze, parse_presentation, render_polynomial
 
 SAMPLES = {
     "coordinate cross  k[x,y]/(xy)": "ring: x, y ; ideal: x*y",
@@ -24,16 +18,16 @@ SAMPLES = {
 
 def main() -> None:
     for title, text in SAMPLES.items():
-        pres = parse_presentation(text)
-        inv = ring_invariants(pres)
+        bundle = analyze(parse_presentation(text))
+        inv = bundle.invariants
         print(f"== {title}")
         print(f"   dim {inv.dim}, embdim {inv.embdim}, h-vector {inv.hvector}, e = {inv.multiplicity}")
         print(
             f"   Cohen-Macaulay: {inv.is_cm}"
             + (f", type {inv.cm_type}, Gorenstein: {inv.is_gorenstein}" if inv.is_cm else "")
         )
-        red = artinian_reduction(pres)
-        names = tuple(minimalize_presentation(pres).variables)  # lsop lives here
+        red = bundle.reduction
+        names = tuple(bundle.presentation.variables)  # lsop lives here
         forms = ", ".join(render_polynomial(f, names) for f in red.lsop) or "(none needed)"
         print(f"   artinian reduction by [{forms}]: length {red.length}, counts {red.standard_monomial_counts}")
         if not inv.is_cm:

@@ -65,7 +65,6 @@ from .invariants import (
     artinian_reduction,
     cm_and_type,
     hilbert_numerator,
-    hilbert_series,
     is_hypersurface,
     ring_invariants,
     standard_monomials,

@@ -53,9 +53,6 @@ CITATIONS: dict[str, Citation] = {
     "dim1-graded12": Citation(
         "Cor 3.6 (4)", "R is of graded finite type and isomorphic to one of the following"
     ),
-    "dim1-dr": Citation(
-        "Prop 3.2", "The Drozd-Roĭter conditions are equivalent to the following"
-    ),
     "dim1-12-open": Citation(
         "§3.2", "classify the rings whose h-vector is (1,2)"
     ),

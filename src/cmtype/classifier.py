@@ -228,7 +228,7 @@ class _Context:
 
     def get_singularity(self) -> SingularityReport:
         if self.singularity is None:
-            self.singularity = singular_locus(self.bundle.presentation, budgets=self.budgets)
+            self.singularity = singular_locus(self.bundle, budgets=self.budgets)
         return self.singularity
 
     def report(
@@ -329,7 +329,7 @@ def _classify_dim1(ctx: _Context) -> ClassificationReport:
         return ctx.report(Verdict.UNCOUNTABLE, "dim1-h13")
 
     if len(h) == 2 and h[1] == 2:
-        ctx.family = match_named_family(ctx.bundle.presentation, budgets=ctx.budgets)
+        ctx.family = match_named_family(ctx.bundle.presentation)
         if ctx.family.kind == "gw12":
             return ctx.report(
                 Verdict.COUNTABLE_INFINITE, "dim1-gw12", "completion-transfer"
@@ -388,7 +388,7 @@ def _classify_dim_ge2(ctx: _Context) -> ClassificationReport:
             return ctx.report(Verdict.UNCOUNTABLE, "dim2-isolated-minmult")
         return ctx.report(Verdict.OPEN_UNKNOWN, "dim2-nonisolated-open")
 
-    ctx.family = match_named_family(ctx.bundle.presentation, budgets=ctx.budgets)
+    ctx.family = match_named_family(ctx.bundle.presentation)
     tag = ctx.family
     if tag.kind == "scroll":
         if len(tag.param) == 1:

@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--assume",
         action="append",
         default=[],
-        choices=["reduced", "domain"],
+        choices=["reduced"],
         help="assert a hypothesis the tool cannot verify",
     )
 
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
             for warning in pres.warnings:
                 print(f"warning: {warning}", file=sys.stderr)
             bundle = analyze(pres, seed=ns.seed, budgets=budgets)
-            sing = singular_locus(bundle.presentation, budgets=budgets)
+            sing = singular_locus(bundle, budgets=budgets)
             names = tuple(bundle.presentation.variables)
             doc = build_document(
                 "analyze",

@@ -14,14 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import linalg
-from .errors import Budgets, DEFAULT_BUDGETS, InputError
-from .groebner import buchberger, minimalize_presentation
+from .errors import InputError
+from .groebner import minimalize_presentation
 from .parsing import parse_presentation
-from .poly import Polynomial, VariableSet
-from .presentation import IdealPresentation, RingPresentation, make_presentation
+from .poly import Polynomial
+from .presentation import RingPresentation, make_presentation
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +330,10 @@ class FamilyTag:
     """Result of catalog matching.
 
     For permutation-matched kinds the certificate is the variable relabeling
-    (old index -> new index) under which the canonical family presentation
-    has exactly the input's reduced Groebner basis.  Rank- and profile-based
-    kinds carry no certificate.  `attempted` is False when the permutation
+    (old index -> new index) under which the canonical family's quadrics span
+    exactly the input's quadrics; equal spans give equal ideals, so the
+    relabeled family has the input's reduced Groebner basis.  Rank- and
+    profile-based kinds carry no certificate.  `attempted` is False when the permutation
     search was skipped because the ring has more than 9 variables.
     """
 
@@ -376,17 +377,15 @@ def _permutation_candidates(n: int) -> list[tuple[FamilyTag, RingPresentation]]:
     return candidates
 
 
-def match_named_family(
-    pres: RingPresentation, *, budgets: Budgets = DEFAULT_BUDGETS
-) -> FamilyTag:
+def match_named_family(pres: RingPresentation) -> FamilyTag:
     """Match a minimal presentation against the family catalog.
 
     Quadrics and binary forms are tagged by their invariants; all other
     families are searched over variable permutations in lexicographic order
     (first match wins), pruned by the rank and support signatures of the
-    quadric span.  A match is
-    only reported after the permuted family reproduces the input's reduced
-    Groebner basis bit for bit.
+    quadric span.  A match is reported when the permuted family's quadrics
+    span exactly the input's quadrics: both ideals are generated by those
+    spans, so the ideals, and hence their reduced Groebner bases, are equal.
     """
     minimal = pres if pres.minimalized else minimalize_presentation(pres)
     gens = minimal.generators
@@ -407,23 +406,18 @@ def match_named_family(
     if any(g.degree() != 2 for g in gens):
         return FamilyTag("none")  # every permutation-matched family is quadric-generated
 
-    input_gb = buchberger(minimal.ideal, budgets=budgets)
     input_echelon = linalg.Echelon(g.terms for g in gens)
     input_sigs = _support_signatures(input_echelon, n)
     for tag, family in _permutation_candidates(n):
-        family_gens = minimalize_presentation(family).generators
-        family_echelon = linalg.Echelon(g.terms for g in family_gens)
+        # catalog generators are quadrics; only their span is read
+        family_echelon = linalg.Echelon(g.terms for g in family.generators)
         if len(family_echelon.rows) != len(input_echelon.rows):
             continue
         fam_sigs = _support_signatures(family_echelon, n)
         for sigma in _constrained_permutations(fam_sigs, input_sigs, n):
-            permuted = [g.permute_variables(sigma) for g in family_gens]
-            if any(input_echelon.residual(pg.terms) for pg in permuted):
-                continue
-            candidate_gb = buchberger(
-                IdealPresentation(minimal.variables, tuple(permuted)), budgets=budgets
-            )
-            if candidate_gb.elements == input_gb.elements:
+            permuted = (g.permute_variables(sigma) for g in family.generators)
+            # equal ranks, so containment of the permuted span is equality
+            if not any(input_echelon.residual(pg.terms) for pg in permuted):
                 return FamilyTag(tag.kind, param=tag.param, certificate=tuple(sigma))
     return FamilyTag("none")
 

@@ -13,7 +13,6 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
@@ -28,7 +27,6 @@ from .errors import (
 )
 from .groebner import GroebnerBasis, buchberger, initial_ideal, minimalize_presentation, normal_form
 from .poly import (
-    DEGREVLEX,
     Monomial,
     Polynomial,
     monomial_degree,
@@ -183,12 +181,6 @@ def hilbert_series_from_gb(gb: GroebnerBasis) -> HilbertSeries:
     )
 
 
-def hilbert_series(pres: RingPresentation, *, budgets: Budgets = DEFAULT_BUDGETS) -> HilbertSeries:
-    _require_homogeneous(pres)
-    _require_proper(pres)
-    return hilbert_series_from_gb(buchberger(pres.ideal, budgets=budgets))
-
-
 def _require_homogeneous(pres: RingPresentation):
     if not pres.ideal.homogeneous:
         raise InhomogeneousError("invariant computations require a homogeneous ideal")
@@ -226,28 +218,30 @@ class ArtinianReduction:
 
 
 def artinian_reduction(
-    pres: RingPresentation,
+    minimal: RingPresentation,
+    gb: GroebnerBasis,
+    series: HilbertSeries,
     seed: int = 1,
     *,
     budgets: Budgets = DEFAULT_BUDGETS,
-) -> ArtinianReduction:
+) -> tuple[ArtinianReduction, GroebnerBasis]:
     """Quotient by `dim` verified generic linear forms.
+
+    `minimal` is a minimal presentation and `gb`/`series` its reduced Groebner
+    basis and Hilbert series, as :func:`analyze` computes them.  Returns the
+    reduction and the reduced basis of the artinian ideal: the basis of the
+    last accepted trial, or `gb` itself when the ring is already artinian.
 
     Candidate forms draw integer coefficients from a deterministic generator;
     attempt k uses the range [-(1+k), 1+k] (the documented widening schedule).
     A candidate is accepted only if it drops the dimension by exactly one; a
     degenerate input exhausts the 20 attempts and raises LsopSearchError.
     """
-    if not pres.minimalized:
-        pres = minimalize_presentation(pres)
-    _require_proper(pres)
-    nvars = pres.nvars
-    series = hilbert_series_from_gb(buchberger(pres.ideal, budgets=budgets))
+    nvars = minimal.nvars
     rng = random.Random(seed)
-    names = tuple(pres.variables)
+    names = tuple(minimal.variables)
 
-    current = list(pres.generators)
-    current_dim = series.dim
+    current = list(minimal.generators)
     chosen: list[Polynomial] = []
     attempted: list[str] = []
     for _ in range(series.dim):
@@ -259,31 +253,27 @@ def artinian_reduction(
             form = Polynomial(nvars, [(m, c) for m, c in zip(_unit_vectors(nvars), coeffs) if c])
             attempted.append(render_polynomial(form, names))
             trial = current + [form]
-            trial_series = hilbert_series_from_gb(
-                buchberger(IdealPresentation(pres.variables, tuple(trial)), budgets=budgets)
-            )
-            if trial_series.dim == current_dim - 1:
-                current = trial
-                current_dim -= 1
+            trial_gb = buchberger(IdealPresentation(minimal.variables, tuple(trial)), budgets=budgets)
+            trial_series = hilbert_series_from_gb(trial_gb)
+            if trial_series.dim == series.dim - 1:
+                current, gb, series = trial, trial_gb, trial_series
                 chosen.append(form)
                 break
         else:
             raise LsopSearchError(
-                f"no linear parameter found after 20 attempts (dim {current_dim})",
+                f"no linear parameter found after 20 attempts (dim {series.dim})",
                 tuple(attempted),
             )
 
-    final_gb = buchberger(IdealPresentation(pres.variables, tuple(current)), budgets=budgets)
-    numerator = hilbert_numerator(initial_ideal(final_gb))
-    deflations, counts = _deflate(numerator)
-    if deflations != nvars:
+    if series.dim != 0:
         raise InputError("artinian reduction failed to reach dimension zero")
-    return ArtinianReduction(
+    reduction = ArtinianReduction(
         lsop=tuple(chosen),
-        standard_monomial_counts=tuple(counts),
-        length=sum(counts),
+        standard_monomial_counts=series.hvector,
+        length=series.multiplicity,
         seed=seed,
     )
+    return reduction, gb
 
 
 def _unit_vectors(nvars: int) -> list[Monomial]:
@@ -353,7 +343,13 @@ class RingInvariants:
 
 @dataclass(frozen=True)
 class Analysis:
-    """Shared bundle so downstream consumers do not recompute the pipeline."""
+    """Everything the pipeline computes about one ring, built only by :func:`analyze`.
+
+    Consumers (the singular locus, the classifier, the CLI) read it instead of
+    recomputing, so each ideal gets one reduced Groebner basis per run:
+    `gb` is the basis of the minimal presentation, `artinian_gb` the basis of
+    that ideal plus the linear system of parameters in `reduction`.
+    """
 
     presentation: RingPresentation  # minimalized
     gb: GroebnerBasis
@@ -369,17 +365,18 @@ def analyze(
     *,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> Analysis:
+    """Minimalize `pres` and run the invariant pipeline on it, once.
+
+    The only producer of :class:`Analysis`; the artinian reduction reuses
+    `gb` and `series` and hands back the basis of its final trial.
+    """
     _require_homogeneous(pres)
     _require_proper(pres)
     minimal = pres if pres.minimalized else minimalize_presentation(pres)
     _require_proper(minimal)
     gb = buchberger(minimal.ideal, budgets=budgets)
     series = hilbert_series_from_gb(gb)
-    reduction = artinian_reduction(minimal, seed=seed, budgets=budgets)
-    artinian_gb = buchberger(
-        IdealPresentation(minimal.variables, minimal.generators + reduction.lsop),
-        budgets=budgets,
-    )
+    reduction, artinian_gb = artinian_reduction(minimal, gb, series, seed=seed, budgets=budgets)
     e = series.multiplicity
     is_cm = reduction.length == e
     cm_type = _socle_dimension(artinian_gb) if is_cm else None

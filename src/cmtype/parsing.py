@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InhomogeneousError, InputError, ParseError
+from .errors import InhomogeneousError, ParseError
 from .poly import Polynomial, VariableSet
 from .presentation import IdealPresentation, RingPresentation
 

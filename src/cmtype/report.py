@@ -17,7 +17,7 @@ from .classifier import ClassificationReport, ObstructionData
 from .drozd_roiter import DrozdRoiterReport
 from .families import FamilyTag
 from .invariants import ArtinianReduction, RingInvariants
-from .presentation import RingPresentation, render_polynomial
+from .presentation import render_polynomial
 from .singularity import SingularityReport
 
 TOOL_VERSION = "0.1.0"

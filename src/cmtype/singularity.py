@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetError, Budgets, DEFAULT_BUDGETS
-from .groebner import buchberger, minimalize_presentation, normal_form
-from .invariants import hilbert_series_from_gb
+from .groebner import buchberger, normal_form
+from .invariants import Analysis, hilbert_series_from_gb
 from .poly import Polynomial
-from .presentation import IdealPresentation, RingPresentation
+from .presentation import IdealPresentation
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,13 @@ def _minor(matrix, rows: tuple[int, ...], cols: tuple[int, ...], memo) -> Polyno
     return result
 
 
-def singular_locus(
-    pres: RingPresentation, *, budgets: Budgets = DEFAULT_BUDGETS
-) -> SingularityReport:
-    """Dimension of the singular locus and the isolated-singularity flag."""
-    minimal = pres if pres.minimalized else minimalize_presentation(pres)
+def singular_locus(bundle: Analysis, *, budgets: Budgets = DEFAULT_BUDGETS) -> SingularityReport:
+    """Dimension of the singular locus and the isolated-singularity flag.
+
+    Reads the minimal presentation, its reduced Groebner basis and its
+    Hilbert series from `bundle`; the only new basis is that of I + minors.
+    """
+    minimal = bundle.presentation
     gens = minimal.generators
     nvars = minimal.nvars
     if not gens:
@@ -65,9 +67,7 @@ def singular_locus(
             singular_dim=-1,
             isolated=True,
         )
-    gb = buchberger(minimal.ideal, budgets=budgets)
-    series = hilbert_series_from_gb(gb)
-    codim = nvars - series.dim
+    codim = nvars - bundle.series.dim
 
     jacobian = [[g.derivative(j) for j in range(nvars)] for g in gens]
     minors: list[Polynomial] = []
@@ -86,14 +86,16 @@ def singular_locus(
                     continue
                 # reducing modulo the ideal does not change I + minors and
                 # collapses the many minors that already lie in I
-                det = normal_form(det, gb).monic()
+                det = normal_form(det, bundle.gb).monic()
                 if det and det not in seen:
                     seen.add(det)
                     minors.append(det)
 
     jacobian_ideal = IdealPresentation(minimal.variables, tuple(gens) + tuple(minors))
-    locus_series = hilbert_series_from_gb(buchberger(jacobian_ideal, budgets=budgets))
-    singular_dim = locus_series.dim
+    if minors:
+        singular_dim = hilbert_series_from_gb(buchberger(jacobian_ideal, budgets=budgets)).dim
+    else:  # every minor lies in I, so the singular locus is all of V(I)
+        singular_dim = bundle.series.dim
     return SingularityReport(
         codim=codim,
         jacobian_ideal=jacobian_ideal,

@@ -14,6 +14,7 @@ import pytest
 from cmtype import (
     Polynomial,
     Verdict,
+    analyze,
     arrangement_dr,
     buchberger,
     classify,
@@ -135,11 +136,11 @@ def test_criterion_06_quadric_split_in_four_variables():
 
 
 def test_criterion_07_singular_locus():
-    s = singular_locus(parse_presentation("ring: x,y,z ; ideal: x^2 + y^2 + z^2"))
+    s = singular_locus(analyze(parse_presentation("ring: x,y,z ; ideal: x^2 + y^2 + z^2")))
     assert s.isolated is True and s.singular_dim == 0
-    s = singular_locus(parse_presentation("ring: x,y ; ideal: y^2"))
+    s = singular_locus(analyze(parse_presentation("ring: x,y ; ideal: y^2")))
     assert s.singular_dim == 1 and s.isolated is False
-    s = singular_locus(parse_presentation("ring: x,y ; ideal: x*y^2"))
+    s = singular_locus(analyze(parse_presentation("ring: x,y ; ideal: x*y^2")))
     assert s.singular_dim == 1 and s.isolated is False
     announce(7, "singular loci: quadric cone isolated; double line and cusp line are not")
 
@@ -167,7 +168,7 @@ def test_criterion_08_determinantal_families():
     v5 = veronese_cone_ideal(5)
     inv = ring_invariants(v5)
     assert (inv.dim, inv.multiplicity) == (3, 4)
-    assert singular_locus(v5).isolated is True
+    assert singular_locus(analyze(v5)).isolated is True
     assert classify(v5).verdict is Verdict.FINITE
 
     report = classify(veronese_cone_ideal(6))

@@ -182,9 +182,10 @@ class TestDimensionTwoAndUp:
         # no natural corpus ring reaches this branch; exercise the rule wiring
         pres = parse_presentation("ring: x,y,z,u ; ideal: x^2, x*y, y^3")
 
-        def fake_singular_locus(p, budgets=None):
+        def fake_singular_locus(bundle, budgets=None):
             from cmtype.presentation import IdealPresentation
 
+            p = bundle.presentation
             return SingularityReport(
                 codim=2,
                 jacobian_ideal=IdealPresentation(p.variables, p.generators),

@@ -1,10 +1,12 @@
 """Command-line front end: subcommands, report documents, exit codes."""
 
 import json
+import sys
 import time
 
 import pytest
 
+from cmtype import groebner
 from cmtype.cli import main
 from cmtype.families import _scroll_types_with_nvars
 
@@ -72,6 +74,52 @@ class TestAnalyzeCommand:
         code, out, err = run_cli(capsys, "analyze", path)
         assert code == 0
         assert "invariants.dim: 1" in out
+
+
+class TestOneBasisPerIdeal:
+    """A run computes each reduced Groebner basis once: `analyze` builds the
+    pipeline and every consumer reads its bundle instead of recomputing."""
+
+    CASES = {
+        "gw12": ("generate", "gw12"),
+        "scroll_1-2": ("generate", "scroll", "1,2"),
+        "veronese_cone_5": ("generate", "veronese_cone", "5"),
+        "quadric_3_4": ("generate", "quadric", "3", "4"),
+        "dim0_x2_y2": "ring: x, y\nideal: x^2, y^2\n",
+        # dim 2, not of minimal multiplicity: classify reaches the singular
+        # locus, and every Jacobian minor already lies in the ideal
+        "x2_xy_y3": "ring: x, y, z, u\nideal: x^2, x*y, y^3\n",
+    }
+
+    @staticmethod
+    def record_bases(monkeypatch):
+        original = groebner.buchberger
+        bases = []
+
+        def recording(*args, **kwargs):
+            gb = original(*args, **kwargs)
+            bases.append((gb.variables, gb.order, gb.elements))
+            return gb
+
+        for name, module in list(sys.modules.items()):
+            if name == "cmtype" or name.startswith("cmtype."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, recording)
+        return bases
+
+    @pytest.mark.parametrize("subcommand", ["classify", "analyze"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_no_reduced_basis_is_returned_twice(self, capsys, tmp_path, monkeypatch, subcommand, case):
+        source = self.CASES[case]
+        if isinstance(source, tuple):
+            code, source, err = run_cli(capsys, *source)
+            assert code == 0, err
+        path = write(tmp_path, "ring.ring", source)
+        bases = self.record_bases(monkeypatch)
+        run_json(capsys, subcommand, path)
+        assert bases
+        assert len(set(bases)) == len(bases)
 
 
 class TestSemigroupCommand:

@@ -214,17 +214,28 @@ class TestMatchNamedFamily:
             )
             tag = match_named_family(permuted)
             assert (tag.kind, tag.param, tag.certificate) == expected
-            canonical = minimalize_presentation(
-                catalog_presentation_for_tag(tag, n)
-            )
-            replayed = [
-                g.permute_variables(tag.certificate) for g in canonical.generators
-            ]
-            replay_gb = buchberger(
-                IdealPresentation(permuted.variables, tuple(replayed))
-            )
-            input_gb = buchberger(minimalize_presentation(permuted).ideal)
-            assert replay_gb.elements == input_gb.elements
+            assert_certificate_replays(permuted, tag)
+
+    def test_scrambled_families_are_recognized(self):
+        # every multi-quadric family on 3-7 variables, under a random
+        # relabeling, comes back as itself with a replayable certificate
+        rng = random.Random(11)
+        checked = 0
+        for n in range(3, 8):
+            for expected, family in _permutation_candidates(n):
+                if len(family.generators) < 2:
+                    continue  # a single quadric is tagged by rank instead
+                sigma = list(range(n))
+                rng.shuffle(sigma)
+                scrambled = make_presentation(
+                    [f"v{i}" for i in range(n)],
+                    [g.permute_variables(tuple(sigma)) for g in family.generators],
+                )
+                tag = match_named_family(scrambled)
+                assert (tag.kind, tag.param) == (expected.kind, expected.param)
+                assert_certificate_replays(scrambled, tag)
+                checked += 1
+        assert checked == 26
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_echelon_rank_and_signatures_match_dense_rref(self, n):
@@ -255,6 +266,16 @@ class TestMatchNamedFamily:
         tag = match_named_family(pres)
         assert tag.kind == "none"
         assert tag.attempted is False
+
+
+def assert_certificate_replays(pres, tag):
+    """The matcher's certificate, checked the long way: the relabeled family
+    has exactly the reduced Groebner basis of the minimal input."""
+    family = catalog_presentation_for_tag(tag, pres.nvars)
+    replayed = [g.permute_variables(tag.certificate) for g in family.generators]
+    replay_gb = buchberger(IdealPresentation(pres.variables, tuple(replayed)))
+    input_gb = buchberger(minimalize_presentation(pres).ideal)
+    assert replay_gb.elements == input_gb.elements
 
 
 def catalog_presentation_for_tag(tag, nvars):

@@ -107,6 +107,24 @@ class TestBuchberger:
         with pytest.raises(BudgetError):
             buchberger(pres.ideal, budgets=Budgets(degree=1))
 
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_reduced_basis_ignores_generator_order_and_scaling(self, data):
+        # "one basis per distinct ideal" rests on this: the reduced basis
+        # depends on the ideal, not on how its generators are listed
+        nvars = data.draw(st.integers(1, 4))
+        names = [f"x{i}" for i in range(nvars)]
+        small = st.integers(-3, 3).filter(bool)
+        gens = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            monomial = st.sampled_from(monomials_of_degree(nvars, data.draw(st.integers(1, 2))))
+            monomials = data.draw(st.lists(monomial, min_size=1, max_size=4, unique=True))
+            gens.append(Polynomial(nvars, [(m, data.draw(small)) for m in monomials]))
+        scale = st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool)
+        rewritten = [g * data.draw(scale) for g in data.draw(st.permutations(gens))]
+        expected = buchberger(make_presentation(names, gens).ideal)
+        assert buchberger(make_presentation(names, rewritten).ideal).elements == expected.elements
+
     def test_matches_sympy_grevlex(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(20261018)

@@ -6,7 +6,7 @@ from cmtype import (
     InputError,
     LsopSearchError,
     Polynomial,
-    artinian_reduction,
+    analyze,
     buchberger,
     cm_and_type,
     hilbert_numerator,
@@ -118,28 +118,28 @@ class TestRingInvariants:
 
 class TestArtinianReduction:
     def test_two_coordinate_lines(self):
-        red = artinian_reduction(parse_presentation(CORPUS["two_lines"]))
+        red = analyze(parse_presentation(CORPUS["two_lines"])).reduction
         assert red.length == 2
         assert red.standard_monomial_counts == (1, 1)
         assert len(red.lsop) == 1
 
     def test_regular_line(self):
-        red = artinian_reduction(parse_presentation("ring: x ; ideal:"))
+        red = analyze(parse_presentation("ring: x ; ideal:")).reduction
         assert red.length == 1
         assert red.standard_monomial_counts == (1,)
 
     def test_non_cm_length_exceeds_multiplicity(self):
         pres = parse_presentation("ring: x,y ; ideal: x^2, x*y")
         inv = ring_invariants(pres)
-        red = artinian_reduction(pres)
+        red = analyze(pres).reduction
         assert inv.multiplicity == 1
         assert red.length == 2 > inv.multiplicity
         assert not inv.is_cm
 
     def test_deterministic_given_seed(self):
         pres = parse_presentation(CORPUS["gw12"])
-        a = artinian_reduction(pres, seed=3)
-        b = artinian_reduction(pres, seed=3)
+        a = analyze(pres, seed=3).reduction
+        b = analyze(pres, seed=3).reduction
         assert a == b
 
     def test_exhausted_search_reports_attempts(self, monkeypatch):
@@ -147,7 +147,7 @@ class TestArtinianReduction:
 
         monkeypatch.setattr(random_module.Random, "randint", lambda self, a, b: 0)
         with pytest.raises(LsopSearchError):
-            artinian_reduction(parse_presentation(CORPUS["two_lines"]))
+            analyze(parse_presentation(CORPUS["two_lines"]))
 
 
 class TestCmAndType:
@@ -178,7 +178,7 @@ class TestCmAndType:
         for name, text in CORPUS.items():
             pres = parse_presentation(text)
             inv = ring_invariants(pres)
-            red = artinian_reduction(pres)
+            red = analyze(pres).reduction
             if inv.is_cm:
                 assert sum(inv.hvector) == red.length, name
             else:

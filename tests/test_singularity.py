@@ -1,11 +1,11 @@
 """Jacobian-criterion singular locus."""
 
-from cmtype import make_presentation, parse_presentation, singular_locus
+from cmtype import analyze, make_presentation, parse_presentation, singular_locus
 from cmtype.families import sum_of_squares
 
 
 def report_for(text):
-    return singular_locus(parse_presentation(text))
+    return singular_locus(analyze(parse_presentation(text)))
 
 
 def test_rank_three_quadric_cone_is_isolated():
@@ -36,7 +36,7 @@ def test_regular_rings_report_minus_one():
 def test_quadric_family_all_ranks():
     for n in range(1, 6):
         for r in range(1, n + 1):
-            report = singular_locus(sum_of_squares(r, n))
+            report = singular_locus(analyze(sum_of_squares(r, n)))
             if r == n:
                 assert report.singular_dim == 0, (n, r)
             else:
@@ -51,11 +51,11 @@ def test_free_variable_increments_singular_dimension():
         "ring: x,y,z ; ideal: x^2 + y^2 + z^2",
     ):
         pres = parse_presentation(text)
-        base = singular_locus(pres)
+        base = singular_locus(analyze(pres))
         extended = make_presentation(
             tuple(pres.variables) + ("t_new",), [g.extend(1) for g in pres.generators]
         )
-        grown = singular_locus(extended)
+        grown = singular_locus(analyze(extended))
         assert grown.singular_dim == base.singular_dim + 1
 
 
@@ -70,4 +70,4 @@ def test_minor_budget_guard():
     from cmtype import BudgetError, Budgets, scroll_ideal, singular_locus
 
     with pytest.raises(BudgetError):
-        singular_locus(scroll_ideal((5,)), budgets=Budgets(minors=10))
+        singular_locus(analyze(scroll_ideal((5,))), budgets=Budgets(minors=10))
