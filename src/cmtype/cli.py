@@ -11,7 +11,9 @@ Subcommands::
 
 Global flags: ``--json`` (canonical report serialization), ``--seed N``
 (linear-parameter seed, default 1), ``--budget-pairs N``, ``--budget-degree N``.
-Exit codes: 0 success, 2 input error, 3 budget error.
+Exit codes: 0 success, 2 input error, 3 budget error.  ``analyze`` keeps
+its invariants when the singular locus exceeds a budget: it exits 0 with a
+null ``singularity`` section and the reason in ``singularity_skipped``.
 
 The ``arrangement`` input file lists the individual lines as the ideal
 generators (one linear form each); the reduction is a linear form in the
@@ -126,17 +128,19 @@ def main(argv=None) -> int:
             for warning in pres.warnings:
                 print(f"warning: {warning}", file=sys.stderr)
             bundle = analyze(pres, seed=ns.seed, budgets=budgets)
-            sing = singular_locus(bundle, budgets=budgets)
             names = tuple(bundle.presentation.variables)
-            doc = build_document(
-                "analyze",
-                digest_text(text),
-                {
-                    "invariants": invariants_section(bundle.invariants),
-                    "artinian_reduction": reduction_section(bundle.reduction, names),
-                    "singularity": singularity_section(sing),
-                },
-            )
+            sections = {
+                "invariants": invariants_section(bundle.invariants),
+                "artinian_reduction": reduction_section(bundle.reduction, names),
+            }
+            # the invariants are done; a singular locus over budget degrades
+            # to a null section with the reason instead of discarding them
+            try:
+                sections["singularity"] = singularity_section(singular_locus(bundle, budgets=budgets))
+            except BudgetError as exc:
+                sections["singularity"] = None
+                sections["singularity_skipped"] = str(exc)
+            doc = build_document("analyze", digest_text(text), sections)
             return _emit(doc, started, ns.json)
 
         if ns.subcommand == "classify":

@@ -5,6 +5,8 @@ The engine is deliberately deterministic: the normal selection strategy
 canonical output ordering make the reduced basis identical across runs and
 across permutations of the input generators.  Pair pruning uses the
 Gebauer-Moeller refinement of the Buchberger product and chain criteria.
+Open pairs keep the lcm computed when they were made and wait in a heap
+keyed by (lcm degree, pair index), so selection pops instead of rescanning.
 """
 
 from __future__ import annotations
@@ -140,48 +142,55 @@ def buchberger(
     *,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal, unique for (ideal, order)."""
+    """Reduced Groebner basis of the ideal, unique for (ideal, order).
+
+    Each open pair (i, j) stores the lcm of its leading monomials once, in
+    ``lcms``, and enters the heap ``queue`` under (lcm degree, i, j); the pop
+    is the pair of least lcm degree, ties broken by the smaller index pair.
+    Adding an element computes its lcm with each earlier leading monomial
+    once and prunes open pairs by the chain criterion against the stored
+    lcms; pruned pairs stay in the heap and are skipped when popped.
+    """
     variables, gens = _generators_of(source)
     gens = [g.monic(order) for g in gens if not g.is_zero]
 
     basis: list[Polynomial] = []
     leads: list[Monomial] = []
-    pairs: set[tuple[int, int]] = set()
+    lcms: dict[tuple[int, int], Monomial] = {}  # open pairs and their lcms
+    queue: list[tuple[int, int, int]] = []  # (lcm degree, i, j), pruned pairs included
 
     def update(f: Polynomial):
         # Gebauer-Moeller pair pruning (product + chain criteria).
         mf = f.leading_monomial(order)
         t = len(basis)
-        kept = {
-            (i, j)
-            for (i, j) in pairs
-            if not monomial_divides(mf, monomial_lcm(leads[i], leads[j]))
-            or monomial_lcm(leads[i], leads[j]) == monomial_lcm(leads[i], mf)
-            or monomial_lcm(leads[i], leads[j]) == monomial_lcm(leads[j], mf)
-        }
+        new_lcms = [monomial_lcm(lead, mf) for lead in leads]
+        for (i, j), lcm in list(lcms.items()):
+            if monomial_divides(mf, lcm) and lcm != new_lcms[i] and lcm != new_lcms[j]:
+                del lcms[i, j]
         by_lcm: dict[Monomial, list[int]] = {}
-        for i in range(t):
-            by_lcm.setdefault(monomial_lcm(leads[i], mf), []).append(i)
+        for i, lcm in enumerate(new_lcms):
+            by_lcm.setdefault(lcm, []).append(i)
         minimal: list[Monomial] = []
         for lcm in sorted(by_lcm, key=order.key):
             if not any(monomial_divides(seen, lcm) for seen in minimal):
                 minimal.append(lcm)
         for lcm in minimal:
             members = by_lcm[lcm]
-            if not any(monomial_lcm(leads[i], mf) == monomial_mul(leads[i], mf) for i in members):
-                kept.add((min(members), t))
+            if not any(lcm == monomial_mul(leads[i], mf) for i in members):
+                i = min(members)
+                lcms[i, t] = lcm
+                heapq.heappush(queue, (monomial_degree(lcm), i, t))
         basis.append(f)
         leads.append(mf)
-        pairs.clear()
-        pairs.update(kept)
 
     for f in gens:
         update(f)
 
     processed = 0
-    while pairs:
-        i, j = min(pairs, key=lambda ij: (monomial_degree(monomial_lcm(leads[ij[0]], leads[ij[1]])), ij))
-        lcm_degree = monomial_degree(monomial_lcm(leads[i], leads[j]))
+    while lcms:
+        lcm_degree, i, j = heapq.heappop(queue)
+        if (i, j) not in lcms:  # pruned by the chain criterion after it was queued
+            continue
         if lcm_degree > budgets.degree:
             raise BudgetError(
                 f"S-pair degree {lcm_degree} exceeds the degree budget {budgets.degree}"
@@ -189,7 +198,7 @@ def buchberger(
         processed += 1
         if processed > budgets.pairs:
             raise BudgetError(f"pair budget {budgets.pairs} exceeded")
-        pairs.remove((i, j))
+        del lcms[i, j]
         h = normal_form(spoly(basis[i], basis[j], order), basis, order)
         if h:
             update(h.monic(order))

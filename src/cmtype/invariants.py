@@ -410,7 +410,7 @@ def cm_and_type(
     return CmTypeResult(inv.is_cm, inv.cm_type, inv.is_gorenstein)
 
 
-def is_hypersurface(pres: RingPresentation, *, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
+def is_hypersurface(pres: RingPresentation) -> bool:
     """True when the minimal presentation has at most one generator.
 
     Regular rings (zero ideal after minimalization) count as hypersurfaces;

@@ -4,6 +4,15 @@ The criterion adjoins the codim x codim minors of the Jacobian matrix of a
 minimal presentation to the ideal and measures the dimension of the quotient.
 Equidimensionality is assumed, not checked; the report says so explicitly and
 consumers must surface that assumption whenever a verdict depends on it.
+
+The Jacobian rows are those of the generators' primitive integer multiples,
+so every minor is a nonzero constant times the rational one and I + minors
+is unchanged; the memoized Laplace expansion runs over integer term maps.
+A minor that is a scalar multiple of one already reduced is skipped: its
+monic normal form is that one's, so it would adjoin nothing new.  More minors than
+``Budgets.minors`` raise ``BudgetError`` before any is expanded; ``cmtype
+analyze`` then reports a null singularity section with the reason, in
+``singularity_skipped``, next to the invariants it already computed.
 """
 
 from __future__ import annotations
@@ -11,11 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 
 from .errors import BudgetError, Budgets, DEFAULT_BUDGETS
 from .groebner import buchberger, normal_form
 from .invariants import Analysis, hilbert_series_from_gb
-from .poly import Polynomial
+from .poly import Polynomial, integer_multiple
 from .presentation import IdealPresentation
 
 
@@ -28,27 +38,44 @@ class SingularityReport:
     equidimensional_assumed: bool = True
 
 
-def _minor(matrix, rows: tuple[int, ...], cols: tuple[int, ...], memo) -> Polynomial:
-    """Laplace expansion along the first row, memoized on (rows, cols)."""
+def _minor(matrix, rows: tuple[int, ...], cols: tuple[int, ...], memo) -> dict:
+    """Laplace expansion along the first row, memoized on (rows, cols); the
+    entries and the result are integer term maps ``{monomial: int}``."""
     key = (rows, cols)
     if key in memo:
         return memo[key]
     if len(rows) == 1:
         result = matrix[rows[0]][cols[0]]
     else:
-        n = matrix[0][0].nvars if matrix and matrix[0] else 0
-        result = Polynomial.zero(n)
+        result: dict = {}
         r0 = rows[0]
         rest = rows[1:]
         for k, c in enumerate(cols):
             entry = matrix[r0][c]
-            if entry.is_zero:
+            if not entry:
                 continue
             sub = _minor(matrix, rest, cols[:k] + cols[k + 1 :], memo)
-            term = entry * sub
-            result = result + term if k % 2 == 0 else result - term
+            sign = -1 if k % 2 else 1
+            for m1, c1 in entry.items():
+                c1 *= sign
+                for m2, c2 in sub.items():
+                    m = tuple(map(add, m1, m2))
+                    if v := result.get(m, 0) + c1 * c2:
+                        result[m] = v
+                    else:
+                        del result[m]
     memo[key] = result
     return result
+
+
+def _scalar_class(terms: dict) -> frozenset:
+    """The primitive multiple of a nonzero integer term map, signed so that
+    its smallest monomial has a positive coefficient: equal exactly for
+    scalar multiples of one polynomial."""
+    content = math.gcd(*terms.values())
+    if terms[min(terms)] < 0:
+        content = -content
+    return frozenset((m, c // content) for m, c in terms.items())
 
 
 def singular_locus(bundle: Analysis, *, budgets: Budgets = DEFAULT_BUDGETS) -> SingularityReport:
@@ -69,24 +96,37 @@ def singular_locus(bundle: Analysis, *, budgets: Budgets = DEFAULT_BUDGETS) -> S
         )
     codim = nvars - bundle.series.dim
 
-    jacobian = [[g.derivative(j) for j in range(nvars)] for g in gens]
+    # Scaling a row by a nonzero constant scales its minors alike, which
+    # leaves I + minors unchanged: differentiate primitive integer multiples.
+    primitive = [g * (1 / integer_multiple(g.terms)[0]) for g in gens]
+    jacobian = [
+        [{m: c.numerator for m, c in g.derivative(j).terms.items()} for j in range(nvars)]
+        for g in primitive
+    ]
     minors: list[Polynomial] = []
     if codim <= len(gens) and codim <= nvars:
         count = math.comb(len(gens), codim) * math.comb(nvars, codim)
         if count > budgets.minors:
             raise BudgetError(
-                f"{count} Jacobian minors exceed the minor budget {budgets.minors}"
+                f"singular_locus: {count} Jacobian minors exceed the minor budget {budgets.minors}"
             )
         memo: dict = {}
+        classes: set[frozenset] = set()
         seen: set[Polynomial] = set()
         for rows in combinations(range(len(gens)), codim):
             for cols in combinations(range(nvars), codim):
                 det = _minor(jacobian, rows, cols, memo)
-                if det.is_zero:
+                if not det:
                     continue
+                # a scalar multiple of a minor already reduced has the same
+                # monic normal form, so it would add nothing
+                scalar_class = _scalar_class(det)
+                if scalar_class in classes:
+                    continue
+                classes.add(scalar_class)
                 # reducing modulo the ideal does not change I + minors and
                 # collapses the many minors that already lie in I
-                det = normal_form(det, bundle.gb).monic()
+                det = normal_form(Polynomial(nvars, det), bundle.gb).monic()
                 if det and det not in seen:
                     seen.add(det)
                     minors.append(det)

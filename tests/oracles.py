@@ -7,7 +7,10 @@ in the quotient of the 2-variable polynomial ring.  Minimal generators and
 the family matcher's quadric-span data come from the original dense
 algorithms: a fresh rref for every membership test.  The normal form oracle
 is the original division over Fraction polynomials, one new polynomial per
-step.  The paths under test and the oracle paths share only the Polynomial
+step.  The Buchberger oracle picks each S-pair by rescanning every open pair,
+and the singular locus oracle expands every Jacobian minor over Fraction
+polynomials; both reduce with the engine's ``normal_form``.  Apart from that,
+the paths under test and the oracle paths share only the Polynomial
 arithmetic and the rref routine.
 """
 
@@ -16,11 +19,37 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from cmtype import Polynomial
+import math
+from itertools import combinations
+
+from hypothesis import strategies as st
+
+from cmtype import Polynomial, make_presentation
 from cmtype.drozd_roiter import NumericalSemigroup
-from cmtype.groebner import GroebnerBasis
+from cmtype.errors import BudgetError, Budgets, DEFAULT_BUDGETS
+from cmtype.groebner import (
+    GroebnerBasis,
+    _generators_of,
+    _interreduce,
+    minimalize_presentation,
+    normal_form,
+    spoly,
+)
+from cmtype.invariants import hilbert_series_from_gb
 from cmtype.linalg import rank, rref
-from cmtype.poly import DEGREVLEX, Monomial, MonomialOrder, monomial_div, monomials_of_degree
+from cmtype.poly import (
+    DEGREVLEX,
+    Monomial,
+    MonomialOrder,
+    monomial_degree,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
+    monomials_of_degree,
+)
+from cmtype.presentation import IdealPresentation, RingPresentation
+from cmtype.singularity import SingularityReport
 
 
 def hilbert_function_oracle(generators, nvars: int, degree: int) -> int:
@@ -116,6 +145,21 @@ def random_homogeneous_ideal(rng: random.Random):
         random_homogeneous_polynomial(rng, nvars, rng.randint(1, 3)) for _ in range(ngens)
     ]
     return nvars, gens
+
+
+@st.composite
+def rational_homogeneous_presentations(draw, max_degree: int, max_generators: int):
+    """1..max_generators homogeneous forms in at most 4 variables, of degrees
+    1..max_degree with 1-4 terms each; the coefficients are rationals with
+    denominators up to 4, so most forms are not integral."""
+    nvars = draw(st.integers(1, 4))
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    gens = []
+    for _ in range(draw(st.integers(1, max_generators))):
+        monomial = st.sampled_from(monomials_of_degree(nvars, draw(st.integers(1, max_degree))))
+        monomials = draw(st.lists(monomial, min_size=1, max_size=4, unique=True))
+        gens.append(Polynomial(nvars, [(m, draw(coefficient)) for m in monomials]))
+    return make_presentation([f"x{i}" for i in range(nvars)], gens)
 
 
 def linear_change(p: Polynomial, matrix) -> Polynomial:
@@ -245,3 +289,147 @@ def normal_form_oracle(p: Polynomial, basis, order: MonomialOrder | None = None)
             remainder[m] = c
             work = work - Polynomial(p.nvars, [(m, c)])
     return Polynomial(p.nvars, remainder)
+
+
+# ---------------------------------------------------------------------------
+# Buchberger with a rescan of every open pair per step and the singular locus
+# over Fraction minors: the algorithms the pair heap and integer minors replaced
+
+
+def buchberger_oracle(
+    source,
+    order: MonomialOrder = DEGREVLEX,
+    *,
+    budgets: Budgets = DEFAULT_BUDGETS,
+) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal, unique for (ideal, order).  Picks
+    each pair by rescanning every open pair with ``min``."""
+    variables, gens = _generators_of(source)
+    gens = [g.monic(order) for g in gens if not g.is_zero]
+
+    basis: list[Polynomial] = []
+    leads: list[Monomial] = []
+    pairs: set[tuple[int, int]] = set()
+
+    def update(f: Polynomial):
+        # Gebauer-Moeller pair pruning (product + chain criteria).
+        mf = f.leading_monomial(order)
+        t = len(basis)
+        kept = {
+            (i, j)
+            for (i, j) in pairs
+            if not monomial_divides(mf, monomial_lcm(leads[i], leads[j]))
+            or monomial_lcm(leads[i], leads[j]) == monomial_lcm(leads[i], mf)
+            or monomial_lcm(leads[i], leads[j]) == monomial_lcm(leads[j], mf)
+        }
+        by_lcm: dict[Monomial, list[int]] = {}
+        for i in range(t):
+            by_lcm.setdefault(monomial_lcm(leads[i], mf), []).append(i)
+        minimal: list[Monomial] = []
+        for lcm in sorted(by_lcm, key=order.key):
+            if not any(monomial_divides(seen, lcm) for seen in minimal):
+                minimal.append(lcm)
+        for lcm in minimal:
+            members = by_lcm[lcm]
+            if not any(monomial_lcm(leads[i], mf) == monomial_mul(leads[i], mf) for i in members):
+                kept.add((min(members), t))
+        basis.append(f)
+        leads.append(mf)
+        pairs.clear()
+        pairs.update(kept)
+
+    for f in gens:
+        update(f)
+
+    processed = 0
+    while pairs:
+        i, j = min(pairs, key=lambda ij: (monomial_degree(monomial_lcm(leads[ij[0]], leads[ij[1]])), ij))
+        lcm_degree = monomial_degree(monomial_lcm(leads[i], leads[j]))
+        if lcm_degree > budgets.degree:
+            raise BudgetError(
+                f"S-pair degree {lcm_degree} exceeds the degree budget {budgets.degree}"
+            )
+        processed += 1
+        if processed > budgets.pairs:
+            raise BudgetError(f"pair budget {budgets.pairs} exceeded")
+        pairs.remove((i, j))
+        h = normal_form(spoly(basis[i], basis[j], order), basis, order)
+        if h:
+            update(h.monic(order))
+
+    return GroebnerBasis(variables, order, _interreduce(basis, order))
+
+
+def _minor(matrix, rows: tuple[int, ...], cols: tuple[int, ...], memo) -> Polynomial:
+    """Laplace expansion along the first row, memoized on (rows, cols)."""
+    key = (rows, cols)
+    if key in memo:
+        return memo[key]
+    if len(rows) == 1:
+        result = matrix[rows[0]][cols[0]]
+    else:
+        n = matrix[0][0].nvars if matrix and matrix[0] else 0
+        result = Polynomial.zero(n)
+        r0 = rows[0]
+        rest = rows[1:]
+        for k, c in enumerate(cols):
+            entry = matrix[r0][c]
+            if entry.is_zero:
+                continue
+            sub = _minor(matrix, rest, cols[:k] + cols[k + 1 :], memo)
+            term = entry * sub
+            result = result + term if k % 2 == 0 else result - term
+    memo[key] = result
+    return result
+
+
+def singular_locus_oracle(
+    pres: RingPresentation, *, budgets: Budgets = DEFAULT_BUDGETS
+) -> SingularityReport:
+    """Dimension of the singular locus and the isolated-singularity flag, from
+    every Jacobian minor expanded over Fraction polynomials."""
+    minimal = pres if pres.minimalized else minimalize_presentation(pres)
+    gens = minimal.generators
+    nvars = minimal.nvars
+    if not gens:
+        return SingularityReport(
+            codim=0,
+            jacobian_ideal=IdealPresentation(minimal.variables, ()),
+            singular_dim=-1,
+            isolated=True,
+        )
+    gb = buchberger_oracle(minimal.ideal, budgets=budgets)
+    series = hilbert_series_from_gb(gb)
+    codim = nvars - series.dim
+
+    jacobian = [[g.derivative(j) for j in range(nvars)] for g in gens]
+    minors: list[Polynomial] = []
+    if codim <= len(gens) and codim <= nvars:
+        count = math.comb(len(gens), codim) * math.comb(nvars, codim)
+        if count > budgets.minors:
+            raise BudgetError(
+                f"{count} Jacobian minors exceed the minor budget {budgets.minors}"
+            )
+        memo: dict = {}
+        seen: set[Polynomial] = set()
+        for rows in combinations(range(len(gens)), codim):
+            for cols in combinations(range(nvars), codim):
+                det = _minor(jacobian, rows, cols, memo)
+                if det.is_zero:
+                    continue
+                # reducing modulo the ideal does not change I + minors and
+                # collapses the many minors that already lie in I
+                det = normal_form(det, gb).monic()
+                if det and det not in seen:
+                    seen.add(det)
+                    minors.append(det)
+
+    jacobian_ideal = IdealPresentation(minimal.variables, tuple(gens) + tuple(minors))
+    locus_series = hilbert_series_from_gb(buchberger_oracle(jacobian_ideal, budgets=budgets))
+    singular_dim = locus_series.dim
+    return SingularityReport(
+        codim=codim,
+        jacobian_ideal=jacobian_ideal,
+        singular_dim=singular_dim,
+        isolated=singular_dim <= 0,
+    )

@@ -248,6 +248,34 @@ class TestDeterminismAndExitCodes:
         assert code == 3
         assert "hilbert_numerator" in err and "Traceback" not in err
 
+    def test_minor_budget_degrades_analyze(self, capsys, tmp_path):
+        # bench/corpus/scroll_1-1-1-2.ring: 10 quadrics in 9 variables, codim 4,
+        # C(10, 4) * C(9, 4) = 26,460 Jacobian minors over the 20,000 budget
+        path = write(
+            tmp_path,
+            "scroll.ring",
+            "ring: x0_0, x1_0, x0_1, x1_1, x0_2, x1_2, x0_3, x1_3, x2_3\n"
+            "ideal: -x1_0*x0_1 + x0_0*x1_1, -x1_0*x0_2 + x0_0*x1_2, -x1_0*x0_3 + x0_0*x1_3,"
+            " -x1_0*x1_3 + x0_0*x2_3, -x1_1*x0_2 + x0_1*x1_2, -x1_1*x0_3 + x0_1*x1_3,"
+            " -x1_1*x1_3 + x0_1*x2_3, -x1_2*x0_3 + x0_2*x1_3, -x1_2*x1_3 + x0_2*x2_3,"
+            " -x1_3^2 + x0_3*x2_3\n",
+        )
+        code, out, err = run_cli(capsys, "analyze", path, "--json")
+        assert code == 0 and "Traceback" not in err
+        doc = json.loads(out)
+        assert doc["singularity"] is None
+        assert doc["singularity_skipped"] == (
+            "singular_locus: 26460 Jacobian minors exceed the minor budget 20000"
+        )
+        inv = doc["invariants"]
+        assert (inv["dim"], inv["embdim"], inv["multiplicity"], inv["cm_type"]) == (5, 9, 5, 4)
+        assert doc["artinian_reduction"]["length"] == 5
+        code, out, err = run_cli(capsys, "analyze", path)
+        assert code == 0 and "singularity_skipped: singular_locus: 26460" in out
+        # the key appears only when the budget fires
+        path = write(tmp_path, "gw12.ring", "ring: x, y, z\nideal: x*y, y*z, z^2\n")
+        assert "singularity_skipped" not in run_json(capsys, "analyze", path)
+
     def test_deeply_nested_parentheses_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, "deep.ring", "ring: x\nideal: " + "(" * 5000 + "x" + ")" * 5000 + "\n")
         code, out, err = run_cli(capsys, "classify", path)

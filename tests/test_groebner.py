@@ -11,12 +11,15 @@ from cmtype import (
     BudgetError,
     Budgets,
     Polynomial,
+    analyze,
     buchberger,
     initial_ideal,
     make_presentation,
     minimalize_presentation,
     normal_form,
     parse_presentation,
+    scroll_ideal,
+    singular_locus,
     spoly,
 )
 from cmtype import groebner
@@ -25,12 +28,15 @@ from cmtype.invariants import hilbert_numerator, hilbert_series_from_gb
 from cmtype.poly import DEGREVLEX, LEX, MonomialOrder, monomial_divides, monomials_of_degree
 from cmtype.presentation import IdealPresentation
 
+import oracles
 from oracles import (
+    buchberger_oracle,
     hilbert_function_oracle,
     minimal_homogeneous_generators_oracle,
     normal_form_oracle,
     random_homogeneous_ideal,
     random_homogeneous_polynomial,
+    rational_homogeneous_presentations,
 )
 
 
@@ -185,6 +191,54 @@ class TestBuchberger:
         # comparisons stay far below the 212,733 of recomputing every leading term.
         assert calls["key"] < 10_000
         assert calls["normal_form"] == 87
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(rational_homogeneous_presentations(max_degree=2, max_generators=6))
+    def test_pair_queue_matches_the_rescan_oracle(self, pres):
+        # the heap pops the pair the min-rescan picked, so the same pairs are
+        # reduced in the same order: equal bases after the same normal forms
+        divided = {"new": [], "oracle": []}
+        nf = groebner.normal_form
+
+        def recording(name):
+            def recorded_normal_form(p, *args, **kwargs):
+                divided[name].append(p)
+                return nf(p, *args, **kwargs)
+
+            return recorded_normal_form
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groebner, "normal_form", recording("new"))
+            gb = buchberger(pres.ideal)
+            mp.setattr(groebner, "normal_form", recording("oracle"))  # its _interreduce
+            mp.setattr(oracles, "normal_form", recording("oracle"))
+            expected = buchberger_oracle(pres.ideal)
+        assert gb.elements == expected.elements
+        assert divided["new"] == divided["oracle"]
+
+    def test_jacobian_ideal_pairs_compute_few_lcms(self, monkeypatch):
+        # scroll(2,3) and its 55 adjoined minors: the 65-generator ideal whose
+        # basis the singular locus computes
+        jacobian_ideal = singular_locus(analyze(scroll_ideal((2, 3)))).jacobian_ideal
+        assert len(jacobian_ideal.generators) == 65
+        calls = {"lcm": 0, "normal_form": 0}
+        lcm, nf = groebner.monomial_lcm, groebner.normal_form
+
+        def counted_lcm(*args):
+            calls["lcm"] += 1
+            return lcm(*args)
+
+        def counted_normal_form(*args, **kwargs):
+            calls["normal_form"] += 1
+            return nf(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, "monomial_lcm", counted_lcm)
+        monkeypatch.setattr(groebner, "normal_form", counted_normal_form)
+        buchberger(jacobian_ideal)
+        # each pair's lcm is stored once, so nothing rescans the open pairs
+        # (65,111 lcms when every step took the min over all of them)
+        assert calls["lcm"] < 5_000
+        assert calls["normal_form"] == 389
 
 
 class TestInitialIdeal:

@@ -1,7 +1,12 @@
 """Jacobian-criterion singular locus."""
 
-from cmtype import analyze, make_presentation, parse_presentation, singular_locus
+from hypothesis import given, settings
+
+from cmtype import analyze, make_presentation, parse_presentation, scroll_ideal, singular_locus
+from cmtype import singularity
 from cmtype.families import sum_of_squares
+
+from oracles import rational_homogeneous_presentations, singular_locus_oracle
 
 
 def report_for(text):
@@ -71,3 +76,42 @@ def test_minor_budget_guard():
 
     with pytest.raises(BudgetError):
         singular_locus(analyze(scroll_ideal((5,))), budgets=Budgets(minors=10))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(rational_homogeneous_presentations(max_degree=3, max_generators=3))
+def test_matches_the_fraction_minor_oracle(pres):
+    # integer rows and the scalar-duplicate skip change neither the adjoined
+    # minors, nor their order, nor the dimension
+    report = singular_locus(analyze(pres))
+    expected = singular_locus_oracle(pres)
+    assert report.codim == expected.codim
+    assert report.jacobian_ideal == expected.jacobian_ideal
+    assert report.singular_dim == expected.singular_dim
+
+
+def test_scroll_minors_are_reduced_once_per_scalar_class(monkeypatch):
+    # scroll(2,3): 5,665 nonzero 5x5 minors, 2,615 of them distinct up to scalar
+    bundle = analyze(scroll_ideal((2, 3)))
+    calls = []
+    normal_form = singularity.normal_form
+
+    def counted_normal_form(*args, **kwargs):
+        calls.append(1)
+        return normal_form(*args, **kwargs)
+
+    monkeypatch.setattr(singularity, "normal_form", counted_normal_form)
+    report = singular_locus(bundle)
+    assert len(report.jacobian_ideal.generators) == 65 and report.singular_dim == 0
+    assert len(calls) <= 2_615
+
+
+def test_scalar_class_identifies_exactly_the_scalar_multiples():
+    square, cross = (0, 2), (1, 1)
+    assert singularity._scalar_class({square: 2, cross: -4}) == singularity._scalar_class(
+        {square: -1, cross: 2}
+    )
+    assert singularity._scalar_class({square: 1, cross: 1}) != singularity._scalar_class(
+        {square: 1, cross: -1}
+    )
+    assert singularity._scalar_class({square: 3}) != singularity._scalar_class({cross: 3})
