@@ -67,7 +67,6 @@ from .invariants import (
     hilbert_numerator,
     is_hypersurface,
     ring_invariants,
-    standard_monomials,
 )
 from .parsing import parse_polynomial, parse_presentation
 from .poly import (

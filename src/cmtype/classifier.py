@@ -18,9 +18,9 @@ from . import linalg
 from .citations import CITATIONS
 from .errors import BudgetError, Budgets, DEFAULT_BUDGETS, InputError
 from .families import FamilyTag, binary_form_profile, match_named_family, quadric_rank
-from .invariants import Analysis, RingInvariants, analyze, standard_monomials
+from .invariants import Analysis, RingInvariants, analyze
 from .groebner import normal_form
-from .poly import Polynomial
+from .poly import Polynomial, monomial_mul
 from .presentation import RingPresentation
 from .singularity import SingularityReport, singular_locus
 
@@ -80,27 +80,24 @@ class ClassificationReport:
 # the degree-2 rewrite machinery
 
 
-def _is_linear_nonzerodivisor(x: Polynomial, bundle: Analysis) -> bool:
-    """Check x is a nonzerodivisor via multiplication-map ranks.
+def _is_linear_nonzerodivisor(x_index: int, bundle: Analysis) -> bool:
+    """Check the variable x_index is a nonzerodivisor via multiplication-map ranks.
 
     For a one-dimensional ring the Hilbert function is eventually constant;
     injectivity of multiplication by x up to a degree where the function has
     stabilized (so injective = bijective there) propagates to all degrees.
     """
     series = bundle.series
-    gb = bundle.gb
-    nvars = bundle.presentation.nvars
-    leads = gb.leading_monomials()
+    quotient = bundle.quotient
+    x = tuple(int(i == x_index) for i in range(bundle.presentation.nvars))
     stable = max(1, len(series.hvector) - 1)
     d = 0
     while True:
-        basis_d = standard_monomials(leads, nvars, d)
-        basis_d1 = standard_monomials(leads, nvars, d + 1)
-        images = [normal_form(x * Polynomial(nvars, [(m, 1)]), gb) for m in basis_d]
-        rows = [[img.coefficient(target) for img in images] for target in basis_d1]
-        if linalg.rank(rows) < len(basis_d):
+        basis_d = quotient.basis(d)
+        images = linalg.Echelon(quotient.form(monomial_mul(m, x)) for m in basis_d)
+        if len(images.rows) < len(basis_d):
             return False
-        if d >= stable and len(basis_d) == len(basis_d1):
+        if d >= stable and len(basis_d) == len(quotient.basis(d + 1)):
             return True
         d += 1
         if d > len(series.hvector) + 4:  # unreachable for dim 1
@@ -123,28 +120,24 @@ def _rewrite_from_bundle(
     if not inv.is_min_mult:
         raise InputError("the degree-2 rewrite requires minimal multiplicity")
 
-    x = Polynomial.variable(n, x_index)
-    if not _is_linear_nonzerodivisor(x, bundle):
+    if not _is_linear_nonzerodivisor(x_index, bundle):
         raise InputError(f"variable {x_index} is not a nonzerodivisor")
 
-    gb = bundle.gb
-    leads = gb.leading_monomials()
+    def vector(p: Polynomial) -> list:  # p modulo I over the degree-2 standard monomials
+        image = bundle.quotient.image(p.terms)
+        return [image.get(m, 0) for m in bundle.quotient.basis(2)]
+
+    x = Polynomial.variable(n, x_index)
     basis_order = [x_index, u_index, v_index] + [
         i for i in range(n) if i not in (x_index, u_index, v_index)
     ]
-    std2 = standard_monomials(leads, n, 2)
-    columns = []
-    for idx in basis_order:
-        image = normal_form(x * Polynomial.variable(n, idx), gb)
-        columns.append([image.coefficient(m) for m in std2])
+    columns = [vector(x * Polynomial.variable(n, idx)) for idx in basis_order]
 
     u = Polynomial.variable(n, u_index)
     v = Polynomial.variable(n, v_index)
     rows: list[tuple[Fraction, ...]] = []
     for product in (u * u, u * v, v * v):
-        target_poly = normal_form(product, gb)
-        target = [target_poly.coefficient(m) for m in std2]
-        solved = linalg.solve_combination(columns, target)
+        solved = linalg.solve_combination(columns, vector(product))
         if solved is None:
             raise InputError(
                 "degree-2 rewrite inconsistent: a product is not in x*m "
@@ -155,7 +148,7 @@ def _rewrite_from_bundle(
         linear = Polynomial.zero(n)
         for coeff, idx in zip(solution, basis_order):
             linear = linear + Polynomial.variable(n, idx) * coeff
-        residual = normal_form(product - x * linear, gb)
+        residual = normal_form(product - x * linear, bundle.gb)
         if not residual.is_zero:
             raise InputError("rewrite residual did not normal-form to zero")
         rows.append(tuple(solution))

@@ -193,11 +193,11 @@ def buchberger(
             continue
         if lcm_degree > budgets.degree:
             raise BudgetError(
-                f"S-pair degree {lcm_degree} exceeds the degree budget {budgets.degree}"
+                f"buchberger: S-pair degree {lcm_degree} exceeds the degree budget {budgets.degree}"
             )
         processed += 1
         if processed > budgets.pairs:
-            raise BudgetError(f"pair budget {budgets.pairs} exceeded")
+            raise BudgetError(f"buchberger: pair budget {budgets.pairs} exceeded")
         del lcms[i, j]
         h = normal_form(spoly(basis[i], basis[j], order), basis, order)
         if h:

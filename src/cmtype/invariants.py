@@ -32,6 +32,7 @@ from .poly import (
     monomial_degree,
     monomial_divides,
     monomial_lcm,
+    monomial_mul,
     monomials_of_degree,
 )
 from .presentation import IdealPresentation, RingPresentation, render_polynomial
@@ -192,15 +193,47 @@ def _require_proper(pres: RingPresentation):
 
 
 # ---------------------------------------------------------------------------
-# standard monomials of a zero-dimensional quotient
+# the quotient S/I over a reduced Groebner basis
 
 
-def standard_monomials(leads: Sequence[Monomial], nvars: int, degree: int) -> list[Monomial]:
-    return [
-        m
-        for m in monomials_of_degree(nvars, degree)
-        if not any(monomial_divides(lead, m) for lead in leads)
-    ]
+class Quotient:
+    """The graded pieces of S/I, read through its reduced Groebner basis.
+
+    ``basis(d)`` lists the standard monomials of degree d, a k-basis of the
+    degree-d piece; ``form(m)`` is the normal form of the monomial m as a
+    term map over those monomials, and ``image(terms)`` the normal form of
+    any term map, by linearity.  ``basis`` and ``form`` memoize, so callers
+    that reduce many polynomials sharing monomials divide each monomial once.
+    ``form`` looks ``normal_form`` up in this module at every call, so a
+    rebinding of ``invariants.normal_form`` (a tracer, a counter) sees it.
+    """
+
+    def __init__(self, gb: GroebnerBasis):
+        self.gb = gb
+        self._bases: dict[int, list[Monomial]] = {}
+        self._forms: dict[Monomial, dict] = {}
+
+    def basis(self, d: int) -> list[Monomial]:
+        if d not in self._bases:
+            leads = self.gb.leading_monomials()
+            self._bases[d] = [
+                m
+                for m in monomials_of_degree(self.gb.nvars, d)
+                if not any(monomial_divides(lead, m) for lead in leads)
+            ]
+        return self._bases[d]
+
+    def form(self, m: Monomial) -> dict:
+        if m not in self._forms:
+            self._forms[m] = normal_form(Polynomial(self.gb.nvars, [(m, 1)]), self.gb).terms
+        return self._forms[m]
+
+    def image(self, terms: dict) -> dict:
+        out: dict = {}
+        for m, c in terms.items():
+            for t, x in self.form(m).items():
+                out[t] = out.get(t, 0) + c * x
+        return {t: c for t, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -284,35 +317,21 @@ def _unit_vectors(nvars: int) -> list[Monomial]:
 # socle and Cohen-Macaulay type
 
 
-def _socle_dimension(artinian_gb: GroebnerBasis) -> int:
-    """dim_k (0 : m) of the artinian quotient, by exact kernel computations."""
-    nvars = artinian_gb.nvars
-    leads = artinian_gb.leading_monomials()
-    bases: list[list[Monomial]] = []
-    d = 0
-    while True:
-        basis = standard_monomials(leads, nvars, d)
-        if not basis:
-            break
-        bases.append(basis)
+def _socle_dimension(quotient: Quotient) -> int:
+    """dim_k (0 : m) of an artinian quotient: per degree, the kernel of
+    multiplication by every variable into the next degree (the top degree
+    is all socle)."""
+    units, form = _unit_vectors(quotient.gb.nvars), quotient.form
+    total = d = 0
+    while basis := quotient.basis(d):
         d += 1
-    total = 0
-    for d, basis in enumerate(bases):
-        upstairs = bases[d + 1] if d + 1 < len(bases) else []
-        if not upstairs:
-            total += len(basis)
-            continue
-        index = {m: i for i, m in enumerate(upstairs)}
-        rows = []
-        for v in range(nvars):
-            images = []
-            for b in basis:
-                shifted = tuple(e + (1 if i == v else 0) for i, e in enumerate(b))
-                image = normal_form(Polynomial(nvars, [(shifted, 1)]), artinian_gb)
-                images.append(image)
-            for target in upstairs:
-                rows.append([img.coefficient(target) for img in images])
-        total += len(basis) - linalg.rank(rows)
+        if quotient.basis(d):  # one vector per b: the forms of b*x_v for every v
+            images = linalg.Echelon(
+                {(v, t): c for v, e in enumerate(units) for t, c in form(monomial_mul(b, e)).items()}
+                for b in basis
+            )
+            total -= len(images.rows)
+        total += len(basis)
     return total
 
 
@@ -347,15 +366,15 @@ class Analysis:
 
     Consumers (the singular locus, the classifier, the CLI) read it instead of
     recomputing, so each ideal gets one reduced Groebner basis per run:
-    `gb` is the basis of the minimal presentation, `artinian_gb` the basis of
-    that ideal plus the linear system of parameters in `reduction`.
+    `gb` is the basis of the minimal presentation and `quotient` the view of
+    S/I over it, whose memoized normal forms the consumers share.
     """
 
     presentation: RingPresentation  # minimalized
     gb: GroebnerBasis
+    quotient: Quotient
     series: HilbertSeries
     reduction: ArtinianReduction
-    artinian_gb: GroebnerBasis
     invariants: RingInvariants
 
 
@@ -379,7 +398,7 @@ def analyze(
     reduction, artinian_gb = artinian_reduction(minimal, gb, series, seed=seed, budgets=budgets)
     e = series.multiplicity
     is_cm = reduction.length == e
-    cm_type = _socle_dimension(artinian_gb) if is_cm else None
+    cm_type = _socle_dimension(Quotient(artinian_gb)) if is_cm else None
     is_gorenstein = (cm_type == 1) if is_cm else None
     embdim = minimal.nvars
     invariants = RingInvariants(
@@ -394,7 +413,7 @@ def analyze(
         is_hypersurface=len(minimal.generators) <= 1,
         is_regular=len(minimal.generators) == 0,
     )
-    return Analysis(minimal, gb, series, reduction, artinian_gb, invariants)
+    return Analysis(minimal, gb, Quotient(gb), series, reduction, invariants)
 
 
 def ring_invariants(

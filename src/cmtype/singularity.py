@@ -8,24 +8,31 @@ consumers must surface that assumption whenever a verdict depends on it.
 The Jacobian rows are those of the generators' primitive integer multiples,
 so every minor is a nonzero constant times the rational one and I + minors
 is unchanged; the memoized Laplace expansion runs over integer term maps.
-A minor that is a scalar multiple of one already reduced is skipped: its
-monic normal form is that one's, so it would adjoin nothing new.  More minors than
-``Budgets.minors`` raise ``BudgetError`` before any is expanded; ``cmtype
-analyze`` then reports a null singularity section with the reason, in
-``singularity_skipped``, next to the invariants it already computed.
+Each minor is reduced modulo I through the analysis's quotient view, which
+normal-forms every distinct monomial once, and enters one sparse echelon;
+I plus the echelon rows is I plus every minor.  When in some degree d the
+rows span all of R_d (their count is the Hilbert function at d), I + minors
+holds every form of degree d, so the singular locus is the origin and no
+Groebner basis is computed; otherwise one basis of I plus the rows gives
+its dimension.  More minors than ``Budgets.minors`` raise
+``BudgetError`` before any is expanded; ``cmtype analyze`` then reports a
+null singularity section with the reason, in ``singularity_skipped``, next
+to the invariants it already computed.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from operator import add
 
+from . import linalg
 from .errors import BudgetError, Budgets, DEFAULT_BUDGETS
-from .groebner import buchberger, normal_form
+from .groebner import buchberger
 from .invariants import Analysis, hilbert_series_from_gb
-from .poly import Polynomial, integer_multiple
+from .poly import Polynomial, integer_multiple, monomial_degree
 from .presentation import IdealPresentation
 
 
@@ -68,21 +75,12 @@ def _minor(matrix, rows: tuple[int, ...], cols: tuple[int, ...], memo) -> dict:
     return result
 
 
-def _scalar_class(terms: dict) -> frozenset:
-    """The primitive multiple of a nonzero integer term map, signed so that
-    its smallest monomial has a positive coefficient: equal exactly for
-    scalar multiples of one polynomial."""
-    content = math.gcd(*terms.values())
-    if terms[min(terms)] < 0:
-        content = -content
-    return frozenset((m, c // content) for m, c in terms.items())
-
-
 def singular_locus(bundle: Analysis, *, budgets: Budgets = DEFAULT_BUDGETS) -> SingularityReport:
     """Dimension of the singular locus and the isolated-singularity flag.
 
-    Reads the minimal presentation, its reduced Groebner basis and its
-    Hilbert series from `bundle`; the only new basis is that of I + minors.
+    Reads the minimal presentation, its quotient view and its Hilbert series
+    from `bundle`; the only new basis, computed only when the minors span no
+    whole degree, is that of I + minors.
     """
     minimal = bundle.presentation
     gens = minimal.generators
@@ -103,36 +101,26 @@ def singular_locus(bundle: Analysis, *, budgets: Budgets = DEFAULT_BUDGETS) -> S
         [{m: c.numerator for m, c in g.derivative(j).terms.items()} for j in range(nvars)]
         for g in primitive
     ]
-    minors: list[Polynomial] = []
-    if codim <= len(gens) and codim <= nvars:
-        count = math.comb(len(gens), codim) * math.comb(nvars, codim)
-        if count > budgets.minors:
-            raise BudgetError(
-                f"singular_locus: {count} Jacobian minors exceed the minor budget {budgets.minors}"
-            )
-        memo: dict = {}
-        classes: set[frozenset] = set()
-        seen: set[Polynomial] = set()
-        for rows in combinations(range(len(gens)), codim):
-            for cols in combinations(range(nvars), codim):
-                det = _minor(jacobian, rows, cols, memo)
-                if not det:
-                    continue
-                # a scalar multiple of a minor already reduced has the same
-                # monic normal form, so it would add nothing
-                scalar_class = _scalar_class(det)
-                if scalar_class in classes:
-                    continue
-                classes.add(scalar_class)
-                # reducing modulo the ideal does not change I + minors and
-                # collapses the many minors that already lie in I
-                det = normal_form(Polynomial(nvars, det), bundle.gb).monic()
-                if det and det not in seen:
-                    seen.add(det)
-                    minors.append(det)
+    count = math.comb(len(gens), codim) * math.comb(nvars, codim)
+    if count > budgets.minors:
+        raise BudgetError(
+            f"singular_locus: {count} Jacobian minors exceed the minor budget {budgets.minors}"
+        )
+    # I + rows = I + minors; the minors are forms, so the degree-d rows span their image in R_d
+    echelon = linalg.Echelon()
+    memo: dict = {}
+    for rows in combinations(range(len(gens)), codim):
+        for cols in combinations(range(nvars), codim):
+            if det := _minor(jacobian, rows, cols, memo):
+                echelon.add(bundle.quotient.image(det))
 
-    jacobian_ideal = IdealPresentation(minimal.variables, tuple(gens) + tuple(minors))
-    if minors:
+    spans = [Polynomial(nvars, row) for row in echelon.rows.values()]
+    jacobian_ideal = IdealPresentation(minimal.variables, tuple(gens) + tuple(spans))
+    ranks = Counter(map(monomial_degree, echelon.rows))
+    if any(rank == bundle.series.hilbert_function(d) for d, rank in ranks.items()):
+        # the minors span R_d, so I + minors holds every form of degree d
+        singular_dim = 0
+    elif spans:
         singular_dim = hilbert_series_from_gb(buchberger(jacobian_ideal, budgets=budgets)).dim
     else:  # every minor lies in I, so the singular locus is all of V(I)
         singular_dim = bundle.series.dim

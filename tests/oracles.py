@@ -9,8 +9,10 @@ algorithms: a fresh rref for every membership test.  The normal form oracle
 is the original division over Fraction polynomials, one new polynomial per
 step.  The Buchberger oracle picks each S-pair by rescanning every open pair,
 and the singular locus oracle expands every Jacobian minor over Fraction
-polynomials; both reduce with the engine's ``normal_form``.  Apart from that,
-the paths under test and the oracle paths share only the Polynomial
+polynomials; both reduce with the engine's ``normal_form``.  The socle and
+nonzerodivisor oracles normal-form every product afresh with the engine's
+``normal_form`` and take the ranks of dense matrices with rref.  Apart from
+that, the paths under test and the oracle paths share only the Polynomial
 arithmetic and the rref routine.
 """
 
@@ -21,12 +23,13 @@ from fractions import Fraction
 
 import math
 from itertools import combinations
+from typing import Sequence
 
 from hypothesis import strategies as st
 
-from cmtype import Polynomial, make_presentation
+from cmtype import Polynomial, linalg, make_presentation
 from cmtype.drozd_roiter import NumericalSemigroup
-from cmtype.errors import BudgetError, Budgets, DEFAULT_BUDGETS
+from cmtype.errors import BudgetError, Budgets, DEFAULT_BUDGETS, InputError
 from cmtype.groebner import (
     GroebnerBasis,
     _generators_of,
@@ -35,7 +38,7 @@ from cmtype.groebner import (
     normal_form,
     spoly,
 )
-from cmtype.invariants import hilbert_series_from_gb
+from cmtype.invariants import Analysis, hilbert_series_from_gb
 from cmtype.linalg import rank, rref
 from cmtype.poly import (
     DEGREVLEX,
@@ -148,14 +151,18 @@ def random_homogeneous_ideal(rng: random.Random):
 
 
 @st.composite
-def rational_homogeneous_presentations(draw, max_degree: int, max_generators: int):
+def rational_homogeneous_presentations(
+    draw, max_degree: int, max_generators: int, curves: bool = False
+):
     """1..max_generators homogeneous forms in at most 4 variables, of degrees
     1..max_degree with 1-4 terms each; the coefficients are rationals with
-    denominators up to 4, so most forms are not integral."""
-    nvars = draw(st.integers(1, 4))
+    denominators up to 4, so most forms are not integral.  With ``curves``,
+    2-4 variables and one form fewer than variables, so the quotient has
+    dimension at least 1 (Krull), and often exactly 1."""
+    nvars = draw(st.integers(2 if curves else 1, 4))
     coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
     gens = []
-    for _ in range(draw(st.integers(1, max_generators))):
+    for _ in range(nvars - 1 if curves else draw(st.integers(1, max_generators))):
         monomial = st.sampled_from(monomials_of_degree(nvars, draw(st.integers(1, max_degree))))
         monomials = draw(st.lists(monomial, min_size=1, max_size=4, unique=True))
         gens.append(Polynomial(nvars, [(m, draw(coefficient)) for m in monomials]))
@@ -433,3 +440,70 @@ def singular_locus_oracle(
         singular_dim=singular_dim,
         isolated=singular_dim <= 0,
     )
+
+
+def standard_monomials(leads: Sequence[Monomial], nvars: int, degree: int) -> list[Monomial]:
+    return [
+        m
+        for m in monomials_of_degree(nvars, degree)
+        if not any(monomial_divides(lead, m) for lead in leads)
+    ]
+
+
+def socle_dimension_oracle(artinian_gb: GroebnerBasis) -> int:
+    """dim_k (0 : m) of the artinian quotient, by exact kernel computations."""
+    nvars = artinian_gb.nvars
+    leads = artinian_gb.leading_monomials()
+    bases: list[list[Monomial]] = []
+    d = 0
+    while True:
+        basis = standard_monomials(leads, nvars, d)
+        if not basis:
+            break
+        bases.append(basis)
+        d += 1
+    total = 0
+    for d, basis in enumerate(bases):
+        upstairs = bases[d + 1] if d + 1 < len(bases) else []
+        if not upstairs:
+            total += len(basis)
+            continue
+        index = {m: i for i, m in enumerate(upstairs)}
+        rows = []
+        for v in range(nvars):
+            images = []
+            for b in basis:
+                shifted = tuple(e + (1 if i == v else 0) for i, e in enumerate(b))
+                image = normal_form(Polynomial(nvars, [(shifted, 1)]), artinian_gb)
+                images.append(image)
+            for target in upstairs:
+                rows.append([img.coefficient(target) for img in images])
+        total += len(basis) - linalg.rank(rows)
+    return total
+
+
+def is_linear_nonzerodivisor_oracle(x: Polynomial, bundle: Analysis) -> bool:
+    """Check x is a nonzerodivisor via multiplication-map ranks.
+
+    For a one-dimensional ring the Hilbert function is eventually constant;
+    injectivity of multiplication by x up to a degree where the function has
+    stabilized (so injective = bijective there) propagates to all degrees.
+    """
+    series = bundle.series
+    gb = bundle.gb
+    nvars = bundle.presentation.nvars
+    leads = gb.leading_monomials()
+    stable = max(1, len(series.hvector) - 1)
+    d = 0
+    while True:
+        basis_d = standard_monomials(leads, nvars, d)
+        basis_d1 = standard_monomials(leads, nvars, d + 1)
+        images = [normal_form(x * Polynomial(nvars, [(m, 1)]), gb) for m in basis_d]
+        rows = [[img.coefficient(target) for img in images] for target in basis_d1]
+        if linalg.rank(rows) < len(basis_d):
+            return False
+        if d >= stable and len(basis_d) == len(basis_d1):
+            return True
+        d += 1
+        if d > len(series.hvector) + 4:  # unreachable for dim 1
+            raise InputError("nonzerodivisor test: the Hilbert function never stabilized")

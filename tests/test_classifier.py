@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
 
 import cmtype.classifier as classifier_module
 from cmtype import (
@@ -23,6 +24,8 @@ from cmtype import (
 from cmtype.citations import CITATIONS
 from cmtype.invariants import analyze
 from cmtype.singularity import SingularityReport
+
+from oracles import is_linear_nonzerodivisor_oracle, rational_homogeneous_presentations
 
 
 def classify_text(text, assumptions=frozenset()):
@@ -315,7 +318,17 @@ class TestRewriteInXm:
         # k[x, y] is two-dimensional, so its Hilbert function keeps growing
         bundle = analyze(parse_presentation("ring: x,y ; ideal:"))
         with pytest.raises(InputError, match="never stabilized"):
-            classifier_module._is_linear_nonzerodivisor(Polynomial.variable(2, 0), bundle)
+            classifier_module._is_linear_nonzerodivisor(0, bundle)
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(rational_homogeneous_presentations(max_degree=3, max_generators=3, curves=True))
+    def test_nonzerodivisor_verdicts_match_the_dense_oracle(self, pres):
+        bundle = analyze(pres)
+        assume(bundle.invariants.dim == 1)
+        n = bundle.presentation.nvars
+        for i in range(n):
+            expected = is_linear_nonzerodivisor_oracle(Polynomial.variable(n, i), bundle)
+            assert classifier_module._is_linear_nonzerodivisor(i, bundle) == expected
 
 
 class TestReports:

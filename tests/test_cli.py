@@ -225,6 +225,7 @@ class TestDeterminismAndExitCodes:
         )
         code, out, err = run_cli(capsys, "gb", path, "--budget-pairs", "0")
         assert code == 3
+        assert "buchberger: pair budget 0 exceeded" in err
 
     def test_minimalize_budget_exits_cleanly(self, capsys, tmp_path):
         path = write(tmp_path, "huge.ring", "ring: x, y\nideal: x^2, y^100000000\n")

@@ -11,7 +11,6 @@ from cmtype import (
     BudgetError,
     Budgets,
     Polynomial,
-    analyze,
     buchberger,
     initial_ideal,
     make_presentation,
@@ -19,7 +18,6 @@ from cmtype import (
     normal_form,
     parse_presentation,
     scroll_ideal,
-    singular_locus,
     spoly,
 )
 from cmtype import groebner
@@ -37,6 +35,7 @@ from oracles import (
     random_homogeneous_ideal,
     random_homogeneous_polynomial,
     rational_homogeneous_presentations,
+    singular_locus_oracle,
 )
 
 
@@ -217,9 +216,9 @@ class TestBuchberger:
         assert divided["new"] == divided["oracle"]
 
     def test_jacobian_ideal_pairs_compute_few_lcms(self, monkeypatch):
-        # scroll(2,3) and its 55 adjoined minors: the 65-generator ideal whose
-        # basis the singular locus computes
-        jacobian_ideal = singular_locus(analyze(scroll_ideal((2, 3)))).jacobian_ideal
+        # scroll(2,3) and its 55 distinct reduced minors: a 65-generator
+        # Jacobian ideal, as the Fraction minor oracle builds it
+        jacobian_ideal = singular_locus_oracle(scroll_ideal((2, 3))).jacobian_ideal
         assert len(jacobian_ideal.generators) == 65
         calls = {"lcm": 0, "normal_form": 0}
         lcm, nf = groebner.monomial_lcm, groebner.normal_form

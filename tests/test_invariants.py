@@ -1,6 +1,7 @@
 """Hilbert series, h-vectors, artinian reductions, CM type."""
 
 import pytest
+from hypothesis import given, settings
 
 from cmtype import (
     InputError,
@@ -20,7 +21,12 @@ from cmtype.invariants import hilbert_series_from_gb
 from cmtype.presentation import IdealPresentation
 from cmtype.poly import VariableSet
 
-from oracles import hilbert_function_oracle
+from oracles import (
+    buchberger_oracle,
+    hilbert_function_oracle,
+    rational_homogeneous_presentations,
+    socle_dimension_oracle,
+)
 
 
 def monomial_ideal(nvars, *exps):
@@ -78,6 +84,15 @@ class TestRingInvariants:
             assert series.hilbert_function(d) == hilbert_function_oracle(
                 list(pres.generators), pres.nvars, d
             )
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(rational_homogeneous_presentations(max_degree=3, max_generators=3))
+    def test_hilbert_function_matches_the_oracle_and_the_standard_monomials(self, pres):
+        bundle = analyze(pres)
+        for d in range(6):
+            expected = hilbert_function_oracle(list(pres.generators), pres.nvars, d)
+            assert bundle.series.hilbert_function(d) == expected
+            assert len(bundle.quotient.basis(d)) == expected
 
     def test_free_variable_additivity(self):
         for text in CORPUS.values():
@@ -173,6 +188,18 @@ class TestCmAndType:
             pres = parse_presentation(text)
             types = {ring_invariants(pres, seed=s).cm_type for s in range(1, 6)}
             assert len(types) == 1
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(rational_homogeneous_presentations(max_degree=3, max_generators=3))
+    def test_type_matches_the_socle_oracle(self, pres):
+        bundle = analyze(pres)
+        if bundle.invariants.is_cm:
+            minimal = bundle.presentation
+            artinian = IdealPresentation(
+                minimal.variables, minimal.generators + bundle.reduction.lsop
+            )
+            expected = socle_dimension_oracle(buchberger_oracle(artinian))
+            assert bundle.invariants.cm_type == expected
 
     def test_cm_criterion_consistency(self):
         for name, text in CORPUS.items():

@@ -1,9 +1,18 @@
 """Jacobian-criterion singular locus."""
 
+import pytest
 from hypothesis import given, settings
 
-from cmtype import analyze, make_presentation, parse_presentation, scroll_ideal, singular_locus
-from cmtype import singularity
+from cmtype import (
+    analyze,
+    buchberger,
+    make_presentation,
+    parse_presentation,
+    scroll_ideal,
+    singular_locus,
+    veronese_cone_ideal,
+)
+from cmtype import invariants, linalg, singularity
 from cmtype.families import sum_of_squares
 
 from oracles import rational_homogeneous_presentations, singular_locus_oracle
@@ -81,37 +90,56 @@ def test_minor_budget_guard():
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(rational_homogeneous_presentations(max_degree=3, max_generators=3))
 def test_matches_the_fraction_minor_oracle(pres):
-    # integer rows and the scalar-duplicate skip change neither the adjoined
-    # minors, nor their order, nor the dimension
+    # the echelon rows replace the reduced minors as generators, but the
+    # Jacobian ideal, hence its reduced basis, and the dimension stay
     report = singular_locus(analyze(pres))
     expected = singular_locus_oracle(pres)
     assert report.codim == expected.codim
-    assert report.jacobian_ideal == expected.jacobian_ideal
+    assert buchberger(report.jacobian_ideal) == buchberger(expected.jacobian_ideal)
     assert report.singular_dim == expected.singular_dim
 
 
-def test_scroll_minors_are_reduced_once_per_scalar_class(monkeypatch):
-    # scroll(2,3): 5,665 nonzero 5x5 minors, 2,615 of them distinct up to scalar
-    bundle = analyze(scroll_ideal((2, 3)))
+def count_calls(monkeypatch, module, name):
     calls = []
-    normal_form = singularity.normal_form
+    function = getattr(module, name)
 
-    def counted_normal_form(*args, **kwargs):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return normal_form(*args, **kwargs)
+        return function(*args, **kwargs)
 
-    monkeypatch.setattr(singularity, "normal_form", counted_normal_form)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_scroll_minors_span_a_whole_degree(monkeypatch):
+    # scroll(2,3): 5,665 nonzero minors, but only 210 distinct monomials to
+    # normal-form, and their span fills a degree of R, so no basis is needed
+    bundle = analyze(scroll_ideal((2, 3)))
+    normal_forms = count_calls(monkeypatch, invariants, "normal_form")
+    bases = count_calls(monkeypatch, singularity, "buchberger")
     report = singular_locus(bundle)
-    assert len(report.jacobian_ideal.generators) == 65 and report.singular_dim == 0
-    assert len(calls) <= 2_615
+    assert report.singular_dim == 0
+    assert len(normal_forms) <= 210
+    assert len(bases) == 0
 
 
-def test_scalar_class_identifies_exactly_the_scalar_multiples():
-    square, cross = (0, 2), (1, 1)
-    assert singularity._scalar_class({square: 2, cross: -4}) == singularity._scalar_class(
-        {square: -1, cross: 2}
-    )
-    assert singularity._scalar_class({square: 1, cross: 1}) != singularity._scalar_class(
-        {square: 1, cross: -1}
-    )
-    assert singularity._scalar_class({square: 3}) != singularity._scalar_class({cross: 3})
+@pytest.mark.parametrize("pres", [veronese_cone_ideal(6), sum_of_squares(3, 4)])
+def test_non_isolated_singularity_falls_back_to_one_basis(monkeypatch, pres):
+    bundle = analyze(pres)
+    bases = count_calls(monkeypatch, singularity, "buchberger")
+    report = singular_locus(bundle)
+    assert report.singular_dim == 1
+    assert len(bases) == 1
+
+
+@pytest.mark.parametrize("pres", [scroll_ideal((1, 1, 2)), veronese_cone_ideal(5)])
+def test_analysis_and_singular_locus_use_no_dense_elimination(monkeypatch, pres):
+    # minimal generators, the socle and the minor spans all run on sparse
+    # echelons over the shared quotient view
+    def no_rref(rows):
+        raise AssertionError("dense rref called")
+
+    monkeypatch.setattr(linalg, "rref", no_rref)
+    bundle = analyze(pres)
+    report = singular_locus(bundle)
+    assert bundle.invariants.cm_type == 3 and report.singular_dim == 0
