@@ -58,25 +58,14 @@ from .groebner import (
 from .invariants import (
     Analysis,
     ArtinianReduction,
-    CmTypeResult,
     HilbertSeries,
     RingInvariants,
     analyze,
     artinian_reduction,
-    cm_and_type,
     hilbert_numerator,
-    is_hypersurface,
-    ring_invariants,
 )
 from .parsing import parse_polynomial, parse_presentation
-from .poly import (
-    DEGREVLEX,
-    LEX,
-    MonomialOrder,
-    Polynomial,
-    VariableSet,
-    compare_monomials,
-)
+from .poly import Polynomial, VariableSet
 from .presentation import (
     IdealPresentation,
     RingPresentation,

@@ -204,7 +204,7 @@ def main(argv=None) -> int:
                 "gb",
                 digest_text(text),
                 {
-                    "order": basis.order.value,
+                    "order": basis.order,
                     "basis": [render_polynomial(g, names) for g in basis.elements],
                 },
             )

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .errors import InputError
+from .errors import BudgetError, InputError
 from .poly import Polynomial, monomials_of_degree
 
 
@@ -52,8 +52,17 @@ class NumericalSemigroup:
         return s > self.frobenius
 
 
+# Cap on the membership sieve, sized a1*amax + 1 before the Frobenius number
+# is known (the final table is at most twice that): 1000000,1000001 would
+# need 10^12 entries.
+MAX_SIEVE_ENTRIES = 1_000_000
+
+
 def semigroup_closure(gens: Sequence[int]) -> NumericalSemigroup:
-    """Close the generators under addition; sieve membership and Frobenius."""
+    """Close the generators under addition; sieve membership and Frobenius.
+
+    Raises BudgetError when the first sieve would exceed MAX_SIEVE_ENTRIES.
+    """
     cleaned = sorted({int(g) for g in gens if int(g) > 0})
     if not cleaned:
         raise InputError("at least one positive generator is required")
@@ -65,6 +74,10 @@ def semigroup_closure(gens: Sequence[int]) -> NumericalSemigroup:
 
     a1, amax = cleaned[0], cleaned[-1]
     rough_bound = a1 * amax + 1
+    if rough_bound > MAX_SIEVE_ENTRIES:
+        raise BudgetError(
+            f"semigroup_closure: the sieve needs {rough_bound} entries (cap {MAX_SIEVE_ENTRIES})"
+        )
 
     def sieve(limit: int) -> list[bool]:
         table = [False] * (limit + 1)
@@ -186,28 +199,21 @@ def arrangement_dr(arr: LineArrangement) -> DrozdRoiterReport:
     """
     r = len(arr.lines)
 
-    def image_rank(degree: int) -> int:
-        rows = [
-            [Fraction(bx) ** m[0] * Fraction(by) ** m[1] for (bx, by) in arr.branch_points]
-            for m in monomials_of_degree(2, degree)
-        ]
-        return linalg.rank(rows)
-
-    def scaled_rank(degree: int) -> int:
-        rows = [
+    def rank(degree: int, weights: Sequence[Fraction]) -> int:
+        """Rank of the degree-`degree` monomials evaluated at the branch
+        points, each branch's entry multiplied by its weight."""
+        return linalg.rank(
             [
-                v * Fraction(bx) ** m[0] * Fraction(by) ** m[1]
-                for v, (bx, by) in zip(arr.reduction_values, arr.branch_points)
+                [w * bx ** m[0] * by ** m[1] for w, (bx, by) in zip(weights, arr.branch_points)]
+                for m in monomials_of_degree(2, degree)
             ]
-            for m in monomials_of_degree(2, degree)
-        ]
-        return linalg.rank(rows)
+        )
 
     lam = 0
     zero_run = 0
     j = 2
     while True:
-        contribution = image_rank(j) - scaled_rank(j - 1)
+        contribution = rank(j, [Fraction(1)] * r) - rank(j - 1, arr.reduction_values)
         if contribution < 0:
             raise InputError("branch-valuation bookkeeping failed; input is degenerate")
         lam += contribution

@@ -17,8 +17,8 @@ from itertools import permutations
 from typing import Sequence
 
 from . import linalg
-from .errors import InputError
-from .groebner import minimalize_presentation
+from .errors import BudgetError, InputError
+from .groebner import minimalize_presentation, normal_form
 from .parsing import parse_presentation
 from .poly import Polynomial
 from .presentation import RingPresentation, make_presentation
@@ -180,99 +180,35 @@ def quadric_rank(f: Polynomial) -> int:
     return linalg.rank(matrix)
 
 
-# univariate helpers over Fraction (coefficient lists, index = degree)
-
-
-def _udeg(u: list[Fraction]) -> int:
-    return len(u) - 1
-
-
-def _utrim(u: list[Fraction]) -> list[Fraction]:
-    while len(u) > 1 and u[-1] == 0:
-        u.pop()
-    return u
-
-
-def _uderiv(u: list[Fraction]) -> list[Fraction]:
-    if len(u) <= 1:
-        return [Fraction(0)]
-    return _utrim([u[i] * i for i in range(1, len(u))])
-
-
-def _udivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while _udeg(_utrim(list(a))) >= _udeg(b) and any(a):
-        a = _utrim(a)
-        if _udeg(a) < _udeg(b):
-            break
-        shift = _udeg(a) - _udeg(b)
-        factor = a[-1] * inv
-        q[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-    return _utrim(q), _utrim(a)
-
-
-def _ugcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _utrim(list(a)), _utrim(list(b))
-    while any(b):
-        _, r = _udivmod(a, b)
-        a, b = b, r
-    if any(a) and a[-1] != 1:
-        a = [c / a[-1] for c in a]
-    return a
-
-
-def _yun_multiplicities(u: list[Fraction]) -> list[tuple[int, int]]:
-    """Squarefree decomposition via Yun's algorithm: list of (multiplicity, degree)."""
-    result: list[tuple[int, int]] = []
-    du = _uderiv(u)
-    g = _ugcd(u, du)
-    c, _ = _udivmod(u, g)
-    d = [x - y for x, y in _pad(_udivmod(du, g)[0], _uderiv(c))]
-    i = 1
-    while _udeg(c) > 0:
-        gi = _ugcd(c, d)
-        if _udeg(gi) > 0:
-            result.append((i, _udeg(gi)))
-        c, _ = _udivmod(c, gi)
-        d = [x - y for x, y in _pad(_udivmod(d, gi)[0], _uderiv(c))]
-        i += 1
-    return result
-
-
-def _pad(a: list[Fraction], b: list[Fraction]):
-    size = max(len(a), len(b))
-    a = a + [Fraction(0)] * (size - len(a))
-    b = b + [Fraction(0)] * (size - len(b))
-    return zip(a, b)
-
-
 def binary_form_profile(f: Polynomial) -> tuple[int, ...]:
     """Root-multiplicity profile over the algebraic closure, without factoring.
 
-    Computed from the squarefree decomposition of the dehomogenization plus
-    the multiplicity of the root at infinity; returned sorted descending.
-    Valid in characteristic zero.
+    Let u(x) = f(x, 1) have roots of multiplicities m_i.  In characteristic
+    zero the gcds g_0 = u, g_k = gcd(g_{k-1}, u^(k)) have degrees
+    D_k = sum_i max(0, m_i - k), so exactly D_{k-1} - 2 D_k + D_{k+1} roots
+    have multiplicity k.  Each gcd is Euclid's algorithm on remainders of
+    division by one polynomial, which in one variable lowers the degree.  The
+    root at infinity has multiplicity deg f - deg u.  Returned sorted
+    descending.
     """
     if f.is_zero:
         raise InputError("binary_form_profile requires a nonzero form")
     if f.nvars != 2 or not f.is_homogeneous() or f.degree() < 1:
         raise InputError("binary_form_profile requires a binary form of degree >= 1")
-    d = f.degree()
-    u = [Fraction(0)] * (d + 1)
-    for m, c in f.terms.items():
-        u[m[0]] = c
-    u = _utrim(u)
-    profile: list[int] = []
-    infinity_mult = d - _udeg(u)
-    if infinity_mult > 0:
-        profile.append(infinity_mult)
-    if _udeg(u) > 0:
-        for mult, degree in _yun_multiplicities(u):
-            profile.extend([mult] * degree)
+    u = Polynomial(1, [(m[:1], c) for m, c in f.terms.items()])
+    profile = [f.degree() - u.degree()] if u.degree() < f.degree() else []
+    degrees = [u.degree()]
+    g = derivative = u
+    while degrees[-1] > 0:
+        derivative = derivative.derivative(0)
+        a, b = g, derivative
+        while b:
+            a, b = b, normal_form(a, [b])
+        g = a
+        degrees.append(g.degree())
+    degrees.append(0)
+    for k in range(1, len(degrees) - 1):
+        profile += [k] * (degrees[k - 1] - 2 * degrees[k] + degrees[k + 1])
     return tuple(sorted(profile, reverse=True))
 
 
@@ -426,24 +362,26 @@ def match_named_family(pres: RingPresentation) -> FamilyTag:
 # catalog access for the `generate` front end
 
 
+# Caps on a generated family, checked before it is built: scroll 100000000
+# would need 10^8 variable names and about 5*10^15 minors.
+MAX_FAMILY_VARIABLES = 100
+MAX_FAMILY_DEGREE = 100
+
+
 def catalog_presentation(family: str, args: Sequence[str]) -> RingPresentation:
-    """Canonical presentation for a named family; used by `generate`."""
+    """Canonical presentation for a named family; used by `generate`.
 
-    def int_args(count: int) -> list[int]:
-        flat: list[str] = []
-        for a in args:
-            flat.extend(part for part in str(a).split(",") if part)
-        if len(flat) != count:
+    Raises BudgetError, before building anything, when the family would have
+    more than MAX_FAMILY_VARIABLES variables or, for a binary form, a degree
+    above MAX_FAMILY_DEGREE.
+    """
+
+    def ints(count: int = 0) -> list[int]:
+        """The comma-separated integer arguments: exactly `count` of them, or
+        at least one when `count` is 0."""
+        flat = [part for a in args for part in str(a).split(",") if part]
+        if count and len(flat) != count:
             raise InputError(f"{family} expects {count} integer argument(s)")
-        try:
-            return [int(a) for a in flat]
-        except ValueError:
-            raise InputError(f"{family} expects integer arguments") from None
-
-    def int_list() -> list[int]:
-        flat: list[str] = []
-        for a in args:
-            flat.extend(part for part in str(a).split(",") if part)
         if not flat:
             raise InputError(f"{family} expects at least one integer argument")
         try:
@@ -451,17 +389,28 @@ def catalog_presentation(family: str, args: Sequence[str]) -> RingPresentation:
         except ValueError:
             raise InputError(f"{family} expects integer arguments") from None
 
+    def cap(size: int, what: str = "variable count", limit: int = MAX_FAMILY_VARIABLES) -> int:
+        if size > limit:
+            raise BudgetError(f"catalog_presentation: {family} has {what} {size} (cap {limit})")
+        return size
+
     if family == "polynomial_ring":
-        return polynomial_ring(int_args(1)[0])
+        return polynomial_ring(cap(ints(1)[0]))
     if family == "quadric":
-        rank, nvars = int_args(2)
-        return sum_of_squares(rank, nvars)
+        rank, nvars = ints(2)
+        return sum_of_squares(rank, cap(nvars))
     if family == "binary_form":
-        return binary_form_presentation(int_list())
+        profile = ints()
+        cap(sum(profile), "degree", MAX_FAMILY_DEGREE)
+        return binary_form_presentation(profile)
     if family == "scroll":
-        return scroll_ideal(ScrollType(tuple(sorted(int_list()))))
+        scroll = ScrollType(tuple(sorted(ints())))
+        cap(scroll.nvars)
+        return scroll_ideal(scroll)
     if family == "veronese_cone":
-        return veronese_cone_ideal(int_args(1)[0])
+        n = ints(1)[0]
+        cap(n + 1)
+        return veronese_cone_ideal(n)
     if family == "sym3x3":
         if args:
             raise InputError("sym3x3 takes no arguments")

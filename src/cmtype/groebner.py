@@ -1,9 +1,11 @@
 """Buchberger's algorithm, normal forms, initial ideals, minimal presentations.
 
-The engine is deliberately deterministic: the normal selection strategy
-(minimal lcm degree first, ties broken by the lexicographic pair index) and a
-canonical output ordering make the reduced basis identical across runs and
-across permutations of the input generators.  Pair pruning uses the
+Degrevlex is the one term order: leading terms, division and the reduced
+basis all follow :func:`cmtype.poly.monomial_key`.  The engine is
+deliberately deterministic: the normal selection strategy (minimal lcm
+degree first, ties broken by the lexicographic pair index) and a canonical
+output ordering make the reduced basis identical across runs and across
+permutations of the input generators.  Pair pruning uses the
 Gebauer-Moeller refinement of the Buchberger product and chain criteria.
 Open pairs keep the lcm computed when they were made and wait in a heap
 keyed by (lcm degree, pair index), so selection pops instead of rescanning.
@@ -16,21 +18,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from . import linalg
 from .errors import BudgetError, Budgets, DEFAULT_BUDGETS, InhomogeneousError, InputError
 from .poly import (
-    DEGREVLEX,
     Monomial,
-    MonomialOrder,
     Polynomial,
     VariableSet,
+    heap_key,
     integer_multiple,
     monomial_degree,
     monomial_div,
     monomial_divides,
     monomial_lcm,
+    monomial_key,
     monomial_mul,
     monomials_of_degree,
     polynomial_from_descending,
@@ -40,29 +42,30 @@ from .presentation import IdealPresentation, RingPresentation
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis: monic elements in canonical (descending) order."""
+    """A reduced degrevlex Groebner basis: monic elements in canonical
+    (descending) order."""
 
     variables: VariableSet
-    order: MonomialOrder
     elements: tuple[Polynomial, ...]
+    order: ClassVar[str] = "degrevlex"
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(g.leading_monomial(self.order) for g in self.elements)
+        return tuple(g.leading_monomial() for g in self.elements)
 
 
-def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
+def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial of f and g."""
-    mf, cf = f.leading_term(order)
-    mg, cg = g.leading_term(order)
+    mf, cf = f.leading_term()
+    mg, cg = g.leading_term()
     lcm = monomial_lcm(mf, mg)
     return f.mul_term(monomial_div(lcm, mf), 1 / cf) - g.mul_term(monomial_div(lcm, mg), 1 / cg)
 
 
-def normal_form(p: Polynomial, basis, order: MonomialOrder | None = None) -> Polynomial:
+def normal_form(p: Polynomial, basis) -> Polynomial:
     """Full remainder of p under division by the basis (no term divisible by a
     leading term survives).  Against a Groebner basis the result is the unique
     normal form; in particular it is zero exactly for ideal members.
@@ -76,19 +79,13 @@ def normal_form(p: Polynomial, basis, order: MonomialOrder | None = None) -> Pol
     Remainder terms leave as ``scale * c``, so the result is exactly the
     rational remainder of dividing p itself.
     """
-    if isinstance(basis, GroebnerBasis):
-        elements = basis.elements
-        order = order or basis.order
-    else:
-        elements = tuple(basis)
-        order = order or DEGREVLEX
+    elements = basis.elements if isinstance(basis, GroebnerBasis) else basis
     elements = tuple(g for g in elements if not g.is_zero)
     if not elements:
         return p
     if any(g.nvars != p.nvars for g in elements):
         raise InputError("polynomials are over different variable sets")
-    reducers = [g.reducer(order) for g in elements]
-    heap_key = order.heap_key
+    reducers = [g.reducer() for g in elements]
     scale, work = integer_multiple(p.terms)
     heap = [(heap_key(m), m) for m in work]
     heapq.heapify(heap)
@@ -125,7 +122,7 @@ def normal_form(p: Polynomial, basis, order: MonomialOrder | None = None) -> Pol
             for t in work:
                 work[t] //= content
             scale *= content
-    return polynomial_from_descending(p.nvars, remainder, order)
+    return polynomial_from_descending(p.nvars, remainder)
 
 
 def _generators_of(source) -> tuple[VariableSet, tuple[Polynomial, ...]]:
@@ -136,13 +133,9 @@ def _generators_of(source) -> tuple[VariableSet, tuple[Polynomial, ...]]:
     raise InputError("expected an ideal or ring presentation")
 
 
-def buchberger(
-    source,
-    order: MonomialOrder = DEGREVLEX,
-    *,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal, unique for (ideal, order).
+def buchberger(source, *, budgets: Budgets = DEFAULT_BUDGETS) -> GroebnerBasis:
+    """Reduced degrevlex Groebner basis of the ideal; it depends on the ideal
+    only, not on how its generators are listed or scaled.
 
     Each open pair (i, j) stores the lcm of its leading monomials once, in
     ``lcms``, and enters the heap ``queue`` under (lcm degree, i, j); the pop
@@ -152,7 +145,7 @@ def buchberger(
     lcms; pruned pairs stay in the heap and are skipped when popped.
     """
     variables, gens = _generators_of(source)
-    gens = [g.monic(order) for g in gens if not g.is_zero]
+    gens = [g.monic() for g in gens if not g.is_zero]
 
     basis: list[Polynomial] = []
     leads: list[Monomial] = []
@@ -161,7 +154,7 @@ def buchberger(
 
     def update(f: Polynomial):
         # Gebauer-Moeller pair pruning (product + chain criteria).
-        mf = f.leading_monomial(order)
+        mf = f.leading_monomial()
         t = len(basis)
         new_lcms = [monomial_lcm(lead, mf) for lead in leads]
         for (i, j), lcm in list(lcms.items()):
@@ -171,7 +164,7 @@ def buchberger(
         for i, lcm in enumerate(new_lcms):
             by_lcm.setdefault(lcm, []).append(i)
         minimal: list[Monomial] = []
-        for lcm in sorted(by_lcm, key=order.key):
+        for lcm in sorted(by_lcm, key=monomial_key):
             if not any(monomial_divides(seen, lcm) for seen in minimal):
                 minimal.append(lcm)
         for lcm in minimal:
@@ -199,25 +192,25 @@ def buchberger(
         if processed > budgets.pairs:
             raise BudgetError(f"buchberger: pair budget {budgets.pairs} exceeded")
         del lcms[i, j]
-        h = normal_form(spoly(basis[i], basis[j], order), basis, order)
+        h = normal_form(spoly(basis[i], basis[j]), basis)
         if h:
-            update(h.monic(order))
+            update(h.monic())
 
-    return GroebnerBasis(variables, order, _interreduce(basis, order))
+    return GroebnerBasis(variables, _interreduce(basis))
 
 
-def _interreduce(elements: Sequence[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
+def _interreduce(elements: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     """Minimalize (drop divisible leading terms) and tail-reduce; canonical sort."""
     minimal: list[Polynomial] = []
-    for g in sorted(elements, key=lambda g: order.key(g.leading_monomial(order))):
-        lm = g.leading_monomial(order)
-        if not any(monomial_divides(h.leading_monomial(order), lm) for h in minimal):
+    for g in sorted(elements, key=lambda g: monomial_key(g.leading_monomial())):
+        lm = g.leading_monomial()
+        if not any(monomial_divides(h.leading_monomial(), lm) for h in minimal):
             minimal.append(g)
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(normal_form(g, others, order).monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
+        reduced.append(normal_form(g, others).monic())
+    reduced.sort(key=lambda g: monomial_key(g.leading_monomial()), reverse=True)
     return tuple(reduced)
 
 
@@ -293,7 +286,7 @@ def minimalize_presentation(pres: RingPresentation) -> RingPresentation:
         linear = next((g for g in gens if g.degree() == 1), None)
         if linear is None:
             break
-        lm, lc = linear.leading_term(DEGREVLEX)
+        lm, lc = linear.leading_term()
         i = lm.index(1)
         # x_i = x_i - linear/lc has no x_i left; substitute it everywhere.
         replacement = Polynomial.variable(len(variables), i) - linear * (1 / lc)

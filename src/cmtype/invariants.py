@@ -335,13 +335,6 @@ def _socle_dimension(quotient: Quotient) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class CmTypeResult:
-    is_cm: bool
-    cm_type: int | None
-    is_gorenstein: bool | None
-
-
 # ---------------------------------------------------------------------------
 # the assembled invariants
 
@@ -414,27 +407,3 @@ def analyze(
         is_regular=len(minimal.generators) == 0,
     )
     return Analysis(minimal, gb, Quotient(gb), series, reduction, invariants)
-
-
-def ring_invariants(
-    pres: RingPresentation, seed: int = 1, *, budgets: Budgets = DEFAULT_BUDGETS
-) -> RingInvariants:
-    return analyze(pres, seed=seed, budgets=budgets).invariants
-
-
-def cm_and_type(
-    pres: RingPresentation, seed: int = 1, *, budgets: Budgets = DEFAULT_BUDGETS
-) -> CmTypeResult:
-    inv = ring_invariants(pres, seed=seed, budgets=budgets)
-    return CmTypeResult(inv.is_cm, inv.cm_type, inv.is_gorenstein)
-
-
-def is_hypersurface(pres: RingPresentation) -> bool:
-    """True when the minimal presentation has at most one generator.
-
-    Regular rings (zero ideal after minimalization) count as hypersurfaces;
-    the `is_regular` flag on :class:`RingInvariants` distinguishes them.
-    """
-    _require_homogeneous(pres)
-    minimal = pres if pres.minimalized else minimalize_presentation(pres)
-    return len(minimal.generators) <= 1

@@ -1,4 +1,4 @@
-"""Exact multivariate polynomial arithmetic and monomial orders.
+"""Exact multivariate polynomial arithmetic under the degrevlex term order.
 
 Coefficients are exact rationals (``fractions.Fraction``) at every interface;
 nothing in the library ever rounds.  Division by a basis runs internally on
@@ -6,7 +6,7 @@ primitive integer multiples (:func:`integer_multiple`, :meth:`Polynomial.reducer
 whose rational scale is tracked exactly, so every result is again a Fraction
 polynomial.  A monomial is a plain exponent tuple, one entry per variable,
 and the position of a variable in its :class:`VariableSet` fixes its
-significance for the monomial orders (earlier = more significant).
+significance in degrevlex (earlier = more significant).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
@@ -76,41 +75,19 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
     return out
 
 
-class MonomialOrder(Enum):
-    """Term orders on exponent tuples.
+def monomial_key(m: Monomial):
+    """Degrevlex sort key; larger key = larger monomial.
 
-    DEGREVLEX refines total degree and is the default everywhere; LEX is
-    exposed for debugging only.  Both are term orders: 1 is minimal and
-    multiplication preserves comparisons.
+    Degrevlex is the one term order of the package: total degree first, ties
+    going to the monomial with the smaller exponent in the last variable where
+    the two differ.  1 is minimal and multiplication preserves comparisons.
     """
-
-    DEGREVLEX = "degrevlex"
-    LEX = "lex"
-
-    def key(self, m: Monomial):
-        """Sort key; larger key = larger monomial."""
-        if self is MonomialOrder.DEGREVLEX:
-            return (sum(m), tuple(-e for e in reversed(m)))
-        return tuple(m)
-
-    def heap_key(self, m: Monomial):
-        """Ascending sort key for a min-heap; smaller key = larger monomial."""
-        if self is MonomialOrder.DEGREVLEX:
-            return (-sum(m), m[::-1])
-        return tuple(-e for e in m)
-
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        """-1, 0 or 1 as a <, =, > b in this order."""
-        if len(a) != len(b):
-            raise InputError(
-                f"cannot compare monomials over {len(a)} and {len(b)} variables"
-            )
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
+    return (sum(m), tuple(-e for e in reversed(m)))
 
 
-DEGREVLEX = MonomialOrder.DEGREVLEX
-LEX = MonomialOrder.LEX
+def heap_key(m: Monomial):
+    """Ascending degrevlex key for a min-heap; smaller key = larger monomial."""
+    return (-sum(m), m[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +98,7 @@ LEX = MonomialOrder.LEX
 class VariableSet:
     """Ordered, distinct variable names.
 
-    Declaration order is significant: it fixes monomial-order significance
+    Declaration order is significant: it fixes degrevlex significance
     and the rendering order.  Presentations always have at least one
     variable; the empty set only arises internally when minimalization
     eliminates every variable (the residue field).
@@ -168,12 +145,12 @@ class Polynomial:
     """Immutable sparse polynomial over the rationals.
 
     Stored as a map from exponent tuple to nonzero Fraction; two equal
-    polynomials therefore have identical term maps.  Leading terms and
-    reducer data are memoized per monomial order in ``_memo``, a dict created
-    on first use.
+    polynomials therefore have identical term maps.  The degrevlex leading
+    term and the reducer data are memoized in the slots ``_lead`` and
+    ``_reducer``, set on first use.
     """
 
-    __slots__ = ("nvars", "terms", "_memo")
+    __slots__ = ("nvars", "terms", "_lead", "_reducer")
 
     def __init__(self, nvars: int, terms: dict | Iterable[tuple] = ()):
         data: dict[Monomial, Fraction] = {}
@@ -240,44 +217,37 @@ class Polynomial:
     def coefficient(self, m: Monomial) -> Fraction:
         return self.terms.get(tuple(m), Fraction(0))
 
-    def _remember(self, key, value):
+    def leading_term(self) -> tuple[Monomial, Fraction]:
         try:
-            memo = self._memo
+            return self._lead
         except AttributeError:
-            memo = {}
-            object.__setattr__(self, "_memo", memo)
-        memo[key] = value
-        return value
-
-    def leading_term(self, order: MonomialOrder = DEGREVLEX) -> tuple[Monomial, Fraction]:
-        try:
-            return self._memo[order]
-        except (AttributeError, KeyError):
             if not self.terms:
                 raise InputError("zero polynomial has no leading term") from None
-        m = max(self.terms, key=order.key)
-        return self._remember(order, (m, self.terms[m]))
+        m = max(self.terms, key=monomial_key)
+        object.__setattr__(self, "_lead", (m, self.terms[m]))
+        return self._lead
 
-    def reducer(self, order: MonomialOrder = DEGREVLEX) -> tuple[Monomial, int, tuple]:
+    def reducer(self) -> tuple[Monomial, int, tuple]:
         """``(lm, lc, tail)`` of the primitive integer multiple of self whose
         lead coefficient ``lc`` is positive; ``tail`` lists the other terms as
         ``(monomial, int)`` pairs.  The form in which division divides by self."""
-        key = (order, "reducer")
         try:
-            return self._memo[key]
-        except (AttributeError, KeyError):
+            return self._reducer
+        except AttributeError:
             pass
-        lm = self.leading_term(order)[0]
+        lm = self.leading_term()[0]
         ints = integer_multiple(self.terms)[1]
         sign = 1 if ints[lm] > 0 else -1
         lc = sign * ints.pop(lm)
-        return self._remember(key, (lm, lc, tuple((m, sign * c) for m, c in ints.items())))
+        tail = tuple((m, sign * c) for m, c in ints.items())
+        object.__setattr__(self, "_reducer", (lm, lc, tail))
+        return self._reducer
 
-    def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Monomial:
-        return self.leading_term(order)[0]
+    def leading_monomial(self) -> Monomial:
+        return self.leading_term()[0]
 
-    def sorted_terms(self, order: MonomialOrder = DEGREVLEX) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+        return sorted(self.terms.items(), key=lambda t: monomial_key(t[0]), reverse=True)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -357,14 +327,14 @@ class Polynomial:
             return Polynomial.zero(self.nvars)
         return _raw(self.nvars, {monomial_mul(t, m): v * c for t, v in self.terms.items()})
 
-    def monic(self, order: MonomialOrder = DEGREVLEX) -> "Polynomial":
+    def monic(self) -> "Polynomial":
         if not self.terms:
             return self
-        m, lc = self.leading_term(order)
+        m, lc = self.leading_term()
         if lc == 1:
             return self
         out = self * (1 / lc)
-        out._remember(order, (m, Fraction(1)))
+        object.__setattr__(out, "_lead", (m, Fraction(1)))
         return out
 
     # -- structural operations ----------------------------------------------
@@ -460,13 +430,13 @@ def _raw(nvars: int, data: dict) -> Polynomial:
     return p
 
 
-def polynomial_from_descending(nvars: int, data: dict, order: MonomialOrder) -> Polynomial:
+def polynomial_from_descending(nvars: int, data: dict) -> Polynomial:
     """Polynomial from a clean term map whose first key is its leading
-    monomial under ``order``, which is remembered."""
+    monomial, which is remembered."""
     p = _raw(nvars, data)
     if data:
         m = next(iter(data))
-        p._remember(order, (m, data[m]))
+        object.__setattr__(p, "_lead", (m, data[m]))
     return p
 
 
@@ -480,7 +450,3 @@ def integer_multiple(terms: dict) -> tuple[Fraction, dict[Monomial, int]]:
         ints = {m: c // content for m, c in ints.items()}
     return Fraction(content, denominator), ints
 
-
-def compare_monomials(order: MonomialOrder, m1: Monomial, m2: Monomial) -> int:
-    """-1, 0 or 1 as m1 <, =, > m2 under the given order."""
-    return order.compare(tuple(m1), tuple(m2))

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
-from .poly import DEGREVLEX, MonomialOrder, Polynomial, VariableSet
+from .poly import Polynomial, VariableSet
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,12 @@ def _format_monomial(m, names) -> str:
     return "*".join(parts)
 
 
-def render_polynomial(p: Polynomial, names, order: MonomialOrder = DEGREVLEX) -> str:
-    """Canonical text form: terms in descending monomial order."""
+def render_polynomial(p: Polynomial, names) -> str:
+    """Canonical text form: terms in descending degrevlex order."""
     if p.is_zero:
         return "0"
     pieces = []
-    for i, (m, c) in enumerate(p.sorted_terms(order)):
+    for i, (m, c) in enumerate(p.sorted_terms()):
         mono = _format_monomial(m, names)
         mag = abs(c)
         if mono and mag == 1:

@@ -11,7 +11,9 @@ step.  The Buchberger oracle picks each S-pair by rescanning every open pair,
 and the singular locus oracle expands every Jacobian minor over Fraction
 polynomials; both reduce with the engine's ``normal_form``.  The socle and
 nonzerodivisor oracles normal-form every product afresh with the engine's
-``normal_form`` and take the ranks of dense matrices with rref.  Apart from
+``normal_form`` and take the ranks of dense matrices with rref.  The
+binary-form profile oracle is Yun's squarefree decomposition over Fraction
+coefficient lists, with its own univariate division.  Apart from
 that, the paths under test and the oracle paths share only the Polynomial
 arithmetic and the rref routine.
 """
@@ -41,12 +43,11 @@ from cmtype.groebner import (
 from cmtype.invariants import Analysis, hilbert_series_from_gb
 from cmtype.linalg import rank, rref
 from cmtype.poly import (
-    DEGREVLEX,
     Monomial,
-    MonomialOrder,
     monomial_degree,
     monomial_div,
     monomial_divides,
+    monomial_key,
     monomial_lcm,
     monomial_mul,
     monomials_of_degree,
@@ -269,24 +270,19 @@ def support_signatures_oracle(mat, basis, nvars: int):
 # division over Fraction polynomials: the algorithm the integer division replaced
 
 
-def normal_form_oracle(p: Polynomial, basis, order: MonomialOrder | None = None) -> Polynomial:
+def normal_form_oracle(p: Polynomial, basis) -> Polynomial:
     """Full remainder of p under division by the basis (no term divisible by a
     leading term survives).  Against a Groebner basis the result is the unique
     normal form; in particular it is zero exactly for ideal members."""
-    if isinstance(basis, GroebnerBasis):
-        elements = basis.elements
-        order = order or basis.order
-    else:
-        elements = tuple(basis)
-        order = order or DEGREVLEX
+    elements = basis.elements if isinstance(basis, GroebnerBasis) else tuple(basis)
     elements = tuple(g for g in elements if not g.is_zero)
     if not elements:
         return p
-    leads = [g.leading_term(order) for g in elements]
+    leads = [g.leading_term() for g in elements]
     remainder: dict[Monomial, Fraction] = {}
     work = p
     while work:
-        m, c = work.leading_term(order)
+        m, c = work.leading_term()
         for g, (lm, lc) in zip(elements, leads):
             q = monomial_div(m, lm)
             if q is not None:
@@ -303,16 +299,11 @@ def normal_form_oracle(p: Polynomial, basis, order: MonomialOrder | None = None)
 # over Fraction minors: the algorithms the pair heap and integer minors replaced
 
 
-def buchberger_oracle(
-    source,
-    order: MonomialOrder = DEGREVLEX,
-    *,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal, unique for (ideal, order).  Picks
-    each pair by rescanning every open pair with ``min``."""
+def buchberger_oracle(source, *, budgets: Budgets = DEFAULT_BUDGETS) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal.  Picks each pair by rescanning
+    every open pair with ``min``."""
     variables, gens = _generators_of(source)
-    gens = [g.monic(order) for g in gens if not g.is_zero]
+    gens = [g.monic() for g in gens if not g.is_zero]
 
     basis: list[Polynomial] = []
     leads: list[Monomial] = []
@@ -320,7 +311,7 @@ def buchberger_oracle(
 
     def update(f: Polynomial):
         # Gebauer-Moeller pair pruning (product + chain criteria).
-        mf = f.leading_monomial(order)
+        mf = f.leading_monomial()
         t = len(basis)
         kept = {
             (i, j)
@@ -333,7 +324,7 @@ def buchberger_oracle(
         for i in range(t):
             by_lcm.setdefault(monomial_lcm(leads[i], mf), []).append(i)
         minimal: list[Monomial] = []
-        for lcm in sorted(by_lcm, key=order.key):
+        for lcm in sorted(by_lcm, key=monomial_key):
             if not any(monomial_divides(seen, lcm) for seen in minimal):
                 minimal.append(lcm)
         for lcm in minimal:
@@ -360,11 +351,11 @@ def buchberger_oracle(
         if processed > budgets.pairs:
             raise BudgetError(f"pair budget {budgets.pairs} exceeded")
         pairs.remove((i, j))
-        h = normal_form(spoly(basis[i], basis[j], order), basis, order)
+        h = normal_form(spoly(basis[i], basis[j]), basis)
         if h:
-            update(h.monic(order))
+            update(h.monic())
 
-    return GroebnerBasis(variables, order, _interreduce(basis, order))
+    return GroebnerBasis(variables, _interreduce(basis))
 
 
 def _minor(matrix, rows: tuple[int, ...], cols: tuple[int, ...], memo) -> Polynomial:
@@ -507,3 +498,101 @@ def is_linear_nonzerodivisor_oracle(x: Polynomial, bundle: Analysis) -> bool:
         d += 1
         if d > len(series.hvector) + 4:  # unreachable for dim 1
             raise InputError("nonzerodivisor test: the Hilbert function never stabilized")
+
+
+# ---------------------------------------------------------------------------
+# the binary-form profile by Yun's squarefree decomposition over Fraction
+# coefficient lists: the algorithm the gcd-degree profile replaced
+
+
+def _udeg(u: list[Fraction]) -> int:
+    return len(u) - 1
+
+
+def _utrim(u: list[Fraction]) -> list[Fraction]:
+    while len(u) > 1 and u[-1] == 0:
+        u.pop()
+    return u
+
+
+def _uderiv(u: list[Fraction]) -> list[Fraction]:
+    if len(u) <= 1:
+        return [Fraction(0)]
+    return _utrim([u[i] * i for i in range(1, len(u))])
+
+
+def _udivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    a = list(a)
+    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    inv = 1 / b[-1]
+    while _udeg(_utrim(list(a))) >= _udeg(b) and any(a):
+        a = _utrim(a)
+        if _udeg(a) < _udeg(b):
+            break
+        shift = _udeg(a) - _udeg(b)
+        factor = a[-1] * inv
+        q[shift] = factor
+        for i, c in enumerate(b):
+            a[shift + i] -= factor * c
+    return _utrim(q), _utrim(a)
+
+
+def _ugcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    a, b = _utrim(list(a)), _utrim(list(b))
+    while any(b):
+        _, r = _udivmod(a, b)
+        a, b = b, r
+    if any(a) and a[-1] != 1:
+        a = [c / a[-1] for c in a]
+    return a
+
+
+def _yun_multiplicities(u: list[Fraction]) -> list[tuple[int, int]]:
+    """Squarefree decomposition via Yun's algorithm: list of (multiplicity, degree)."""
+    result: list[tuple[int, int]] = []
+    du = _uderiv(u)
+    g = _ugcd(u, du)
+    c, _ = _udivmod(u, g)
+    d = [x - y for x, y in _pad(_udivmod(du, g)[0], _uderiv(c))]
+    i = 1
+    while _udeg(c) > 0:
+        gi = _ugcd(c, d)
+        if _udeg(gi) > 0:
+            result.append((i, _udeg(gi)))
+        c, _ = _udivmod(c, gi)
+        d = [x - y for x, y in _pad(_udivmod(d, gi)[0], _uderiv(c))]
+        i += 1
+    return result
+
+
+def _pad(a: list[Fraction], b: list[Fraction]):
+    size = max(len(a), len(b))
+    a = a + [Fraction(0)] * (size - len(a))
+    b = b + [Fraction(0)] * (size - len(b))
+    return zip(a, b)
+
+
+def binary_form_profile_oracle(f: Polynomial) -> tuple[int, ...]:
+    """Root-multiplicity profile over the algebraic closure, without factoring.
+
+    Computed from the squarefree decomposition of the dehomogenization plus
+    the multiplicity of the root at infinity; returned sorted descending.
+    Valid in characteristic zero.
+    """
+    if f.is_zero:
+        raise InputError("binary_form_profile requires a nonzero form")
+    if f.nvars != 2 or not f.is_homogeneous() or f.degree() < 1:
+        raise InputError("binary_form_profile requires a binary form of degree >= 1")
+    d = f.degree()
+    u = [Fraction(0)] * (d + 1)
+    for m, c in f.terms.items():
+        u[m[0]] = c
+    u = _utrim(u)
+    profile: list[int] = []
+    infinity_mult = d - _udeg(u)
+    if infinity_mult > 0:
+        profile.append(infinity_mult)
+    if _udeg(u) > 0:
+        for mult, degree in _yun_multiplicities(u):
+            profile.extend([mult] * degree)
+    return tuple(sorted(profile, reverse=True))

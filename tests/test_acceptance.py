@@ -24,7 +24,6 @@ from cmtype import (
     normal_form,
     parse_presentation,
     rewrite_in_xm,
-    ring_invariants,
     scroll_ideal,
     semigroup_closure,
     semigroup_dr,
@@ -76,7 +75,7 @@ def test_criterion_02_semigroup_controls():
 
 def test_criterion_03_gw12_invariants_and_verdict():
     pres = parse_presentation("ring: x, y, z ; ideal: x*y, y*z, z^2")
-    inv = ring_invariants(pres)
+    inv = analyze(pres).invariants
     assert inv.dim == 1
     assert inv.hvector == (1, 2)
     assert inv.multiplicity == 3
@@ -105,7 +104,7 @@ def test_criterion_04_hypersurface_verdicts():
 def test_criterion_05_four_lines_h13_rule():
     text = "ring: x,u,v,w ; ideal: u*v, u*w, v*w, u^2 - x*u, v^2 - x*v, w^2 - x*w"
     pres = parse_presentation(text)
-    inv = ring_invariants(pres)
+    inv = analyze(pres).invariants
     assert inv.hvector == (1, 3)
     report = classify(pres)
     assert report.verdict is Verdict.UNCOUNTABLE
@@ -147,7 +146,7 @@ def test_criterion_07_singular_locus():
 
 def test_criterion_08_determinantal_families():
     for m in (2, 3, 4):
-        inv = ring_invariants(scroll_ideal((m,)))
+        inv = analyze(scroll_ideal((m,))).invariants
         assert inv.dim == 2
         assert inv.multiplicity == m
         assert inv.hvector == (1, m - 1)
@@ -157,7 +156,7 @@ def test_criterion_08_determinantal_families():
         assert any(j.citation == "Prop 4.2" for j in report.justification)
 
     report = classify(scroll_ideal((1, 2)))
-    assert ring_invariants(scroll_ideal((1, 2))).dim == 3
+    assert analyze(scroll_ideal((1, 2))).invariants.dim == 3
     assert report.verdict is Verdict.FINITE
     assert any(j.citation == "Prop 4.5" for j in report.justification)
 
@@ -166,7 +165,7 @@ def test_criterion_08_determinantal_families():
     assert any(j.citation == "Prop 4.5 proof" for j in report.justification)
 
     v5 = veronese_cone_ideal(5)
-    inv = ring_invariants(v5)
+    inv = analyze(v5).invariants
     assert (inv.dim, inv.multiplicity) == (3, 4)
     assert singular_locus(analyze(v5)).isolated is True
     assert classify(v5).verdict is Verdict.FINITE
@@ -179,7 +178,7 @@ def test_criterion_08_determinantal_families():
 
 def test_criterion_09_cyclic_minor_ring():
     pres = parse_presentation("ring: x,y,z ; ideal: x*z - y^2, x^2 - y*z, x*y - z^2")
-    inv = ring_invariants(pres)
+    inv = analyze(pres).invariants
     assert inv.dim == 1
     assert inv.hvector == (1, 2)
     report = classify(pres)
@@ -222,7 +221,7 @@ def test_criterion_11_property_suites(capsys, tmp_path):
         "ring: x,y ; ideal: x*y^2",
         "ring: x,y,z,w ; ideal: x^2 + y^2, z^2 + w^2",
     ):
-        inv = ring_invariants(parse_presentation(text))
+        inv = analyze(parse_presentation(text)).invariants
         assert inv.hvector[0] == 1 and inv.hvector[-1] != 0
         assert sum(inv.hvector) == inv.multiplicity > 0
 
@@ -232,7 +231,7 @@ def test_criterion_11_property_suites(capsys, tmp_path):
         "ring: x,y,z ; ideal: x*z - y^2, x^2 - y*z, x*y - z^2",
     ):
         pres = parse_presentation(text)
-        assert len({ring_invariants(pres, seed=s).cm_type for s in range(1, 6)}) == 1
+        assert len({analyze(pres, seed=s).invariants.cm_type for s in range(1, 6)}) == 1
 
     # binary-form profile invariance under 50 random linear substitutions
     rng = random.Random(77)

@@ -101,9 +101,7 @@ class TestDimensionOneNonHypersurfaces:
         # generic-ish quadrics in three variables
         text = "ring: x,y,z ; ideal: x*y - z^2, x*z, y*z + x^2"
         pres = parse_presentation(text)
-        from cmtype import ring_invariants
-
-        inv = ring_invariants(pres)
+        inv = analyze(pres).invariants
         if inv.is_cm and inv.hvector == (1, 2) and not inv.is_hypersurface:
             report = classify(pres, frozenset({"reduced"}))
             if report.verdict is Verdict.OPEN_UNKNOWN:

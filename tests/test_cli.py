@@ -1,14 +1,20 @@
 """Command-line front end: subcommands, report documents, exit codes."""
 
+import contextlib
+import io
 import json
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmtype import groebner
 from cmtype.cli import main
 from cmtype.families import _scroll_types_with_nvars
+from cmtype.presentation import render_presentation
+
+from oracles import rational_homogeneous_presentations
 
 
 def run_cli(capsys, *argv):
@@ -277,6 +283,31 @@ class TestDeterminismAndExitCodes:
         path = write(tmp_path, "gw12.ring", "ring: x, y, z\nideal: x*y, y*z, z^2\n")
         assert "singularity_skipped" not in run_json(capsys, "analyze", path)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("semigroup", "1000000,1000001"),
+                "semigroup_closure: the sieve needs 1000001000001 entries",
+            ),
+            (
+                ("generate", "scroll", "100000000"),
+                "catalog_presentation: scroll has variable count 100000001",
+            ),
+            (
+                ("generate", "polynomial_ring", "100000000"),
+                "catalog_presentation: polynomial_ring has variable count 100000000",
+            ),
+        ],
+    )
+    def test_oversized_inputs_exit_3_before_allocating(self, capsys, argv, message):
+        # each used to end in a MemoryError traceback
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - started < 1.0
+        assert code == 3
+        assert message in err and "Traceback" not in err
+
     def test_deeply_nested_parentheses_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, "deep.ring", "ring: x\nideal: " + "(" * 5000 + "x" + ")" * 5000 + "\n")
         code, out, err = run_cli(capsys, "classify", path)
@@ -294,3 +325,72 @@ class TestDeterminismAndExitCodes:
         code, out, err = run_cli(capsys, "classify", path)
         assert code == 0
         assert "zero" in err
+
+
+# Text fragments for the fuzzed CLI: presentation keywords, names (known and
+# unknown), operators, numbers and a few characters the tokenizer rejects.
+FRAGMENTS = (
+    "ring:", "ideal:", "ring", "ideal", "x", "y", "z", "q", "x1", ",", ";", ":", "*", "^",
+    "+", "-", "/", "(", ")", "0", "1", "2", "3", "1/2", " ", "\n", "#", "!", "\u00e9",
+)
+SUBCOMMANDS = ("analyze", "classify", "gb", "arrangement", "semigroup", "generate")
+FAMILIES = (
+    "polynomial_ring", "quadric", "binary_form", "scroll", "veronese_cone", "sym3x3", "gw12",
+    "graded12", "mystery",
+)
+FLAGS = ("--json", "--seed", "--budget-pairs", "--budget-degree")
+
+
+def fuzz_texts():
+    """Small presentation files: valid ones, inhomogeneous ones, and fragment soup."""
+    soup = st.lists(st.sampled_from(FRAGMENTS), max_size=30).map("".join)
+    valid = rational_homogeneous_presentations(max_degree=3, max_generators=3)
+    valid = valid.map(render_presentation)
+    inhomogeneous = st.builds(
+        lambda text, extra: text.rstrip("\n") + extra,
+        valid,
+        st.sampled_from([" + x0", " + 1", ", x0^2 + x0", ", 1", ", 0"]),
+    )
+    return st.one_of(valid, inhomogeneous, soup, st.builds(str.__add__, valid, soup))
+
+
+@st.composite
+def fuzz_argvs(draw, path):
+    """A subcommand with small random positional arguments and flags; budgets
+    are often tiny and 1000,1001 runs over the semigroup sieve cap, so every
+    exit code occurs."""
+    numbers = st.one_of(st.integers(-3, 30), st.sampled_from([1000, 1001])).map(str)
+    word = st.one_of(numbers, st.sampled_from(FRAGMENTS), st.just("1,2"), st.just("x"))
+    subcommand = draw(st.sampled_from(SUBCOMMANDS))
+    if subcommand == "semigroup":
+        argv = [subcommand, ",".join(draw(st.lists(word, min_size=1, max_size=4)))]
+    elif subcommand == "generate":
+        argv = [subcommand, draw(st.sampled_from(FAMILIES)), *draw(st.lists(word, max_size=3))]
+    else:
+        argv = [subcommand, path]
+    if subcommand == "arrangement":
+        argv += ["--reduction", draw(st.lists(word, min_size=1, max_size=5).map(" ".join))]
+    if subcommand == "classify" and draw(st.booleans()):
+        argv += ["--assume", draw(st.sampled_from(["reduced", "domain"]))]
+    value = st.one_of(st.integers(-1, 3), st.integers(4, 60), st.just("x")).map(str)
+    for flag in FLAGS:
+        if draw(st.booleans()):
+            argv += [flag] if flag == "--json" else [flag, draw(value)]
+    return argv
+
+
+class TestFuzzedCli:
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_every_input_exits_0_2_or_3(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.ring"
+        path.write_text(data.draw(fuzz_texts()), encoding="utf-8")
+        argv = data.draw(fuzz_argvs(str(path)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the flags with exit 2
+                code = exc.code
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmtype import (
     InputError,
     Polynomial,
+    analyze,
     binary_form_profile,
     buchberger,
     catalog_presentation,
@@ -17,7 +19,6 @@ from cmtype import (
     minimalize_presentation,
     parse_presentation,
     quadric_rank,
-    ring_invariants,
     scroll_ideal,
     veronese_cone_ideal,
 )
@@ -32,6 +33,7 @@ from cmtype.families import (
 from cmtype.presentation import IdealPresentation
 
 from oracles import (
+    binary_form_profile_oracle,
     degree2_rref_oracle,
     linear_change,
     random_invertible_matrix,
@@ -57,7 +59,7 @@ class TestScrollIdeal:
         assert pres.nvars == 4
         assert len(pres.generators) == 1
         assert quadric_rank(pres.generators[0]) == 4
-        assert ring_invariants(pres).dim == 3
+        assert analyze(pres).invariants.dim == 3
 
     def test_type_1_2_matches_the_three_quadric_presentation(self):
         # det_2 [[x1,x2,x4],[x2,x3,x5]] up to variable renaming
@@ -76,7 +78,7 @@ class TestScrollIdeal:
         for n in range(2, 8):
             for scroll in _scroll_types_with_nvars(n):
                 pres = scroll_ideal(scroll)
-                inv = ring_invariants(pres)
+                inv = analyze(pres).invariants
                 assert inv.dim == len(scroll.a) + 1, scroll
                 assert inv.multiplicity == sum(scroll.a), scroll
                 seen += 1
@@ -97,13 +99,13 @@ class TestVeroneseCone:
         assert pres.nvars == 6
         # the nine symmetric-matrix minors collapse to 6 distinct quadrics
         assert len(pres.generators) == 6
-        inv = ring_invariants(pres)
+        inv = analyze(pres).invariants
         assert (inv.dim, inv.multiplicity, inv.hvector) == (3, 4, (1, 3))
         assert inv.is_cm and not inv.is_gorenstein
 
     def test_cone_adds_a_free_variable(self):
-        inv5 = ring_invariants(veronese_cone_ideal(5))
-        inv6 = ring_invariants(veronese_cone_ideal(6))
+        inv5 = analyze(veronese_cone_ideal(5)).invariants
+        inv6 = analyze(veronese_cone_ideal(6)).invariants
         assert inv6.dim == inv5.dim + 1 == 4
         assert inv6.hvector == inv5.hvector
 
@@ -165,6 +167,22 @@ class TestBinaryFormProfile:
             for _ in range(50):
                 changed = linear_change(form, random_invertible_matrix(rng, 2))
                 assert binary_form_profile(changed) == profile, form
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_matches_yuns_squarefree_decomposition(self, data):
+        # products of powers of random linear and quadratic factors, so that
+        # repeated lines, lines at infinity and irreducible quadratics occur
+        small = st.integers(-3, 3)
+        form = Polynomial.constant(2, data.draw(small.filter(bool)))
+        for _ in range(data.draw(st.integers(1, 4))):
+            degree = data.draw(st.integers(1, 2))
+            monomials = [(i, degree - i) for i in range(degree + 1)]
+            factor = Polynomial(2, [(m, data.draw(small)) for m in monomials])
+            if factor:
+                form = form * factor ** data.draw(st.integers(1, 3))
+        if form.degree() >= 1:
+            assert binary_form_profile(form) == binary_form_profile_oracle(form), form
 
 
 class TestMatchNamedFamily:

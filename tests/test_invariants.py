@@ -9,12 +9,9 @@ from cmtype import (
     Polynomial,
     analyze,
     buchberger,
-    cm_and_type,
     hilbert_numerator,
-    is_hypersurface,
     make_presentation,
     parse_presentation,
-    ring_invariants,
     scroll_ideal,
 )
 from cmtype.invariants import hilbert_series_from_gb
@@ -64,20 +61,20 @@ class TestHilbertNumerator:
 
 class TestRingInvariants:
     def test_gw12(self):
-        inv = ring_invariants(parse_presentation(CORPUS["gw12"]))
+        inv = analyze(parse_presentation(CORPUS["gw12"])).invariants
         assert (inv.dim, inv.hvector, inv.multiplicity) == (1, (1, 2), 3)
         assert inv.is_cm and inv.cm_type == 2 and inv.is_gorenstein is False
         assert inv.is_min_mult and not inv.is_hypersurface
 
     def test_univariate_polynomial_ring(self):
-        inv = ring_invariants(parse_presentation("ring: x ; ideal:"))
+        inv = analyze(parse_presentation("ring: x ; ideal:")).invariants
         assert (inv.dim, inv.hvector, inv.multiplicity) == (1, (1,), 1)
         assert inv.is_regular and inv.is_hypersurface
 
     def test_hankel_scroll_staircase(self):
         # scroll of type (4): 2x4 Hankel minors in 5 variables
         pres = scroll_ideal((4,))
-        inv = ring_invariants(pres)
+        inv = analyze(pres).invariants
         assert (inv.dim, inv.hvector, inv.multiplicity) == (2, (1, 3), 4)
         series = hilbert_series_from_gb(buchberger(pres.ideal))
         for d in range(6):
@@ -97,17 +94,17 @@ class TestRingInvariants:
     def test_free_variable_additivity(self):
         for text in CORPUS.values():
             pres = parse_presentation(text)
-            inv = ring_invariants(pres)
+            inv = analyze(pres).invariants
             extended = make_presentation(
                 tuple(pres.variables) + ("t_new",), [g.extend(1) for g in pres.generators]
             )
-            inv2 = ring_invariants(extended)
+            inv2 = analyze(extended).invariants
             assert inv2.dim == inv.dim + 1
             assert inv2.hvector == inv.hvector
 
     def test_deflation_exactness(self):
         for text in CORPUS.values():
-            inv = ring_invariants(parse_presentation(text))
+            inv = analyze(parse_presentation(text)).invariants
             assert inv.hvector[0] == 1
             assert sum(inv.hvector) == inv.multiplicity > 0
             assert inv.hvector[-1] != 0
@@ -115,7 +112,7 @@ class TestRingInvariants:
     def test_minimal_multiplicity_equivalences(self):
         # shape (1, n) of the h-vector matches e = embdim - dim + 1
         for text in CORPUS.values():
-            inv = ring_invariants(parse_presentation(text))
+            inv = analyze(parse_presentation(text)).invariants
             if inv.is_cm:
                 assert inv.is_min_mult == (
                     inv.multiplicity == inv.embdim - inv.dim + 1
@@ -124,11 +121,11 @@ class TestRingInvariants:
 
     def test_inhomogeneous_input_is_hard_error(self):
         with pytest.raises(InputError):
-            ring_invariants(parse_presentation("ring: x,y ; ideal: x^2 + y"))
+            analyze(parse_presentation("ring: x,y ; ideal: x^2 + y")).invariants
 
     def test_unit_ideal_rejected(self):
         with pytest.raises(InputError):
-            ring_invariants(parse_presentation("ring: x ; ideal: 2"))
+            analyze(parse_presentation("ring: x ; ideal: 2")).invariants
 
 
 class TestArtinianReduction:
@@ -145,7 +142,7 @@ class TestArtinianReduction:
 
     def test_non_cm_length_exceeds_multiplicity(self):
         pres = parse_presentation("ring: x,y ; ideal: x^2, x*y")
-        inv = ring_invariants(pres)
+        inv = analyze(pres).invariants
         red = analyze(pres).reduction
         assert inv.multiplicity == 1
         assert red.length == 2 > inv.multiplicity
@@ -168,25 +165,25 @@ class TestArtinianReduction:
 class TestCmAndType:
     def test_hypersurfaces_are_gorenstein(self):
         for text in ("ring: x,y ; ideal: x*y", "ring: x,y,z ; ideal: x^2 + y^2 + z^2"):
-            result = cm_and_type(parse_presentation(text))
+            result = analyze(parse_presentation(text)).invariants
             assert result.is_cm and result.cm_type == 1 and result.is_gorenstein
 
     def test_gw12_has_type_two(self):
-        result = cm_and_type(parse_presentation(CORPUS["gw12"]))
+        result = analyze(parse_presentation(CORPUS["gw12"])).invariants
         assert result.is_cm and result.cm_type == 2 and result.is_gorenstein is False
 
     def test_scroll_12_has_type_two(self):
-        result = cm_and_type(scroll_ideal((1, 2)))
+        result = analyze(scroll_ideal((1, 2))).invariants
         assert result.is_cm and result.cm_type == 2 and result.is_gorenstein is False
 
     def test_complete_intersection_is_gorenstein(self):
-        result = cm_and_type(parse_presentation(CORPUS["ci_two_quadrics"]))
+        result = analyze(parse_presentation(CORPUS["ci_two_quadrics"])).invariants
         assert result.is_cm and result.cm_type == 1 and result.is_gorenstein
 
     def test_type_is_seed_independent(self):
         for text in (CORPUS["gw12"], CORPUS["graded12"], CORPUS["four_lines"]):
             pres = parse_presentation(text)
-            types = {ring_invariants(pres, seed=s).cm_type for s in range(1, 6)}
+            types = {analyze(pres, seed=s).invariants.cm_type for s in range(1, 6)}
             assert len(types) == 1
 
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -204,7 +201,7 @@ class TestCmAndType:
     def test_cm_criterion_consistency(self):
         for name, text in CORPUS.items():
             pres = parse_presentation(text)
-            inv = ring_invariants(pres)
+            inv = analyze(pres).invariants
             red = analyze(pres).reduction
             if inv.is_cm:
                 assert sum(inv.hvector) == red.length, name
@@ -214,10 +211,11 @@ class TestCmAndType:
 
 class TestHypersurfacePredicate:
     def test_binary_cubic(self):
-        assert is_hypersurface(parse_presentation("ring: x,y ; ideal: x*y^2"))
+        assert analyze(parse_presentation("ring: x,y ; ideal: x*y^2")).invariants.is_hypersurface
 
     def test_gw12_is_not(self):
-        assert not is_hypersurface(parse_presentation(CORPUS["gw12"]))
+        assert not analyze(parse_presentation(CORPUS["gw12"])).invariants.is_hypersurface
 
     def test_minimalizes_before_counting(self):
-        assert is_hypersurface(parse_presentation("ring: x,y,z ; ideal: x + y, y^2"))
+        pres = parse_presentation("ring: x,y,z ; ideal: x + y, y^2")
+        assert analyze(pres).invariants.is_hypersurface

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmtype import (
     InhomogeneousError,
@@ -124,3 +125,33 @@ def test_parse_render_round_trip_on_canonical_forms():
     for _ in range(50):
         p = random_homogeneous_polynomial(rng, 3, rng.randint(1, 4))
         assert parse_polynomial(render_polynomial(p, tuple(names)), names) == p
+
+
+def expressions(names):
+    """Polynomial expression text over the given names: sums, differences,
+    products, parenthesized negations and small powers of variables and
+    rational numbers."""
+    number = st.builds(
+        lambda n, d: f"{n}/{d}" if d > 1 else str(n), st.integers(0, 12), st.integers(1, 4)
+    )
+    return st.recursive(
+        st.one_of(st.sampled_from(names), number),
+        lambda inner: st.one_of(
+            st.builds(lambda a, op, b: f"{a} {op} {b}", inner, st.sampled_from("+-*"), inner),
+            st.builds(lambda a: f"(-{a})", inner),
+            st.builds(lambda a, e: f"({a})^{e}", inner, st.integers(0, 3)),
+        ),
+        max_leaves=8,
+    )
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_parse_render_parse_round_trip(data):
+    names = st.lists(st.sampled_from(["x", "y", "z1", "w_2"]), min_size=1, unique=True)
+    names = VariableSet(tuple(data.draw(names)))
+    p = parse_polynomial(data.draw(expressions(names.names)), names)
+    text = render_polynomial(p, names.names)
+    again = parse_polynomial(text, names)
+    assert again == p
+    assert render_polynomial(again, names.names) == text
