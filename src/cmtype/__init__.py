@@ -67,7 +67,6 @@ from .invariants import (
 from .parsing import parse_polynomial, parse_presentation
 from .poly import Polynomial, VariableSet
 from .presentation import (
-    IdealPresentation,
     RingPresentation,
     make_presentation,
     render_polynomial,

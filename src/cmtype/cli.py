@@ -198,7 +198,7 @@ def main(argv=None) -> int:
         if ns.subcommand == "gb":
             text = _read_file(ns.file)
             pres = parse_presentation(text)
-            basis = buchberger(pres.ideal, budgets=budgets)
+            basis = buchberger(pres, budgets=budgets)
             names = tuple(pres.variables)
             doc = build_document(
                 "gb",

@@ -2,7 +2,9 @@
 
 The catalog covers polynomial rings, quadrics (tagged by rank), binary-form
 hypersurfaces (tagged by root-multiplicity profile), rational normal scrolls,
-Veronese cones, and the two special h-vector (1,2) rings.  Recognition of the
+Veronese cones, and the two special h-vector (1,2) rings.  The scrolls, the
+Veronese cones and graded12 are generated by the distinct nonzero 2x2 minors
+of a matrix of variables, expanded by :func:`cmtype.poly.minors`.  Recognition of the
 determinantal families is exact up to variable permutation; quadrics and
 binary forms are instead tagged by rank and profile, which are full
 linear-equivalence invariants in characteristic zero, so no permutation
@@ -20,7 +22,7 @@ from . import linalg
 from .errors import BudgetError, InputError
 from .groebner import minimalize_presentation, normal_form
 from .parsing import parse_presentation
-from .poly import Polynomial
+from .poly import Polynomial, minors
 from .presentation import RingPresentation, make_presentation
 
 
@@ -51,37 +53,32 @@ class ScrollType:
         return len(self.a) + 1  # k + 2
 
 
+def _determinantal(
+    names: Sequence[str], index_matrix: Sequence[Sequence[int]]
+) -> RingPresentation:
+    """The distinct nonzero 2x2 minors, in :func:`minors` order, of the matrix
+    whose entry i is the variable names[i]."""
+    nvars = len(names)
+    units = [{tuple(int(j == i) for j in range(nvars)): 1} for i in range(nvars)]
+    matrix = [[units[i] for i in row] for row in index_matrix]
+    gens = (Polynomial(nvars, det) for det in minors(matrix, 2) if det)
+    return make_presentation(names, dict.fromkeys(gens))
+
+
 def scroll_ideal(scroll: ScrollType | Sequence[int]) -> RingPresentation:
     """2x2 minors of the concatenated Hankel blocks of the scroll."""
     if not isinstance(scroll, ScrollType):
         scroll = ScrollType(tuple(scroll))
-    blocks = scroll.a
-    k = len(blocks) - 1
+    k = len(scroll.a) - 1
     names: list[str] = []
-    columns: list[tuple[int, int]] = []
-    offset = 0
-    for i, a in enumerate(blocks):
-        for j in range(a + 1):
-            names.append(f"x{j}" if k == 0 else f"x{j}_{i}")
-        for j in range(a):
-            columns.append((offset + j, offset + j + 1))
-        offset += a + 1
-    nvars = len(names)
-
-    def var(i: int) -> Polynomial:
-        return Polynomial.variable(nvars, i)
-
-    gens: list[Polynomial] = []
-    seen = set()
-    for p in range(len(columns)):
-        for q in range(p + 1, len(columns)):
-            top_p, bot_p = columns[p]
-            top_q, bot_q = columns[q]
-            minor = var(top_p) * var(bot_q) - var(bot_p) * var(top_q)
-            if minor and minor not in seen:
-                seen.add(minor)
-                gens.append(minor)
-    return make_presentation(names, gens)
+    top: list[int] = []
+    bottom: list[int] = []
+    for i, a in enumerate(scroll.a):
+        offset = len(names)
+        names += [f"x{j}" if k == 0 else f"x{j}_{i}" for j in range(a + 1)]
+        top += range(offset, offset + a)
+        bottom += range(offset + 1, offset + a + 1)
+    return _determinantal(names, [top, bottom])
 
 
 def veronese_cone_ideal(n: int) -> RingPresentation:
@@ -92,28 +89,8 @@ def veronese_cone_ideal(n: int) -> RingPresentation:
     """
     if n < 5:
         raise InputError("veronese_cone requires n >= 5")
-    nvars = n + 1
-    names = [f"x{i}" for i in range(nvars)]
-
-    def var(i: int) -> Polynomial:
-        return Polynomial.variable(nvars, i)
-
-    matrix = [
-        [var(0), var(1), var(2)],
-        [var(1), var(3), var(4)],
-        [var(2), var(4), var(5)],
-    ]
-    gens: list[Polynomial] = []
-    seen = set()
-    for r1 in range(3):
-        for r2 in range(r1 + 1, 3):
-            for c1 in range(3):
-                for c2 in range(c1 + 1, 3):
-                    minor = matrix[r1][c1] * matrix[r2][c2] - matrix[r1][c2] * matrix[r2][c1]
-                    if minor and minor not in seen:
-                        seen.add(minor)
-                        gens.append(minor)
-    return make_presentation(names, gens)
+    names = [f"x{i}" for i in range(n + 1)]
+    return _determinantal(names, [[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 def gw12_ideal() -> RingPresentation:
@@ -122,9 +99,7 @@ def gw12_ideal() -> RingPresentation:
 
 def graded12_ideal() -> RingPresentation:
     """2x2 minors of the cyclic matrix [[x, y, z], [y, z, x]]."""
-    return parse_presentation(
-        "ring: x, y, z\nideal: x*z - y^2, x^2 - y*z, x*y - z^2\n"
-    )
+    return _determinantal(["x", "y", "z"], [[0, 1, 2], [1, 2, 0]])
 
 
 def polynomial_ring(n: int) -> RingPresentation:

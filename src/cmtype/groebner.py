@@ -37,7 +37,7 @@ from .poly import (
     monomials_of_degree,
     polynomial_from_descending,
 )
-from .presentation import IdealPresentation, RingPresentation
+from .presentation import RingPresentation
 
 
 @dataclass(frozen=True)
@@ -125,15 +125,7 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
     return polynomial_from_descending(p.nvars, remainder)
 
 
-def _generators_of(source) -> tuple[VariableSet, tuple[Polynomial, ...]]:
-    if isinstance(source, RingPresentation):
-        return source.variables, source.generators
-    if isinstance(source, IdealPresentation):
-        return source.variables, source.generators
-    raise InputError("expected an ideal or ring presentation")
-
-
-def buchberger(source, *, budgets: Budgets = DEFAULT_BUDGETS) -> GroebnerBasis:
+def buchberger(pres: RingPresentation, *, budgets: Budgets = DEFAULT_BUDGETS) -> GroebnerBasis:
     """Reduced degrevlex Groebner basis of the ideal; it depends on the ideal
     only, not on how its generators are listed or scaled.
 
@@ -144,8 +136,7 @@ def buchberger(source, *, budgets: Budgets = DEFAULT_BUDGETS) -> GroebnerBasis:
     once and prunes open pairs by the chain criterion against the stored
     lcms; pruned pairs stay in the heap and are skipped when popped.
     """
-    variables, gens = _generators_of(source)
-    gens = [g.monic() for g in gens if not g.is_zero]
+    gens = [g.monic() for g in pres.generators]
 
     basis: list[Polynomial] = []
     leads: list[Monomial] = []
@@ -196,7 +187,7 @@ def buchberger(source, *, budgets: Budgets = DEFAULT_BUDGETS) -> GroebnerBasis:
         if h:
             update(h.monic())
 
-    return GroebnerBasis(variables, _interreduce(basis))
+    return GroebnerBasis(pres.variables, _interreduce(basis))
 
 
 def _interreduce(elements: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
@@ -214,12 +205,12 @@ def _interreduce(elements: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     return tuple(reduced)
 
 
-def initial_ideal(gb: GroebnerBasis) -> IdealPresentation:
+def initial_ideal(gb: GroebnerBasis) -> RingPresentation:
     """The monomial ideal of leading terms; its quotient shares the Hilbert
     function of the original quotient."""
     n = gb.nvars
     gens = tuple(Polynomial(n, [(m, 1)]) for m in gb.leading_monomials())
-    return IdealPresentation(gb.variables, gens)
+    return RingPresentation(gb.variables, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +267,10 @@ def minimalize_presentation(pres: RingPresentation) -> RingPresentation:
     remaining generators are pruned to a minimal homogeneous generating set.
     The variable count of the result is the embedding dimension.
     """
-    if not pres.ideal.homogeneous:
+    if not pres.homogeneous:
         raise InhomogeneousError("minimalize_presentation requires a homogeneous ideal")
     variables = pres.variables
-    gens = [g for g in pres.generators if not g.is_zero]
+    gens = list(pres.generators)
 
     while True:
         gens = [g for g in gens if not g.is_zero]
@@ -295,8 +286,4 @@ def minimalize_presentation(pres: RingPresentation) -> RingPresentation:
         variables = variables.drop(i)
 
     minimal = _minimal_homogeneous_generators(gens, len(variables))
-    return RingPresentation(
-        IdealPresentation(variables, tuple(minimal)),
-        minimalized=True,
-        warnings=pres.warnings,
-    )
+    return RingPresentation(variables, tuple(minimal), minimalized=True, warnings=pres.warnings)

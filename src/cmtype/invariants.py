@@ -35,7 +35,7 @@ from .poly import (
     monomial_mul,
     monomials_of_degree,
 )
-from .presentation import IdealPresentation, RingPresentation, render_polynomial
+from .presentation import RingPresentation, render_polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,7 @@ def _numerator(gens: tuple[Monomial, ...], nvars: int) -> list[int]:
 MAX_NUMERATOR_DEGREE = 10_000
 
 
-def hilbert_numerator(monomial_ideal: IdealPresentation) -> list[int]:
+def hilbert_numerator(monomial_ideal: RingPresentation) -> list[int]:
     """N(t) with Hilbert series of the quotient equal to N(t)/(1-t)^nvars."""
     exps = []
     for g in monomial_ideal.generators:
@@ -183,7 +183,7 @@ def hilbert_series_from_gb(gb: GroebnerBasis) -> HilbertSeries:
 
 
 def _require_homogeneous(pres: RingPresentation):
-    if not pres.ideal.homogeneous:
+    if not pres.homogeneous:
         raise InhomogeneousError("invariant computations require a homogeneous ideal")
 
 
@@ -286,7 +286,7 @@ def artinian_reduction(
             form = Polynomial(nvars, [(m, c) for m, c in zip(_unit_vectors(nvars), coeffs) if c])
             attempted.append(render_polynomial(form, names))
             trial = current + [form]
-            trial_gb = buchberger(IdealPresentation(minimal.variables, tuple(trial)), budgets=budgets)
+            trial_gb = buchberger(RingPresentation(minimal.variables, tuple(trial)), budgets=budgets)
             trial_series = hilbert_series_from_gb(trial_gb)
             if trial_series.dim == series.dim - 1:
                 current, gb, series = trial, trial_gb, trial_series
@@ -386,7 +386,7 @@ def analyze(
     _require_proper(pres)
     minimal = pres if pres.minimalized else minimalize_presentation(pres)
     _require_proper(minimal)
-    gb = buchberger(minimal.ideal, budgets=budgets)
+    gb = buchberger(minimal, budgets=budgets)
     series = hilbert_series_from_gb(gb)
     reduction, artinian_gb = artinian_reduction(minimal, gb, series, seed=seed, budgets=budgets)
     e = series.multiplicity

@@ -11,9 +11,11 @@ of the line; blank lines are ignored; input is UTF-8 with LF line endings
 (CRLF is normalized).  The one-line form ``ring: x, y ; ideal: x*y`` is
 accepted as well: a ``;`` may stand in for the line break.
 
-Zero generators are dropped with a warning recorded on the returned
-presentation.  With ``require_homogeneous=True`` any inhomogeneous
-generator is rejected outright.
+Products and powers are expanded as they are read, within the caps
+``MAX_NESTING``, ``MAX_TERM_PRODUCTS`` and ``MAX_DIGITS``; going over any of
+them raises ``ParseError``.  Zero generators are dropped with a warning
+recorded on the returned presentation.  With ``require_homogeneous=True``
+any inhomogeneous generator is rejected outright.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from .errors import InhomogeneousError, ParseError
 from .poly import Polynomial, VariableSet
-from .presentation import IdealPresentation, RingPresentation
+from .presentation import RingPresentation
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t]+)
@@ -61,6 +63,8 @@ def _tokenize(text: str) -> list[Token]:
             line += 1
             col = 1
         else:
+            if kind == "number" and len(value) > MAX_DIGITS:
+                raise ParseError(f"an integer literal has more than {MAX_DIGITS} digits", line, col)
             if kind in ("number", "ident", "op"):
                 tokens.append(Token(kind, value, line, col))
             col += len(value)
@@ -111,6 +115,14 @@ class _Stream:
 # Parenthesis nesting allowed in one expression.  Each level costs four
 # recursive calls, so this stays well inside the interpreter's recursion limit.
 MAX_NESTING = 100
+# Term products spent expanding one input, counted before each product or
+# squaring (polynomials with a and b terms cost a*b): (x+y+z)^100 needs 1.9
+# million.  Digits of an integer literal and of the numerator and denominator
+# of every coefficient built: 3^200000 has 95,425, beyond what int() and str()
+# convert by default.
+MAX_TERM_PRODUCTS = 50_000
+MAX_DIGITS = 1_000
+_DIGIT_LIMIT = 10**MAX_DIGITS
 
 
 class _PolyParser:
@@ -119,6 +131,7 @@ class _PolyParser:
         self.variables = variables
         self.nvars = len(variables)
         self.depth = 0
+        self.products = 0
 
     def parse_expr(self) -> Polynomial:
         sign = 1
@@ -127,27 +140,48 @@ class _PolyParser:
                 sign = -sign
         result = self.parse_term() * sign
         while self.stream.at_op("+") or self.stream.at_op("-"):
-            sign = 1 if self.stream.next().value == "+" else -1
-            result = result + self.parse_term() * sign
+            tok = self.stream.next()
+            term = self.parse_term() * (1 if tok.value == "+" else -1)
+            result = self.checked(result + term, term.terms, tok)
         return result
 
     def parse_term(self) -> Polynomial:
         result = self.parse_factor()
         while self.stream.at_op("*"):
-            self.stream.next()
-            result = result * self.parse_factor()
+            tok = self.stream.next()
+            result = self.product(result, self.parse_factor(), tok)
         return result
 
     def parse_factor(self) -> Polynomial:
         base = self.parse_atom()
         if self.stream.at_op("^"):
-            self.stream.next()
+            op = self.stream.next()
             tok = self.stream.peek()
             if tok.kind != "number":
                 raise ParseError("expected integer exponent after '^'", tok.line, tok.column)
             self.stream.next()
-            return base ** int(tok.value)
+            result = Polynomial.one(self.nvars)
+            for bit in bin(int(tok.value))[2:]:  # square and multiply, high bit first
+                result = self.product(result, result, op)
+                if bit == "1":
+                    result = self.product(result, base, op)
+            return result
         return base
+
+    def product(self, a: Polynomial, b: Polynomial, tok: Token) -> Polynomial:
+        self.products += len(a.terms) * len(b.terms)
+        if self.products > MAX_TERM_PRODUCTS:
+            message = f"expanding the input needs more than {MAX_TERM_PRODUCTS} term products"
+            raise ParseError(message, tok.line, tok.column)
+        return self.checked(a * b, None, tok)
+
+    def checked(self, p: Polynomial, monomials, tok: Token) -> Polynomial:
+        """p, once its coefficients at `monomials` (all when None) are within MAX_DIGITS."""
+        for c in map(p.terms.get, p.terms if monomials is None else monomials):
+            if c and max(abs(c.numerator), c.denominator) >= _DIGIT_LIMIT:
+                message = f"a coefficient has more than {MAX_DIGITS} digits"
+                raise ParseError(message, tok.line, tok.column)
+        return p
 
     def parse_atom(self) -> Polynomial:
         tok = self.stream.peek()
@@ -246,8 +280,4 @@ def parse_presentation(text: str, require_homogeneous: bool = False) -> RingPres
             if not g.is_homogeneous():
                 raise InhomogeneousError(f"generator {k} is not homogeneous")
 
-    return RingPresentation(
-        IdealPresentation(variables, tuple(generators)),
-        minimalized=False,
-        warnings=tuple(warnings),
-    )
+    return RingPresentation(variables, tuple(generators), warnings=tuple(warnings))

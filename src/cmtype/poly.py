@@ -6,7 +6,9 @@ primitive integer multiples (:func:`integer_multiple`, :meth:`Polynomial.reducer
 whose rational scale is tracked exactly, so every result is again a Fraction
 polynomial.  A monomial is a plain exponent tuple, one entry per variable,
 and the position of a variable in its :class:`VariableSet` fixes its
-significance in degrevlex (earlier = more significant).
+significance in degrevlex (earlier = more significant).  :func:`minors` is
+the one determinant routine: the Jacobian minors of the singular locus and
+the 2x2 minors of the determinantal families both come from it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -450,3 +453,45 @@ def integer_multiple(terms: dict) -> tuple[Fraction, dict[Monomial, int]]:
         ints = {m: c // content for m, c in ints.items()}
     return Fraction(content, denominator), ints
 
+
+# ---------------------------------------------------------------------------
+# determinants
+
+
+def minors(matrix: Sequence[Sequence[dict]], size: int) -> Iterator[dict]:
+    """Every size x size minor of a matrix of integer term maps ``{monomial:
+    int}``, as such a map (empty when zero): row combinations outer, column
+    combinations inner.  Laplace expansion along the first row, memoized on
+    (rows, cols), so sub-minors shared by many minors are expanded once."""
+    memo: dict = {}
+
+    def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict:
+        key = (rows, cols)
+        if key in memo:
+            return memo[key]
+        if len(rows) == 1:
+            result = matrix[rows[0]][cols[0]]
+        else:
+            result = {}
+            r0 = rows[0]
+            rest = rows[1:]
+            for k, c in enumerate(cols):
+                entry = matrix[r0][c]
+                if not entry:
+                    continue
+                sub = minor(rest, cols[:k] + cols[k + 1 :])
+                sign = -1 if k % 2 else 1
+                for m1, c1 in entry.items():
+                    c1 *= sign
+                    for m2, c2 in sub.items():
+                        m = tuple(map(add, m1, m2))
+                        if v := result.get(m, 0) + c1 * c2:
+                            result[m] = v
+                        else:
+                            del result[m]
+        memo[key] = result
+        return result
+
+    for rows in combinations(range(len(matrix)), size):
+        for cols in combinations(range(len(matrix[rows[0]])), size):
+            yield minor(rows, cols)

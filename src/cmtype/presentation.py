@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import InputError
 from .poly import Polynomial, VariableSet
 
 
 @dataclass(frozen=True)
-class IdealPresentation:
-    """A variable set together with nonzero generators over it."""
+class RingPresentation:
+    """R = S/I for S = k[variables] and I generated by nonzero `generators`;
+    `minimalized` marks a minimal presentation.  Ideals without a ring in
+    view (a Jacobian ideal, an initial ideal) use the same type."""
 
     variables: VariableSet
     generators: tuple[Polynomial, ...]
+    minimalized: bool = False
+    warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         n = len(self.variables)
@@ -33,41 +36,14 @@ class IdealPresentation:
         return all(g.is_homogeneous() for g in self.generators)
 
 
-@dataclass(frozen=True)
-class RingPresentation:
-    """R = S/I for a polynomial ring S; `minimalized` marks a minimal presentation."""
-
-    ideal: IdealPresentation
-    minimalized: bool = False
-    warnings: tuple[str, ...] = field(default=(), compare=False)
-
-    @property
-    def variables(self) -> VariableSet:
-        return self.ideal.variables
-
-    @property
-    def generators(self) -> tuple[Polynomial, ...]:
-        return self.ideal.generators
-
-    @property
-    def nvars(self) -> int:
-        return self.ideal.nvars
-
-
-def make_presentation(names, generators, minimalized: bool = False) -> RingPresentation:
+def make_presentation(names, generators) -> RingPresentation:
     """Convenience constructor used throughout the library and tests."""
     variables = names if isinstance(names, VariableSet) else VariableSet(tuple(names))
-    return RingPresentation(
-        IdealPresentation(variables, tuple(generators)), minimalized=minimalized
-    )
+    return RingPresentation(variables, tuple(generators))
 
 
 # ---------------------------------------------------------------------------
 # rendering (the inverse of the parser, on canonical forms)
-
-
-def _format_coefficient(c: Fraction) -> str:
-    return str(c)
 
 
 def _format_monomial(m, names) -> str:
@@ -91,9 +67,9 @@ def render_polynomial(p: Polynomial, names) -> str:
         if mono and mag == 1:
             body = mono
         elif mono:
-            body = f"{_format_coefficient(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         else:
-            body = _format_coefficient(mag)
+            body = str(mag)
         if i == 0:
             pieces.append(body if c > 0 else f"-{body}")
         else:

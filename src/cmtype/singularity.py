@@ -7,7 +7,8 @@ consumers must surface that assumption whenever a verdict depends on it.
 
 The Jacobian rows are those of the generators' primitive integer multiples,
 so every minor is a nonzero constant times the rational one and I + minors
-is unchanged; the memoized Laplace expansion runs over integer term maps.
+is unchanged; :func:`cmtype.poly.minors`, the memoized Laplace expansion,
+runs over integer term maps.
 Each minor is reduced modulo I through the analysis's quotient view, which
 normal-forms every distinct monomial once, and enters one sparse echelon;
 I plus the echelon rows is I plus every minor.  When in some degree d the
@@ -25,54 +26,22 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from operator import add
 
 from . import linalg
 from .errors import BudgetError, Budgets, DEFAULT_BUDGETS
 from .groebner import buchberger
 from .invariants import Analysis, hilbert_series_from_gb
-from .poly import Polynomial, integer_multiple, monomial_degree
-from .presentation import IdealPresentation
+from .poly import Polynomial, integer_multiple, minors, monomial_degree
+from .presentation import RingPresentation
 
 
 @dataclass(frozen=True)
 class SingularityReport:
     codim: int
-    jacobian_ideal: IdealPresentation
+    jacobian_ideal: RingPresentation
     singular_dim: int  # -1 for regular rings
     isolated: bool
     equidimensional_assumed: bool = True
-
-
-def _minor(matrix, rows: tuple[int, ...], cols: tuple[int, ...], memo) -> dict:
-    """Laplace expansion along the first row, memoized on (rows, cols); the
-    entries and the result are integer term maps ``{monomial: int}``."""
-    key = (rows, cols)
-    if key in memo:
-        return memo[key]
-    if len(rows) == 1:
-        result = matrix[rows[0]][cols[0]]
-    else:
-        result: dict = {}
-        r0 = rows[0]
-        rest = rows[1:]
-        for k, c in enumerate(cols):
-            entry = matrix[r0][c]
-            if not entry:
-                continue
-            sub = _minor(matrix, rest, cols[:k] + cols[k + 1 :], memo)
-            sign = -1 if k % 2 else 1
-            for m1, c1 in entry.items():
-                c1 *= sign
-                for m2, c2 in sub.items():
-                    m = tuple(map(add, m1, m2))
-                    if v := result.get(m, 0) + c1 * c2:
-                        result[m] = v
-                    else:
-                        del result[m]
-    memo[key] = result
-    return result
 
 
 def singular_locus(bundle: Analysis, *, budgets: Budgets = DEFAULT_BUDGETS) -> SingularityReport:
@@ -88,7 +57,7 @@ def singular_locus(bundle: Analysis, *, budgets: Budgets = DEFAULT_BUDGETS) -> S
     if not gens:
         return SingularityReport(
             codim=0,
-            jacobian_ideal=IdealPresentation(minimal.variables, ()),
+            jacobian_ideal=RingPresentation(minimal.variables, ()),
             singular_dim=-1,
             isolated=True,
         )
@@ -108,14 +77,12 @@ def singular_locus(bundle: Analysis, *, budgets: Budgets = DEFAULT_BUDGETS) -> S
         )
     # I + rows = I + minors; the minors are forms, so the degree-d rows span their image in R_d
     echelon = linalg.Echelon()
-    memo: dict = {}
-    for rows in combinations(range(len(gens)), codim):
-        for cols in combinations(range(nvars), codim):
-            if det := _minor(jacobian, rows, cols, memo):
-                echelon.add(bundle.quotient.image(det))
+    for det in minors(jacobian, codim):
+        if det:
+            echelon.add(bundle.quotient.image(det))
 
     spans = [Polynomial(nvars, row) for row in echelon.rows.values()]
-    jacobian_ideal = IdealPresentation(minimal.variables, tuple(gens) + tuple(spans))
+    jacobian_ideal = RingPresentation(minimal.variables, tuple(gens) + tuple(spans))
     ranks = Counter(map(monomial_degree, echelon.rows))
     if any(rank == bundle.series.hilbert_function(d) for d, rank in ranks.items()):
         # the minors span R_d, so I + minors holds every form of degree d

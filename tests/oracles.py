@@ -13,9 +13,10 @@ polynomials; both reduce with the engine's ``normal_form``.  The socle and
 nonzerodivisor oracles normal-form every product afresh with the engine's
 ``normal_form`` and take the ranks of dense matrices with rref.  The
 binary-form profile oracle is Yun's squarefree decomposition over Fraction
-coefficient lists, with its own univariate division.  Apart from
-that, the paths under test and the oracle paths share only the Polynomial
-arithmetic and the rref routine.
+coefficient lists, with its own univariate division.  The scroll and
+Veronese-cone oracles write out each 2x2 minor as a difference of Polynomial
+products.  Apart from that, the paths under test and the oracle paths share
+only the Polynomial arithmetic and the rref routine.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from hypothesis import strategies as st
 
 from cmtype import Polynomial, linalg, make_presentation
 from cmtype.drozd_roiter import NumericalSemigroup
+from cmtype.families import ScrollType
 from cmtype.errors import BudgetError, Budgets, DEFAULT_BUDGETS, InputError
 from cmtype.groebner import (
     GroebnerBasis,
-    _generators_of,
     _interreduce,
     minimalize_presentation,
     normal_form,
@@ -52,7 +53,7 @@ from cmtype.poly import (
     monomial_mul,
     monomials_of_degree,
 )
-from cmtype.presentation import IdealPresentation, RingPresentation
+from cmtype.presentation import RingPresentation
 from cmtype.singularity import SingularityReport
 
 
@@ -299,11 +300,10 @@ def normal_form_oracle(p: Polynomial, basis) -> Polynomial:
 # over Fraction minors: the algorithms the pair heap and integer minors replaced
 
 
-def buchberger_oracle(source, *, budgets: Budgets = DEFAULT_BUDGETS) -> GroebnerBasis:
+def buchberger_oracle(pres, *, budgets: Budgets = DEFAULT_BUDGETS) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal.  Picks each pair by rescanning
     every open pair with ``min``."""
-    variables, gens = _generators_of(source)
-    gens = [g.monic() for g in gens if not g.is_zero]
+    gens = [g.monic() for g in pres.generators if not g.is_zero]
 
     basis: list[Polynomial] = []
     leads: list[Monomial] = []
@@ -355,7 +355,7 @@ def buchberger_oracle(source, *, budgets: Budgets = DEFAULT_BUDGETS) -> Groebner
         if h:
             update(h.monic())
 
-    return GroebnerBasis(variables, _interreduce(basis))
+    return GroebnerBasis(pres.variables, _interreduce(basis))
 
 
 def _minor(matrix, rows: tuple[int, ...], cols: tuple[int, ...], memo) -> Polynomial:
@@ -392,11 +392,11 @@ def singular_locus_oracle(
     if not gens:
         return SingularityReport(
             codim=0,
-            jacobian_ideal=IdealPresentation(minimal.variables, ()),
+            jacobian_ideal=RingPresentation(minimal.variables, ()),
             singular_dim=-1,
             isolated=True,
         )
-    gb = buchberger_oracle(minimal.ideal, budgets=budgets)
+    gb = buchberger_oracle(minimal, budgets=budgets)
     series = hilbert_series_from_gb(gb)
     codim = nvars - series.dim
 
@@ -422,7 +422,7 @@ def singular_locus_oracle(
                     seen.add(det)
                     minors.append(det)
 
-    jacobian_ideal = IdealPresentation(minimal.variables, tuple(gens) + tuple(minors))
+    jacobian_ideal = RingPresentation(minimal.variables, tuple(gens) + tuple(minors))
     locus_series = hilbert_series_from_gb(buchberger_oracle(jacobian_ideal, budgets=budgets))
     singular_dim = locus_series.dim
     return SingularityReport(
@@ -596,3 +596,73 @@ def binary_form_profile_oracle(f: Polynomial) -> tuple[int, ...]:
         for mult, degree in _yun_multiplicities(u):
             profile.extend([mult] * degree)
     return tuple(sorted(profile, reverse=True))
+
+
+# ---------------------------------------------------------------------------
+# determinantal families by explicit 2x2 minor loops over Polynomial products:
+# the generators that the shared ``families._determinantal`` replaced
+
+
+def scroll_ideal_oracle(scroll: ScrollType | Sequence[int]) -> RingPresentation:
+    """2x2 minors of the concatenated Hankel blocks of the scroll."""
+    if not isinstance(scroll, ScrollType):
+        scroll = ScrollType(tuple(scroll))
+    blocks = scroll.a
+    k = len(blocks) - 1
+    names: list[str] = []
+    columns: list[tuple[int, int]] = []
+    offset = 0
+    for i, a in enumerate(blocks):
+        for j in range(a + 1):
+            names.append(f"x{j}" if k == 0 else f"x{j}_{i}")
+        for j in range(a):
+            columns.append((offset + j, offset + j + 1))
+        offset += a + 1
+    nvars = len(names)
+
+    def var(i: int) -> Polynomial:
+        return Polynomial.variable(nvars, i)
+
+    gens: list[Polynomial] = []
+    seen = set()
+    for p in range(len(columns)):
+        for q in range(p + 1, len(columns)):
+            top_p, bot_p = columns[p]
+            top_q, bot_q = columns[q]
+            minor = var(top_p) * var(bot_q) - var(bot_p) * var(top_q)
+            if minor and minor not in seen:
+                seen.add(minor)
+                gens.append(minor)
+    return make_presentation(names, gens)
+
+
+def veronese_cone_ideal_oracle(n: int) -> RingPresentation:
+    """2x2 minors of the generic symmetric 3x3 matrix plus n-5 cone variables.
+
+    n = 5 is the cone over the quadratic Veronese surface (6 variables);
+    each further n adds one free variable.
+    """
+    if n < 5:
+        raise InputError("veronese_cone requires n >= 5")
+    nvars = n + 1
+    names = [f"x{i}" for i in range(nvars)]
+
+    def var(i: int) -> Polynomial:
+        return Polynomial.variable(nvars, i)
+
+    matrix = [
+        [var(0), var(1), var(2)],
+        [var(1), var(3), var(4)],
+        [var(2), var(4), var(5)],
+    ]
+    gens: list[Polynomial] = []
+    seen = set()
+    for r1 in range(3):
+        for r2 in range(r1 + 1, 3):
+            for c1 in range(3):
+                for c2 in range(c1 + 1, 3):
+                    minor = matrix[r1][c1] * matrix[r2][c2] - matrix[r1][c2] * matrix[r2][c1]
+                    if minor and minor not in seen:
+                        seen.add(minor)
+                        gens.append(minor)
+    return make_presentation(names, gens)

@@ -34,7 +34,7 @@ from cmtype import (
 from cmtype.cli import main
 from cmtype.families import binary_form_profile
 from cmtype.invariants import hilbert_series_from_gb
-from cmtype.presentation import IdealPresentation
+from cmtype.presentation import RingPresentation
 
 from oracles import (
     arrangement_lambda_oracle,
@@ -112,7 +112,7 @@ def test_criterion_05_four_lines_h13_rule():
 
     data = rewrite_in_xm(pres, 0, 1, 2)
     assert data.matrix == ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0))
-    gb = buchberger(minimalize_presentation(pres).ideal)
+    gb = buchberger(minimalize_presentation(pres))
     n = pres.nvars
     x, u, v = (Polynomial.variable(n, i) for i in (0, 1, 2))
     for row, product in zip(data.matrix, (u * u, u * v, v * v)):
@@ -207,7 +207,7 @@ def test_criterion_11_property_suites(capsys, tmp_path):
     for _ in range(200):
         nvars, gens = random_homogeneous_ideal(rng)
         pres = make_presentation([f"x{i}" for i in range(nvars)], gens)
-        gb = buchberger(pres.ideal)
+        gb = buchberger(pres)
         for i in range(len(gb.elements)):
             for j in range(i + 1, len(gb.elements)):
                 assert normal_form(spoly(gb.elements[i], gb.elements[j]), gb).is_zero

@@ -1,0 +1,25 @@
+"""The benchmark's behaviour gate: one traced pass of every workload."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_pass_matches_every_pin():
+    # Every output is checked against bench/pins.json, so a changed digest
+    # fails here; the tracer refuses to run when a traced function is missing
+    # or renamed.  About 8 s on 2 cores.
+    run = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "all", "--seed", "3", "--seconds", "1"]
+        + ["--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, run.stdout

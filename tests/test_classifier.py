@@ -184,12 +184,12 @@ class TestDimensionTwoAndUp:
         pres = parse_presentation("ring: x,y,z,u ; ideal: x^2, x*y, y^3")
 
         def fake_singular_locus(bundle, budgets=None):
-            from cmtype.presentation import IdealPresentation
+            from cmtype.presentation import RingPresentation
 
             p = bundle.presentation
             return SingularityReport(
                 codim=2,
-                jacobian_ideal=IdealPresentation(p.variables, p.generators),
+                jacobian_ideal=RingPresentation(p.variables, p.generators),
                 singular_dim=0,
                 isolated=True,
             )
@@ -289,7 +289,7 @@ class TestRewriteInXm:
     def test_residuals_normal_form_to_zero(self):
         pres = parse_presentation(FOUR_LINES)
         data = rewrite_in_xm(pres, 0, 1, 2)
-        gb = buchberger(minimalize_presentation(pres).ideal)
+        gb = buchberger(minimalize_presentation(pres))
         n = pres.nvars
         x = Polynomial.variable(n, data.x_index)
         u = Polynomial.variable(n, data.u_index)

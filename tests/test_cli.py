@@ -308,6 +308,25 @@ class TestDeterminismAndExitCodes:
         assert code == 3
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "subcommand, ideal, message",
+        [
+            ("classify", "(x+y+z)^100", "needs more than 50000 term products"),
+            ("classify", "*".join(["(x+y+z)"] * 100), "needs more than 50000 term products"),
+            ("analyze", "7" * 5000 + "*x^2", "an integer literal has more than 1000 digits"),
+            ("gb", "x^2 - 3^200000*y^2", "a coefficient has more than 1000 digits"),
+        ],
+    )
+    def test_oversized_expressions_exit_2(self, capsys, tmp_path, subcommand, ideal, message):
+        # the expansions took 46 s and 3.7 s; the big integers ended in a
+        # ValueError traceback from int() or from rendering the coefficient
+        path = write(tmp_path, "big.ring", f"ring: x, y, z\nideal: {ideal}\n")
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, subcommand, path)
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert message in err and "Traceback" not in err
+
     def test_deeply_nested_parentheses_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, "deep.ring", "ring: x\nideal: " + "(" * 5000 + "x" + ")" * 5000 + "\n")
         code, out, err = run_cli(capsys, "classify", path)

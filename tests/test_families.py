@@ -1,6 +1,8 @@
 """Family generators, invariant tags, and catalog recognition."""
 
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,15 +32,21 @@ from cmtype.families import (
     _support_signatures,
     sum_of_squares,
 )
-from cmtype.presentation import IdealPresentation
+from cmtype.presentation import RingPresentation, render_presentation
 
 from oracles import (
     binary_form_profile_oracle,
     degree2_rref_oracle,
     linear_change,
     random_invertible_matrix,
+    scroll_ideal_oracle,
     support_signatures_oracle,
+    veronese_cone_ideal_oracle,
 )
+
+# `cmtype generate FAMILY ARGS` output frozen by the benchmark; the file stem
+# is the family followed by its arguments, "_"-separated, with "-" for ","
+CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
 
 X = Polynomial.variable(2, 0)
 Y = Polynomial.variable(2, 1)
@@ -291,8 +299,8 @@ def assert_certificate_replays(pres, tag):
     has exactly the reduced Groebner basis of the minimal input."""
     family = catalog_presentation_for_tag(tag, pres.nvars)
     replayed = [g.permute_variables(tag.certificate) for g in family.generators]
-    replay_gb = buchberger(IdealPresentation(pres.variables, tuple(replayed)))
-    input_gb = buchberger(minimalize_presentation(pres).ideal)
+    replay_gb = buchberger(RingPresentation(pres.variables, tuple(replayed)))
+    input_gb = buchberger(minimalize_presentation(pres))
     assert replay_gb.elements == input_gb.elements
 
 
@@ -314,10 +322,30 @@ class TestCatalogPresentations:
     def test_generate_arguments(self):
         assert catalog_presentation("scroll", ["1,2"]).nvars == 5
         assert catalog_presentation("veronese_cone", ["5"]).nvars == 6
-        assert catalog_presentation("sym3x3", []).ideal == veronese_cone_ideal(5).ideal
+        assert catalog_presentation("sym3x3", []) == veronese_cone_ideal(5)
         assert catalog_presentation("quadric", ["3", "4"]).nvars == 4
         assert catalog_presentation("binary_form", ["2,1"]).generators[0].degree() == 3
         with pytest.raises(InputError):
             catalog_presentation("mystery", [])
         with pytest.raises(InputError):
             catalog_presentation("scroll", [])
+
+    def test_generate_reproduces_the_frozen_corpus(self):
+        files = sorted(CORPUS.glob("*.ring"))
+        assert len(files) == 18
+        families = ("binary_form", "veronese_cone", "quadric", "scroll", "gw12", "graded12")
+        for path in files:
+            family = next(f for f in families if path.stem == f or path.stem.startswith(f + "_"))
+            args = [a.replace("-", ",") for a in path.stem[len(family) + 1 :].split("_") if a]
+            text = render_presentation(catalog_presentation(family, args))
+            assert text == path.read_text(encoding="utf-8"), path.name
+
+    def test_determinantal_generators_match_the_explicit_minor_loops(self):
+        # every scroll type on at most 11 variables, zero ideals included:
+        # same variables, same generators in the same order
+        for size in range(1, 11):
+            for a in itertools.combinations_with_replacement(range(11), size):
+                if any(a) and sum(a) + size <= 11:
+                    assert scroll_ideal(a) == scroll_ideal_oracle(a), a
+        for n in range(5, 12):
+            assert veronese_cone_ideal(n) == veronese_cone_ideal_oracle(n), n

@@ -25,7 +25,7 @@ from cmtype.groebner import _minimal_homogeneous_generators
 from cmtype.invariants import hilbert_numerator, hilbert_series_from_gb
 from cmtype import poly
 from cmtype.poly import monomial_divides, monomials_of_degree
-from cmtype.presentation import IdealPresentation
+from cmtype.presentation import RingPresentation
 
 import oracles
 from oracles import (
@@ -41,7 +41,7 @@ from oracles import (
 
 
 def gb_of(text):
-    return buchberger(parse_presentation(text).ideal)
+    return buchberger(parse_presentation(text))
 
 
 class TestNormalForm:
@@ -97,7 +97,7 @@ class TestBuchberger:
 
     def test_cyclic_minors_already_a_basis(self):
         pres = parse_presentation("ring: x,y,z ; ideal: x*z - y^2, x^2 - y*z, x*y - z^2")
-        gb = buchberger(pres.ideal)
+        gb = buchberger(pres)
         # monic forms of the three generators, verified by hand S-polynomial oracle
         monic = {g.monic() for g in pres.generators}
         assert set(gb.elements) == monic
@@ -108,9 +108,9 @@ class TestBuchberger:
     def test_budget_errors_are_loud(self):
         pres = parse_presentation("ring: x,y,z ; ideal: x*z - y^2, x^2 - y*z, x*y - z^2")
         with pytest.raises(BudgetError):
-            buchberger(pres.ideal, budgets=Budgets(pairs=0))
+            buchberger(pres, budgets=Budgets(pairs=0))
         with pytest.raises(BudgetError):
-            buchberger(pres.ideal, budgets=Budgets(degree=1))
+            buchberger(pres, budgets=Budgets(degree=1))
 
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(st.data())
@@ -127,8 +127,8 @@ class TestBuchberger:
             gens.append(Polynomial(nvars, [(m, data.draw(small)) for m in monomials]))
         scale = st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool)
         rewritten = [g * data.draw(scale) for g in data.draw(st.permutations(gens))]
-        expected = buchberger(make_presentation(names, gens).ideal)
-        assert buchberger(make_presentation(names, rewritten).ideal).elements == expected.elements
+        expected = buchberger(make_presentation(names, gens))
+        assert buchberger(make_presentation(names, rewritten)).elements == expected.elements
 
     def test_matches_sympy_grevlex(self):
         sympy = pytest.importorskip("sympy")
@@ -150,7 +150,7 @@ class TestBuchberger:
                 terms = [(m, Fraction(int(c.p), int(c.q))) for m, c in g.terms()]
                 theirs.append(Polynomial(nvars, terms).monic())
             theirs.sort(key=lambda g: _degrevlex_key(g.leading_monomial()), reverse=True)
-            ours = buchberger(make_presentation([f"x{i}" for i in range(nvars)], gens).ideal)
+            ours = buchberger(make_presentation([f"x{i}" for i in range(nvars)], gens))
             assert ours.elements == tuple(theirs), gens
 
     def test_dense_five_quadrics_compare_few_monomials(self, monkeypatch):
@@ -185,7 +185,7 @@ class TestBuchberger:
         monkeypatch.setattr(poly, "monomial_key", counted_key)
         monkeypatch.setattr(groebner, "monomial_key", counted_key)
         monkeypatch.setattr(groebner, "normal_form", counted_normal_form)
-        gb = groebner.buchberger(parse_presentation(text).ideal)
+        gb = groebner.buchberger(parse_presentation(text))
         assert len(gb.elements) == 21
         # Leading terms are memoized and division keeps its own heap, so
         # comparisons stay far below the 212,733 of recomputing every leading term.
@@ -209,10 +209,10 @@ class TestBuchberger:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(groebner, "normal_form", recording("new"))
-            gb = buchberger(pres.ideal)
+            gb = buchberger(pres)
             mp.setattr(groebner, "normal_form", recording("oracle"))  # its _interreduce
             mp.setattr(oracles, "normal_form", recording("oracle"))
-            expected = buchberger_oracle(pres.ideal)
+            expected = buchberger_oracle(pres)
         assert gb.elements == expected.elements
         assert divided["new"] == divided["oracle"]
 
@@ -294,7 +294,7 @@ class TestMinimalize:
             pres = make_presentation([f"x{i}" for i in range(nvars)], gens)
             m1 = minimalize_presentation(pres)
             m2 = minimalize_presentation(m1)
-            assert m1.ideal == m2.ideal
+            assert m1 == m2
             # Hilbert functions agree degree by degree (dense oracle on both sides)
             for d in range(5):
                 hf_original = hilbert_function_oracle(gens, nvars, d)
@@ -307,8 +307,8 @@ class TestMinimalize:
                     assert hf_original == hf_minimal
         # explicit variable-elimination case
         pres = parse_presentation("ring: x,y,z ; ideal: x + y, y^2")
-        before = hilbert_series_from_gb(buchberger(pres.ideal))
-        after = hilbert_series_from_gb(buchberger(minimalize_presentation(pres).ideal))
+        before = hilbert_series_from_gb(buchberger(pres))
+        after = hilbert_series_from_gb(buchberger(minimalize_presentation(pres)))
         for d in range(7):
             assert before.hilbert_function(d) == after.hilbert_function(d)
 
@@ -396,7 +396,7 @@ class TestRandomSuite:
         for trial in range(200):
             nvars, gens = random_homogeneous_ideal(rng)
             pres = make_presentation([f"x{i}" for i in range(nvars)], gens)
-            gb = buchberger(pres.ideal)
+            gb = buchberger(pres)
 
             # reduced: monic, and no term is divisible by another leading monomial
             leads = gb.leading_monomials()
@@ -425,12 +425,12 @@ class TestRandomSuite:
                 assert normal_form(combo, gb).is_zero
 
             # determinism across repeated runs and generator permutations
-            again = buchberger(pres.ideal)
+            again = buchberger(pres)
             assert again.elements == gb.elements
             shuffled = list(gens)
             rng.shuffle(shuffled)
             permuted = buchberger(
-                IdealPresentation(pres.variables, tuple(shuffled))
+                RingPresentation(pres.variables, tuple(shuffled))
             )
             assert permuted.elements == gb.elements
 

@@ -15,7 +15,7 @@ from cmtype import (
     scroll_ideal,
 )
 from cmtype.invariants import hilbert_series_from_gb
-from cmtype.presentation import IdealPresentation
+from cmtype.presentation import RingPresentation
 from cmtype.poly import VariableSet
 
 from oracles import (
@@ -28,7 +28,7 @@ from oracles import (
 
 def monomial_ideal(nvars, *exps):
     vs = VariableSet(tuple(f"x{i}" for i in range(nvars)))
-    return IdealPresentation(vs, tuple(Polynomial(nvars, [(e, 1)]) for e in exps))
+    return RingPresentation(vs, tuple(Polynomial(nvars, [(e, 1)]) for e in exps))
 
 
 CORPUS = {
@@ -56,7 +56,7 @@ class TestHilbertNumerator:
     def test_rejects_non_monomial_generators(self):
         pres = parse_presentation("ring: x,y ; ideal: x^2 + y^2")
         with pytest.raises(InputError):
-            hilbert_numerator(pres.ideal)
+            hilbert_numerator(pres)
 
 
 class TestRingInvariants:
@@ -76,7 +76,7 @@ class TestRingInvariants:
         pres = scroll_ideal((4,))
         inv = analyze(pres).invariants
         assert (inv.dim, inv.hvector, inv.multiplicity) == (2, (1, 3), 4)
-        series = hilbert_series_from_gb(buchberger(pres.ideal))
+        series = hilbert_series_from_gb(buchberger(pres))
         for d in range(6):
             assert series.hilbert_function(d) == hilbert_function_oracle(
                 list(pres.generators), pres.nvars, d
@@ -192,7 +192,7 @@ class TestCmAndType:
         bundle = analyze(pres)
         if bundle.invariants.is_cm:
             minimal = bundle.presentation
-            artinian = IdealPresentation(
+            artinian = RingPresentation(
                 minimal.variables, minimal.generators + bundle.reduction.lsop
             )
             expected = socle_dimension_oracle(buchberger_oracle(artinian))

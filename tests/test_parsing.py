@@ -1,5 +1,6 @@
 """Presentation-file parsing and canonical rendering."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ def test_three_variable_monomial_ideal():
     pres = parse_presentation("ring: x,y,z ; ideal: x*y, y*z, z^2")
     assert len(pres.variables) == 3
     assert len(pres.generators) == 3
-    assert pres.ideal.homogeneous
+    assert pres.homogeneous
 
 
 def test_zero_ideal():
@@ -84,6 +85,25 @@ def test_nesting_depth_limit():
         parse_polynomial("(" * 101 + "x" + ")" * 101, VariableSet(("x",)))
 
 
+def test_expansion_and_digit_caps():
+    xy = VariableSet(("x", "y"))
+    # a monomial power costs one product per bit of the exponent
+    pres = parse_presentation("ring: x, y\nideal: x^2, y^100000000")
+    assert pres.generators[1] == Polynomial(2, [((0, 100000000), 1)])
+    assert parse_polynomial("(x+y)^99", xy).coefficient((50, 49)) == math.comb(99, 50)
+    with pytest.raises(ParseError, match=r"more than 50000 term products \(line 1, column 6\)"):
+        parse_polynomial("(x+y)^1000", xy)
+    literal = "9" * 1000
+    value = parse_polynomial(f"{literal}/{literal[:-1]}7*x", xy).coefficient((1, 0))
+    assert value == Fraction(int(literal), int(literal[:-1] + "7"))
+    with pytest.raises(ParseError, match=r"an integer literal has more than 1000 digits"):
+        parse_polynomial(literal + "9", xy)
+    with pytest.raises(ParseError, match=r"a coefficient has more than 1000 digits"):
+        parse_polynomial(f"{literal}*x*{literal}", xy)
+    with pytest.raises(ParseError, match=r"a coefficient has more than 1000 digits"):
+        parse_polynomial(f"1/{literal}*x + 1/{literal[:-1]}8*x", xy)
+
+
 def test_unknown_variable():
     with pytest.raises(ParseError) as err:
         parse_presentation("ring: x ; ideal: x*q")
@@ -100,7 +120,7 @@ def test_homogeneous_flag_rejects_mixed_degrees():
     with pytest.raises(InhomogeneousError):
         parse_presentation("ring: x, y ; ideal: x + y^2", require_homogeneous=True)
     pres = parse_presentation("ring: x, y ; ideal: x + y^2")
-    assert not pres.ideal.homogeneous
+    assert not pres.homogeneous
 
 
 def test_duplicate_variable_rejected():
@@ -118,7 +138,7 @@ def test_parse_render_round_trip_on_canonical_forms():
     for text in corpus:
         pres = parse_presentation(text)
         again = parse_presentation(render_presentation(pres))
-        assert again.ideal == pres.ideal
+        assert again == pres
 
     rng = random.Random(11)
     names = VariableSet(("x", "y", "z"))

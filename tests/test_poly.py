@@ -2,11 +2,19 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
 from cmtype import InputError, Polynomial
-from cmtype.poly import VariableSet, heap_key, monomial_key, monomial_mul, monomials_of_degree
+from cmtype.poly import (
+    VariableSet,
+    heap_key,
+    minors,
+    monomial_key,
+    monomial_mul,
+    monomials_of_degree,
+)
 
 from oracles import random_homogeneous_polynomial
 
@@ -152,3 +160,29 @@ def test_monomials_of_degree_counts():
     for n in range(1, 4):
         for d in range(5):
             assert len(monomials_of_degree(n, d)) == math.comb(n - 1 + d, d)
+
+
+def test_minors_match_the_leibniz_formula_in_row_major_order():
+    # entries c*t^e (some zero) in one variable t; each minor against the
+    # signed sum over permutations, listed row combinations outer
+    rng = random.Random(5)
+    matrix = [[{(rng.randint(0, 2),): rng.randint(-3, 3)} for _ in range(4)] for _ in range(3)]
+    matrix = [[{m: c for m, c in entry.items() if c} for entry in row] for row in matrix]
+
+    def leibniz(rows, cols):
+        total = Polynomial.zero(1)
+        for perm in permutations(range(len(cols))):
+            inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+            term = Polynomial.constant(1, -1 if inversions % 2 else 1)
+            for r, k in zip(rows, perm):
+                term = term * Polynomial(1, matrix[r][cols[k]])
+            total = total + term
+        return total
+
+    for size in (1, 2, 3):
+        expected = [
+            leibniz(rows, cols)
+            for rows in combinations(range(3), size)
+            for cols in combinations(range(4), size)
+        ]
+        assert [Polynomial(1, det) for det in minors(matrix, size)] == expected
