@@ -262,32 +262,72 @@ def artinian_reduction(
 
     `minimal` is a minimal presentation and `gb`/`series` its reduced Groebner
     basis and Hilbert series, as :func:`analyze` computes them.  Returns the
-    reduction and the reduced basis of the artinian ideal: the basis of the
-    last accepted trial, or `gb` itself when the ring is already artinian.
+    reduction and the reduced basis of the artinian ideal: the basis of
+    I + (l_1..l_dim), or `gb` itself when the ring is already artinian.
 
-    Candidate forms draw integer coefficients from a deterministic generator;
-    attempt k uses the range [-(1+k), 1+k] (the documented widening schedule).
-    A candidate is accepted only if it drops the dimension by exactly one; a
-    degenerate input exhausts the 20 attempts and raises LsopSearchError.
+    The forms are those of a sequential search: step k draws candidates from
+    a deterministic generator, attempt j with integer coefficients in
+    [-(1+j), 1+j] (the documented widening schedule), and accepts the first
+    that drops the dimension by exactly one; a degenerate input exhausts the
+    20 attempts of a step and raises LsopSearchError.
+
+    One basis usually settles it.  The fast path draws the first nonzero
+    candidate of every step and computes the basis of I + (l_1..l_dim) alone.
+    A linear form lowers the dimension by at most one (Krull's principal
+    ideal theorem), so if that quotient has dimension 0, every prefix dropped
+    it by exactly one: the sequential search would have accepted the same
+    forms and ended at the same ideal.  Otherwise the sequential search runs
+    from the seed again; its trials share a memo keyed by the generator
+    tuple, which holds the fast path's basis, so an ideal is never computed
+    twice.  Either way the result is exact, not probabilistic.
     """
-    nvars = minimal.nvars
+    bases = {minimal.generators: (gb, series)}
+
+    def basis_of(generators: tuple[Polynomial, ...]) -> tuple[GroebnerBasis, HilbertSeries]:
+        if generators not in bases:
+            trial_gb = buchberger(RingPresentation(minimal.variables, generators), budgets=budgets)
+            bases[generators] = trial_gb, hilbert_series_from_gb(trial_gb)
+        return bases[generators]
+
+    rng = random.Random(seed)
+    forms = tuple(next(_candidates(rng, minimal.nvars), None) for _ in range(series.dim))
+    if None not in forms and basis_of(minimal.generators + forms)[1].dim == 0:
+        gb, series = basis_of(minimal.generators + forms)
+    else:
+        forms, gb, series = _sequential_search(minimal, gb, series, seed, basis_of)
+    reduction = ArtinianReduction(
+        lsop=forms,
+        standard_monomial_counts=series.hvector,
+        length=series.multiplicity,
+        seed=seed,
+    )
+    return reduction, gb
+
+
+def _candidates(rng: random.Random, nvars: int):
+    """The candidate forms of one step of the search, drawn lazily: attempt j
+    draws coefficients in [-(1+j), 1+j] and skips an all-zero draw."""
+    for attempt in range(20):
+        bound = 1 + attempt
+        coeffs = [rng.randint(-bound, bound) for _ in range(nvars)]
+        if any(coeffs):
+            yield Polynomial(nvars, [(m, c) for m, c in zip(_unit_vectors(nvars), coeffs) if c])
+
+
+def _sequential_search(
+    minimal: RingPresentation, gb: GroebnerBasis, series: HilbertSeries, seed: int, basis_of
+) -> tuple[tuple[Polynomial, ...], GroebnerBasis, HilbertSeries]:
+    """Accept, step by step, the first candidate that drops the dimension by one."""
     rng = random.Random(seed)
     names = tuple(minimal.variables)
-
-    current = list(minimal.generators)
+    current = minimal.generators
     chosen: list[Polynomial] = []
     attempted: list[str] = []
     for _ in range(series.dim):
-        for attempt in range(20):
-            bound = 1 + attempt
-            coeffs = [rng.randint(-bound, bound) for _ in range(nvars)]
-            if not any(coeffs):
-                continue
-            form = Polynomial(nvars, [(m, c) for m, c in zip(_unit_vectors(nvars), coeffs) if c])
+        for form in _candidates(rng, minimal.nvars):
             attempted.append(render_polynomial(form, names))
-            trial = current + [form]
-            trial_gb = buchberger(RingPresentation(minimal.variables, tuple(trial)), budgets=budgets)
-            trial_series = hilbert_series_from_gb(trial_gb)
+            trial = current + (form,)
+            trial_gb, trial_series = basis_of(trial)
             if trial_series.dim == series.dim - 1:
                 current, gb, series = trial, trial_gb, trial_series
                 chosen.append(form)
@@ -300,13 +340,7 @@ def artinian_reduction(
 
     if series.dim != 0:
         raise InputError("artinian reduction failed to reach dimension zero")
-    reduction = ArtinianReduction(
-        lsop=tuple(chosen),
-        standard_monomial_counts=series.hvector,
-        length=series.multiplicity,
-        seed=seed,
-    )
-    return reduction, gb
+    return tuple(chosen), gb, series
 
 
 def _unit_vectors(nvars: int) -> list[Monomial]:

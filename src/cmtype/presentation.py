@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import BudgetError, InputError
 from .poly import Polynomial, VariableSet
 
 
@@ -56,12 +56,33 @@ def _format_monomial(m, names) -> str:
     return "*".join(parts)
 
 
+# Cap on the decimal digits of a rendered numerator or denominator: Python's
+# default int-to-str limit, past which str() raises ValueError.  A reduced
+# basis can grow such coefficients from inputs within parsing.MAX_DIGITS.
+MAX_RENDERED_DIGITS = 4_300
+
+
+def _check_digits(c) -> None:
+    """Raise before str() would: digits are counted from the bit length."""
+    for n in (c.numerator, c.denominator):
+        # integer arithmetic only (0.30103 > log10 2): at least the digit count
+        # of |n|, at most two more, and exact once the loop has run
+        digits = n.bit_length() * 30103 // 100_000 + 1
+        while digits > MAX_RENDERED_DIGITS and abs(n) < 10 ** (digits - 1):
+            digits -= 1
+        if digits > MAX_RENDERED_DIGITS:
+            raise BudgetError(
+                f"render_polynomial: coefficient has {digits} digits (cap {MAX_RENDERED_DIGITS})"
+            )
+
+
 def render_polynomial(p: Polynomial, names) -> str:
     """Canonical text form: terms in descending degrevlex order."""
     if p.is_zero:
         return "0"
     pieces = []
     for i, (m, c) in enumerate(p.sorted_terms()):
+        _check_digits(c)
         mono = _format_monomial(m, names)
         mag = abs(c)
         if mono and mag == 1:

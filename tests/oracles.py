@@ -9,7 +9,9 @@ algorithms: a fresh rref for every membership test.  The normal form oracle
 is the original division over Fraction polynomials, one new polynomial per
 step.  The Buchberger oracle picks each S-pair by rescanning every open pair,
 and the singular locus oracle expands every Jacobian minor over Fraction
-polynomials; both reduce with the engine's ``normal_form``.  The socle and
+polynomials; both reduce with the engine's ``normal_form``.  The artinian
+reduction oracle is the sequential search alone, one ``buchberger`` run per
+trial, with no one-basis fast path and no memo.  The socle and
 nonzerodivisor oracles normal-form every product afresh with the engine's
 ``normal_form`` and take the ranks of dense matrices with rref.  The
 binary-form profile oracle is Yun's squarefree decomposition over Fraction
@@ -33,15 +35,22 @@ from hypothesis import strategies as st
 from cmtype import Polynomial, linalg, make_presentation
 from cmtype.drozd_roiter import NumericalSemigroup
 from cmtype.families import ScrollType
-from cmtype.errors import BudgetError, Budgets, DEFAULT_BUDGETS, InputError
+from cmtype.errors import BudgetError, Budgets, DEFAULT_BUDGETS, InputError, LsopSearchError
 from cmtype.groebner import (
     GroebnerBasis,
     _interreduce,
+    buchberger,
     minimalize_presentation,
     normal_form,
     spoly,
 )
-from cmtype.invariants import Analysis, hilbert_series_from_gb
+from cmtype.invariants import (
+    Analysis,
+    ArtinianReduction,
+    HilbertSeries,
+    _unit_vectors,
+    hilbert_series_from_gb,
+)
 from cmtype.linalg import rank, rref
 from cmtype.poly import (
     Monomial,
@@ -53,7 +62,7 @@ from cmtype.poly import (
     monomial_mul,
     monomials_of_degree,
 )
-from cmtype.presentation import RingPresentation
+from cmtype.presentation import RingPresentation, render_polynomial
 from cmtype.singularity import SingularityReport
 
 
@@ -471,6 +480,70 @@ def socle_dimension_oracle(artinian_gb: GroebnerBasis) -> int:
                 rows.append([img.coefficient(target) for img in images])
         total += len(basis) - linalg.rank(rows)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the artinian reduction by the sequential search alone: one Buchberger run
+# per trial I + (l_1..l_k), the algorithm the one-basis fast path replaced
+
+
+def artinian_reduction_oracle(
+    minimal: RingPresentation,
+    gb: GroebnerBasis,
+    series: HilbertSeries,
+    seed: int = 1,
+    *,
+    budgets: Budgets = DEFAULT_BUDGETS,
+) -> tuple[ArtinianReduction, GroebnerBasis]:
+    """Quotient by `dim` verified generic linear forms.
+
+    `minimal` is a minimal presentation and `gb`/`series` its reduced Groebner
+    basis and Hilbert series, as :func:`analyze` computes them.  Returns the
+    reduction and the reduced basis of the artinian ideal: the basis of the
+    last accepted trial, or `gb` itself when the ring is already artinian.
+
+    Candidate forms draw integer coefficients from a deterministic generator;
+    attempt k uses the range [-(1+k), 1+k] (the documented widening schedule).
+    A candidate is accepted only if it drops the dimension by exactly one; a
+    degenerate input exhausts the 20 attempts and raises LsopSearchError.
+    """
+    nvars = minimal.nvars
+    rng = random.Random(seed)
+    names = tuple(minimal.variables)
+
+    current = list(minimal.generators)
+    chosen: list[Polynomial] = []
+    attempted: list[str] = []
+    for _ in range(series.dim):
+        for attempt in range(20):
+            bound = 1 + attempt
+            coeffs = [rng.randint(-bound, bound) for _ in range(nvars)]
+            if not any(coeffs):
+                continue
+            form = Polynomial(nvars, [(m, c) for m, c in zip(_unit_vectors(nvars), coeffs) if c])
+            attempted.append(render_polynomial(form, names))
+            trial = current + [form]
+            trial_gb = buchberger(RingPresentation(minimal.variables, tuple(trial)), budgets=budgets)
+            trial_series = hilbert_series_from_gb(trial_gb)
+            if trial_series.dim == series.dim - 1:
+                current, gb, series = trial, trial_gb, trial_series
+                chosen.append(form)
+                break
+        else:
+            raise LsopSearchError(
+                f"no linear parameter found after 20 attempts (dim {series.dim})",
+                tuple(attempted),
+            )
+
+    if series.dim != 0:
+        raise InputError("artinian reduction failed to reach dimension zero")
+    reduction = ArtinianReduction(
+        lsop=tuple(chosen),
+        standard_monomial_counts=series.hvector,
+        length=series.multiplicity,
+        seed=seed,
+    )
+    return reduction, gb
 
 
 def is_linear_nonzerodivisor_oracle(x: Polynomial, bundle: Analysis) -> bool:

@@ -23,3 +23,11 @@ def test_traced_pass_matches_every_pin():
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, run.stdout
+    metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
+    # one reduced basis per distinct ideal, and one basis for the whole linear
+    # system of parameters wherever its first forms are parameters (53 trial
+    # bases on classify-catalog before)
+    for workload in ("classify-catalog", "analyze-catalog", "gb-random"):
+        calls = metrics[f"{workload}.groebner.buchberger.calls"]
+        assert calls == metrics[f"{workload}.groebner.buchberger.distinct_ideals"], workload
+    assert metrics["classify-catalog.invariants.artinian_reduction.gb_calls"] <= 24

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 import sys
 import time
 
@@ -89,6 +90,9 @@ class TestOneBasisPerIdeal:
     CASES = {
         "gw12": ("generate", "gw12"),
         "scroll_1-2": ("generate", "scroll", "1,2"),
+        # the first forms drawn at seed 1 are no parameters, so the sequential
+        # search runs and meets the one-basis ideal again
+        "scroll_2-2": ("generate", "scroll", "2,2"),
         "veronese_cone_5": ("generate", "veronese_cone", "5"),
         "quadric_3_4": ("generate", "quadric", "3", "4"),
         "dim0_x2_y2": "ring: x, y\nideal: x^2, y^2\n",
@@ -326,6 +330,24 @@ class TestDeterminismAndExitCodes:
         assert time.perf_counter() - started < 1.0
         assert code == 2
         assert message in err and "Traceback" not in err
+
+    def test_oversized_basis_coefficient_exits_3(self, capsys, tmp_path):
+        # every input coefficient has 999 digits, within parsing.MAX_DIGITS, but
+        # the reduced basis grows past Python's 4,300-digit str() limit; this
+        # ended in a ValueError traceback from render_polynomial
+        rng = random.Random(1)
+        monomials = ("x^2", "x*y", "x*z", "y^2", "y*z", "z^2")
+        quadrics = [
+            " + ".join(f"{rng.randint(10**998, 10**999 - 1)}*{m}" for m in monomials)
+            for _ in range(2)
+        ]
+        path = write(tmp_path, "big.ring", "ring: x, y, z\nideal: " + ", ".join(quadrics) + "\n")
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "gb", path)
+        assert time.perf_counter() - started < 1.0
+        assert code == 3
+        assert "render_polynomial: coefficient has" in err and "(cap 4300)" in err
+        assert "Traceback" not in err
 
     def test_deeply_nested_parentheses_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, "deep.ring", "ring: x\nideal: " + "(" * 5000 + "x" + ")" * 5000 + "\n")

@@ -14,11 +14,14 @@ from cmtype import (
     parse_presentation,
     scroll_ideal,
 )
-from cmtype.invariants import hilbert_series_from_gb
+from cmtype import invariants
+from cmtype.groebner import minimalize_presentation
+from cmtype.invariants import artinian_reduction, hilbert_series_from_gb
 from cmtype.presentation import RingPresentation
 from cmtype.poly import VariableSet
 
 from oracles import (
+    artinian_reduction_oracle,
     buchberger_oracle,
     hilbert_function_oracle,
     rational_homogeneous_presentations,
@@ -161,6 +164,35 @@ class TestArtinianReduction:
         with pytest.raises(LsopSearchError):
             analyze(parse_presentation(CORPUS["two_lines"]))
 
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(rational_homogeneous_presentations(max_degree=3, max_generators=3))
+    def test_matches_the_sequential_search_oracle(self, pres):
+        minimal = minimalize_presentation(pres)
+        gb = buchberger(minimal)
+        series = hilbert_series_from_gb(gb)
+        for seed in range(1, 6):
+            reduction, basis = artinian_reduction(minimal, gb, series, seed=seed)
+            expected, expected_basis = artinian_reduction_oracle(minimal, gb, series, seed=seed)
+            assert reduction == expected
+            assert (basis.variables, basis.elements) == (
+                expected_basis.variables,
+                expected_basis.elements,
+            )
+
+    def test_one_basis_when_the_first_forms_are_parameters(self, monkeypatch):
+        # scroll(2,3): dim 3, where the sequential search alone runs three trials
+        calls = []
+        original = invariants.buchberger
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(invariants, "buchberger", counting)
+        bundle = analyze(scroll_ideal((2, 3)), seed=1)
+        assert bundle.invariants.dim == 3 and len(bundle.reduction.lsop) == 3
+        assert len(calls) == 2  # the ring's basis and that of I + (l_1, l_2, l_3)
+
 
 class TestCmAndType:
     def test_hypersurfaces_are_gorenstein(self):
@@ -185,6 +217,17 @@ class TestCmAndType:
             pres = parse_presentation(text)
             types = {analyze(pres, seed=s).invariants.cm_type for s in range(1, 6)}
             assert len(types) == 1
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(rational_homogeneous_presentations(max_degree=3, max_generators=3))
+    def test_cm_data_is_seed_independent(self, pres):
+        # any linear system of parameters gives the same length when R is CM
+        # and the same socle, so the seed may change the forms, nothing else
+        results = set()
+        for seed in (1, 2, 3):
+            inv = analyze(pres, seed=seed).invariants
+            results.add((inv.is_cm, inv.cm_type, inv.hvector))
+        assert len(results) == 1
 
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(rational_homogeneous_presentations(max_degree=3, max_generators=3))

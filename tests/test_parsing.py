@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmtype import (
+    BudgetError,
     InhomogeneousError,
     ParseError,
     Polynomial,
@@ -102,6 +103,18 @@ def test_expansion_and_digit_caps():
         parse_polynomial(f"{literal}*x*{literal}", xy)
     with pytest.raises(ParseError, match=r"a coefficient has more than 1000 digits"):
         parse_polynomial(f"1/{literal}*x + 1/{literal[:-1]}8*x", xy)
+
+
+@pytest.mark.parametrize(
+    "coefficient", [-(10**4300), Fraction(1, 10**4300)], ids=["numerator", "denominator"]
+)
+def test_render_refuses_coefficients_past_the_str_limit(coefficient):
+    # 2^14284 has 4,300 digits (bit length 14,285, where the estimate says
+    # 4,301) and renders; one digit more raises before str() would
+    assert render_polynomial(Polynomial(1, [((1,), 2**14284)]), ("x",)).endswith("6*x")
+    message = r"^render_polynomial: coefficient has 4301 digits \(cap 4300\)$"
+    with pytest.raises(BudgetError, match=message):
+        render_polynomial(Polynomial(1, [((1,), coefficient)]), ("x",))
 
 
 def test_unknown_variable():
