@@ -20,7 +20,7 @@ from .errors import BudgetError, Budgets, DEFAULT_BUDGETS, InputError
 from .families import FamilyTag, binary_form_profile, match_named_family, quadric_rank
 from .invariants import Analysis, RingInvariants, analyze
 from .groebner import normal_form
-from .poly import Polynomial, monomial_mul
+from .poly import Polynomial
 from .presentation import RingPresentation
 from .singularity import SingularityReport, singular_locus
 
@@ -93,11 +93,9 @@ def _is_linear_nonzerodivisor(x_index: int, bundle: Analysis) -> bool:
     stable = max(1, len(series.hvector) - 1)
     d = 0
     while True:
-        basis_d = quotient.basis(d)
-        images = linalg.Echelon(quotient.form(monomial_mul(m, x)) for m in basis_d)
-        if len(images.rows) < len(basis_d):
+        if quotient.kernel_dim(d, [x]):
             return False
-        if d >= stable and len(basis_d) == len(quotient.basis(d + 1)):
+        if d >= stable and len(quotient.basis(d)) == len(quotient.basis(d + 1)):
             return True
         d += 1
         if d > len(series.hvector) + 4:  # unreachable for dim 1
@@ -123,27 +121,31 @@ def _rewrite_from_bundle(
     if not _is_linear_nonzerodivisor(x_index, bundle):
         raise InputError(f"variable {x_index} is not a nonzerodivisor")
 
-    def vector(p: Polynomial) -> list:  # p modulo I over the degree-2 standard monomials
-        image = bundle.quotient.image(p.terms)
-        return [image.get(m, 0) for m in bundle.quotient.basis(2)]
-
+    # Column j is x * x_j in R_2 plus the tag coordinate (-1, j), which sorts
+    # below every monomial, so monomials are the pivots.  x is a
+    # nonzerodivisor, so the columns are independent: the residual of a
+    # product in their span holds only tags, carrying minus its coefficients.
+    image = bundle.quotient.image
     x = Polynomial.variable(n, x_index)
     basis_order = [x_index, u_index, v_index] + [
         i for i in range(n) if i not in (x_index, u_index, v_index)
     ]
-    columns = [vector(x * Polynomial.variable(n, idx)) for idx in basis_order]
+    columns = linalg.Echelon(
+        {**image((x * Polynomial.variable(n, idx)).terms), (-1, j): Fraction(1)}
+        for j, idx in enumerate(basis_order)
+    )
 
     u = Polynomial.variable(n, u_index)
     v = Polynomial.variable(n, v_index)
     rows: list[tuple[Fraction, ...]] = []
     for product in (u * u, u * v, v * v):
-        solved = linalg.solve_combination(columns, vector(product))
-        if solved is None:
+        left = columns.residual(image(product.terms))
+        if any(key[0] != -1 for key in left):
             raise InputError(
                 "degree-2 rewrite inconsistent: a product is not in x*m "
                 "(m^2 = x*m fails for this x)"
             )
-        solution, _unique = solved
+        solution = [-left.get((-1, j), Fraction(0)) for j in range(len(basis_order))]
         # certify the rewrite: the residual must vanish in the quotient
         linear = Polynomial.zero(n)
         for coeff, idx in zip(solution, basis_order):

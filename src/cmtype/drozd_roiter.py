@@ -8,7 +8,8 @@ This module evaluates both lengths exactly for
 * numerical semigroup rings, where the normalization is a univariate
   polynomial ring and everything reduces to semigroup membership, and
 * reduced line arrangements in two variables, where the normalization is a
-  product of branches and the lengths fall out of evaluation vectors.
+  product of branches and the lengths have a closed form in the number of
+  lines, from the ranks of evaluation vectors at the branch points.
 
 All other rings are out of scope here; the classifier reports them as
 undecided rather than guessing.
@@ -21,9 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg
 from .errors import BudgetError, InputError
-from .poly import Polynomial, monomials_of_degree
+from .poly import Polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -188,37 +188,15 @@ def line_arrangement(lines: Sequence[Polynomial], reduction: Polynomial) -> Line
 
 
 def arrangement_dr(arr: LineArrangement) -> DrozdRoiterReport:
-    """Lengths via exact linear algebra on branch evaluation vectors.
+    """Lengths in closed form: e = r and lambda = max(r - 2, 0) for r lines.
 
-    In degree j the image of the ring in the normalization is spanned by the
-    evaluation vectors of the degree-j monomials at the branch points, and
-    multiplying by the reduction rescales those vectors entrywise.  The
-    degree contributions are summed until two consecutive degrees contribute
-    zero (checked at runtime, beyond degree r+1), which certifies that the
-    images have stabilized.
+    lambda sums over degrees j >= 2 the rank of the degree-j monomials
+    evaluated at the r branch points, minus that of the degree-(j-1) ones
+    with each branch's entry scaled by its nonzero reduction value.  Binary
+    forms of degree j restricted to r distinct points of P^1 span
+    min(j + 1, r) dimensions (a nonzero one vanishes at no more than j of
+    them; interpolation gives the rest), and the scaling keeps the rank, so
+    degree j contributes min(j + 1, r) - min(j, r): one exactly when j < r.
     """
     r = len(arr.lines)
-
-    def rank(degree: int, weights: Sequence[Fraction]) -> int:
-        """Rank of the degree-`degree` monomials evaluated at the branch
-        points, each branch's entry multiplied by its weight."""
-        return linalg.rank(
-            [
-                [w * bx ** m[0] * by ** m[1] for w, (bx, by) in zip(weights, arr.branch_points)]
-                for m in monomials_of_degree(2, degree)
-            ]
-        )
-
-    lam = 0
-    zero_run = 0
-    j = 2
-    while True:
-        contribution = rank(j, [Fraction(1)] * r) - rank(j - 1, arr.reduction_values)
-        if contribution < 0:
-            raise InputError("branch-valuation bookkeeping failed; input is degenerate")
-        lam += contribution
-        zero_run = zero_run + 1 if contribution == 0 else 0
-        if j >= r + 1 and zero_run >= 2:
-            break
-        j += 1
-    return _make_report(e=r, lam=lam)
+    return _make_report(e=r, lam=max(r - 2, 0))

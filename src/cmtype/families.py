@@ -14,7 +14,6 @@ certificate applies to them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
@@ -141,18 +140,17 @@ def quadric_rank(f: Polynomial) -> int:
     """Rank of the symmetric matrix of a quadratic form, by exact elimination."""
     if f.is_zero or not f.is_homogeneous() or f.degree() != 2:
         raise InputError("quadric_rank requires a nonzero homogeneous quadratic form")
-    n = f.nvars
-    matrix = [[Fraction(0)] * n for _ in range(n)]
+    rows: list[dict] = [{} for _ in range(f.nvars)]
     for m, c in f.terms.items():
         support = [i for i, e in enumerate(m) if e]
         if len(support) == 1:
             i = support[0]
-            matrix[i][i] = c
+            rows[i][i] = c
         else:
             i, j = support
-            matrix[i][j] = c / 2
-            matrix[j][i] = c / 2
-    return linalg.rank(matrix)
+            rows[i][j] = c / 2
+            rows[j][i] = c / 2
+    return len(linalg.Echelon(rows).rows)
 
 
 def binary_form_profile(f: Polynomial) -> tuple[int, ...]:

@@ -235,6 +235,19 @@ class Quotient:
                 out[t] = out.get(t, 0) + c * x
         return {t: c for t, c in out.items() if c}
 
+    def kernel_dim(self, d: int, monomials: Sequence[Monomial]) -> int:
+        """dim_k of the kernel of R_d -> R_{d+1}^k, b |-> (b*m)_m, for k
+        degree-one monomials m: one vector per standard monomial b, the
+        forms of every b*m side by side.  All of R_d when R_{d+1} = 0."""
+        basis = self.basis(d)
+        if not self.basis(d + 1):
+            return len(basis)
+        images = linalg.Echelon(
+            {(v, t): c for v, m in enumerate(monomials) for t, c in self.form(monomial_mul(b, m)).items()}
+            for b in basis
+        )
+        return len(basis) - len(images.rows)
+
 
 # ---------------------------------------------------------------------------
 # artinian reductions
@@ -355,17 +368,11 @@ def _socle_dimension(quotient: Quotient) -> int:
     """dim_k (0 : m) of an artinian quotient: per degree, the kernel of
     multiplication by every variable into the next degree (the top degree
     is all socle)."""
-    units, form = _unit_vectors(quotient.gb.nvars), quotient.form
+    units = _unit_vectors(quotient.gb.nvars)
     total = d = 0
-    while basis := quotient.basis(d):
+    while quotient.basis(d):
+        total += quotient.kernel_dim(d, units)
         d += 1
-        if quotient.basis(d):  # one vector per b: the forms of b*x_v for every v
-            images = linalg.Echelon(
-                {(v, t): c for v, e in enumerate(units) for t, c in form(monomial_mul(b, e)).items()}
-                for b in basis
-            )
-            total -= len(images.rows)
-        total += len(basis)
     return total
 
 

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices are lists of rows of Fractions.  Span membership tests that
-grow one vector at a time use a sparse echelon instead, whose vectors are
-dicts from coordinate to Fraction.  Everything is exact and deterministic.
+Every rank, span test and solve in the library runs on :class:`Echelon`, a
+sparse row echelon form whose vectors are dicts from coordinate to Fraction.
+:func:`rref` and :func:`rank`, dense Gaussian elimination over lists of rows
+of Fractions, are the reference the test oracles compare against; no library
+code calls them.  Everything is exact and deterministic.
 """
 
 from __future__ import annotations
@@ -77,25 +79,6 @@ class Echelon:
         v = self.residual(vec)
         if v:
             pivot = max(v)
-            self.rows[pivot] = {k: x / v[pivot] for k, x in v.items()}
+            inv = 1 / Fraction(v[pivot])
+            self.rows[pivot] = {k: x * inv for k, x in v.items()}
         return bool(v)
-
-
-def solve_combination(
-    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> tuple[list[Fraction], bool] | None:
-    """Solve sum_j c_j * columns[j] == target.
-
-    Returns (coefficients, unique) or None when the system is inconsistent.
-    Free coefficients are set to zero.
-    """
-    k = len(columns)
-    m = len(target)
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(m)]
-    mat, pivots = rref(aug)
-    if k in pivots:
-        return None
-    sol = [Fraction(0)] * k
-    for row, c in zip(mat, pivots):
-        sol[c] = row[k]
-    return sol, len(pivots) == k

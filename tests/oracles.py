@@ -14,11 +14,14 @@ reduction oracle is the sequential search alone, one ``buchberger`` run per
 trial, with no one-basis fast path and no memo.  The socle and
 nonzerodivisor oracles normal-form every product afresh with the engine's
 ``normal_form`` and take the ranks of dense matrices with rref.  The
-binary-form profile oracle is Yun's squarefree decomposition over Fraction
-coefficient lists, with its own univariate division.  The scroll and
-Veronese-cone oracles write out each 2x2 minor as a difference of Polynomial
-products.  Apart from that, the paths under test and the oracle paths share
-only the Polynomial arithmetic and the rref routine.
+degree-2 rewrite oracle solves its three systems by rref on dense vectors
+over the degree-2 standard monomials.  The binary-form profile oracle is
+Yun's squarefree decomposition over Fraction coefficient lists, with its own
+univariate division.  The scroll and Veronese-cone oracles write out each
+2x2 minor as a difference of Polynomial products.  Apart from that, the
+paths under test and the oracle paths share only the Polynomial arithmetic:
+every rank and solve under test runs on the sparse ``linalg.Echelon``, and
+only the oracles call the dense ``rref``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import Sequence
 from hypothesis import strategies as st
 
 from cmtype import Polynomial, linalg, make_presentation
+from cmtype.classifier import ObstructionData
 from cmtype.drozd_roiter import NumericalSemigroup
 from cmtype.families import ScrollType
 from cmtype.errors import BudgetError, Budgets, DEFAULT_BUDGETS, InputError, LsopSearchError
@@ -571,6 +575,93 @@ def is_linear_nonzerodivisor_oracle(x: Polynomial, bundle: Analysis) -> bool:
         d += 1
         if d > len(series.hvector) + 4:  # unreachable for dim 1
             raise InputError("nonzerodivisor test: the Hilbert function never stabilized")
+
+
+# ---------------------------------------------------------------------------
+# the degree-2 rewrite by dense elimination: the algorithm the one-echelon
+# solve replaced, verbatim apart from the names of the routines it calls
+
+
+def solve_combination_oracle(
+    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
+) -> tuple[list[Fraction], bool] | None:
+    """Solve sum_j c_j * columns[j] == target.
+
+    Returns (coefficients, unique) or None when the system is inconsistent.
+    Free coefficients are set to zero.
+    """
+    k = len(columns)
+    m = len(target)
+    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(m)]
+    mat, pivots = rref(aug)
+    if k in pivots:
+        return None
+    sol = [Fraction(0)] * k
+    for row, c in zip(mat, pivots):
+        sol[c] = row[k]
+    return sol, len(pivots) == k
+
+
+def rewrite_from_bundle_oracle(
+    bundle: Analysis, x_index: int, u_index: int, v_index: int
+) -> ObstructionData:
+    pres = bundle.presentation
+    inv = bundle.invariants
+    n = pres.nvars
+    for idx in (x_index, u_index, v_index):
+        if not 0 <= idx < n:
+            raise InputError(f"variable index {idx} out of range")
+    if len({x_index, u_index, v_index}) != 3:
+        raise InputError("x, u, v must be three distinct variables")
+    if inv.dim != 1:
+        raise InputError("the degree-2 rewrite applies to one-dimensional rings only")
+    if not inv.is_min_mult:
+        raise InputError("the degree-2 rewrite requires minimal multiplicity")
+
+    if not is_linear_nonzerodivisor_oracle(Polynomial.variable(n, x_index), bundle):
+        raise InputError(f"variable {x_index} is not a nonzerodivisor")
+
+    def vector(p: Polynomial) -> list:  # p modulo I over the degree-2 standard monomials
+        image = bundle.quotient.image(p.terms)
+        return [image.get(m, 0) for m in bundle.quotient.basis(2)]
+
+    x = Polynomial.variable(n, x_index)
+    basis_order = [x_index, u_index, v_index] + [
+        i for i in range(n) if i not in (x_index, u_index, v_index)
+    ]
+    columns = [vector(x * Polynomial.variable(n, idx)) for idx in basis_order]
+
+    u = Polynomial.variable(n, u_index)
+    v = Polynomial.variable(n, v_index)
+    rows: list[tuple[Fraction, ...]] = []
+    for product in (u * u, u * v, v * v):
+        solved = solve_combination_oracle(columns, vector(product))
+        if solved is None:
+            raise InputError(
+                "degree-2 rewrite inconsistent: a product is not in x*m "
+                "(m^2 = x*m fails for this x)"
+            )
+        solution, _unique = solved
+        # certify the rewrite: the residual must vanish in the quotient
+        linear = Polynomial.zero(n)
+        for coeff, idx in zip(solution, basis_order):
+            linear = linear + Polynomial.variable(n, idx) * coeff
+        residual = normal_form(product - x * linear, bundle.gb)
+        if not residual.is_zero:
+            raise InputError("rewrite residual did not normal-form to zero")
+        rows.append(tuple(solution))
+
+    f_columns = {
+        j: (rows[0][j], rows[1][j], rows[2][j]) for j in range(3, len(basis_order))
+    }
+    return ObstructionData(
+        x_index=x_index,
+        u_index=u_index,
+        v_index=v_index,
+        basis=tuple(basis_order),
+        matrix=tuple(rows),
+        f_columns=f_columns,
+    )
 
 
 # ---------------------------------------------------------------------------

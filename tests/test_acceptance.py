@@ -192,8 +192,8 @@ def test_criterion_10_arrangement_lengths():
     reduction = X + 2 * Y
     report = arrangement_dr(line_arrangement(lines, reduction))
     assert report.e == 4
-    # the independent quotient-ring oracle fixes lambda; the branch-valuation
-    # route must agree with it, and the frozen value is 2
+    # the independent quotient-ring oracle fixes lambda; the closed form
+    # must agree with it, and the frozen value is 2
     oracle_value = arrangement_lambda_oracle(lines, reduction)
     assert report.lam == oracle_value == 2
     assert report.finite_type is False

@@ -1,9 +1,13 @@
 """Verdict rules, citations, rewrite certificates, and report determinism."""
 
+import itertools
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cmtype.classifier as classifier_module
 from cmtype import (
@@ -11,7 +15,9 @@ from cmtype import (
     InputError,
     Polynomial,
     Verdict,
+    arrangement_dr,
     classify,
+    line_arrangement,
     make_presentation,
     normal_form,
     parse_presentation,
@@ -21,11 +27,18 @@ from cmtype import (
     scroll_ideal,
     veronese_cone_ideal,
 )
+from cmtype import linalg
 from cmtype.citations import CITATIONS
 from cmtype.invariants import analyze
 from cmtype.singularity import SingularityReport
 
-from oracles import is_linear_nonzerodivisor_oracle, rational_homogeneous_presentations
+from oracles import (
+    is_linear_nonzerodivisor_oracle,
+    linear_change,
+    random_invertible_matrix,
+    rational_homogeneous_presentations,
+    rewrite_from_bundle_oracle,
+)
 
 
 def classify_text(text, assumptions=frozenset()):
@@ -37,6 +50,7 @@ def citations_of(report):
 
 
 FOUR_LINES = "ring: x,u,v,w ; ideal: u*v, u*w, v*w, u^2 - x*u, v^2 - x*v, w^2 - x*w"
+SQUARE_OF_UVW = "ring: x,u,v,w ; ideal: u^2, u*v, u*w, v^2, v*w, w^2"
 
 
 class TestDimensionZero:
@@ -276,8 +290,7 @@ class TestScopeAndBudgets:
 class TestRewriteInXm:
     def test_square_of_maximal_ideal_gives_zero_matrix(self):
         # quotient by (u,v,w)^2: every product of u, v, w vanishes outright
-        text = "ring: x,u,v,w ; ideal: u^2, u*v, u*w, v^2, v*w, w^2"
-        data = rewrite_in_xm(parse_presentation(text), 0, 1, 2)
+        data = rewrite_in_xm(parse_presentation(SQUARE_OF_UVW), 0, 1, 2)
         assert all(all(c == 0 for c in row) for row in data.matrix)
 
     def test_four_lines_rows(self):
@@ -318,6 +331,24 @@ class TestRewriteInXm:
         with pytest.raises(InputError, match="never stabilized"):
             classifier_module._is_linear_nonzerodivisor(0, bundle)
 
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @given(st.sampled_from([FOUR_LINES, SQUARE_OF_UVW]), st.integers(0, 2**32))
+    def test_rewrite_matches_the_dense_oracle(self, text, seed):
+        pres = parse_presentation(text)
+        matrix = random_invertible_matrix(random.Random(seed), pres.nvars)
+        changed = make_presentation(
+            pres.variables, [linear_change(g, matrix) for g in pres.generators]
+        )
+        bundle = analyze(changed)
+        checked = 0
+        for x, u, v in itertools.permutations(range(bundle.presentation.nvars), 3):
+            if classifier_module._is_linear_nonzerodivisor(x, bundle):
+                assert classifier_module._rewrite_from_bundle(
+                    bundle, x, u, v
+                ) == rewrite_from_bundle_oracle(bundle, x, u, v), (x, u, v)
+                checked += 1
+        assert checked
+
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(rational_homogeneous_presentations(max_degree=3, max_generators=3, curves=True))
     def test_nonzerodivisor_verdicts_match_the_dense_oracle(self, pres):
@@ -349,3 +380,24 @@ class TestReports:
     def test_reports_are_deterministic(self):
         for text in ("ring: x,y,z ; ideal: x*y, y*z, z^2", FOUR_LINES):
             assert classify_text(text) == classify_text(text)
+
+
+def test_the_library_runs_no_dense_elimination(monkeypatch):
+    # every rank and solve runs on linalg.Echelon; the dense rref and rank
+    # are the oracles' reference, so a call from the library fails here
+    def refuse(rows):
+        raise AssertionError("dense elimination called")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    monkeypatch.setattr(linalg, "rank", refuse)
+    corpus = Path(__file__).resolve().parents[1] / "bench" / "corpus"
+    quadric = classify(parse_presentation((corpus / "quadric_3_4.ring").read_text()))
+    assert (quadric.family.kind, quadric.family.param) == ("quadric", (3, 4))
+    gw12 = classify(parse_presentation((corpus / "gw12.ring").read_text()))
+    assert gw12.verdict is Verdict.COUNTABLE_INFINITE
+    data = rewrite_in_xm(parse_presentation(FOUR_LINES), 0, 1, 2)
+    assert data.matrix == ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0))
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    report = arrangement_dr(line_arrangement([y, x, x - y, x + y], x + 2 * y))
+    assert (report.e, report.lam) == (4, 2)
+    assert analyze(scroll_ideal((1, 2))).invariants.cm_type == 2

@@ -1,6 +1,7 @@
 """Semigroup and line-arrangement Drozd-Roiter lengths against oracles."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -123,7 +124,7 @@ class TestLineArrangement:
         report = arrangement_dr(arr)
         assert report.e == 4
         assert not report.finite_type
-        # branch-valuation route and quotient-ring oracle agree
+        # closed form and quotient-ring oracle agree
         assert report.lam == arrangement_lambda_oracle([Y, X, X - Y, X + Y], X + 2 * Y)
 
     def test_two_coordinate_lines(self):
@@ -139,17 +140,30 @@ class TestLineArrangement:
 
     def test_oracle_agreement_across_arrangements(self):
         arrangements = [
-            [X, Y],
-            [X, Y, X + Y],
-            [X, Y, X - Y],
-            [Y, X, X - Y, X + Y],
-            [X, Y, X + Y, X + 2 * Y, X + 3 * Y],
+            ([X, Y], X + 5 * Y),
+            ([X, Y, X + Y], X + 5 * Y),
+            ([X, Y, X - Y], X + 5 * Y),
+            ([Y, X, X - Y, X + Y], X + 5 * Y),
+            ([X, Y, X + Y, X + 2 * Y, X + 3 * Y], X + 5 * Y),
         ]
-        for lines in arrangements:
-            reduction = X + 5 * Y
+        # seeded random arrangements of 1-7 pairwise non-proportional lines,
+        # each with a reduction proportional to none of them (so it vanishes
+        # on no branch)
+        rng = random.Random(10)
+        for r in range(1, 8):
+            for _ in range(5):
+                slopes: list[tuple[int, int]] = []
+                while len(slopes) < r + 1:
+                    a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+                    if (a, b) != (0, 0) and all(a * d - b * c for c, d in slopes):
+                        slopes.append((a, b))
+                forms = [a * X + b * Y for a, b in slopes]
+                arrangements.append((forms[:r], forms[r]))
+        for lines, reduction in arrangements:
+            r = len(lines)
             report = arrangement_dr(line_arrangement(lines, reduction))
-            assert report.e == len(lines)
-            assert report.lam == arrangement_lambda_oracle(lines, reduction), len(lines)
+            assert report.e == r
+            assert report.lam == arrangement_lambda_oracle(lines, reduction) == max(r - 2, 0), lines
 
     def test_invariance_under_permutation_and_rescaling(self):
         lines = [Y, X, X - Y, X + Y]
