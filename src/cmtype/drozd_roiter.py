@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetError, InputError
@@ -151,8 +150,6 @@ class LineArrangement:
 
     lines: tuple[Polynomial, ...]
     reduction: Polynomial
-    branch_points: tuple[tuple[Fraction, Fraction], ...]
-    reduction_values: tuple[Fraction, ...]
 
 
 def _check_linear_form(p: Polynomial, label: str) -> None:
@@ -179,12 +176,10 @@ def line_arrangement(lines: Sequence[Polynomial], reduction: Polynomial) -> Line
                     f"lines {i + 1} and {j + 1} are proportional; the product is not squarefree"
                 )
     _check_linear_form(reduction, "reduction")
-    points = tuple((b, -a) for a, b in coeffs)
-    values = tuple(reduction.evaluate(pt) for pt in points)
-    for k, v in enumerate(values, 1):
-        if v == 0:
+    for k, (a, b) in enumerate(coeffs, 1):
+        if reduction.evaluate((b, -a)) == 0:
             raise InputError(f"reduction vanishes on line {k}; it is not a minimal reduction")
-    return LineArrangement(lines, reduction, points, values)
+    return LineArrangement(lines, reduction)
 
 
 def arrangement_dr(arr: LineArrangement) -> DrozdRoiterReport:

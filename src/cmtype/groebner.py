@@ -26,10 +26,10 @@ from .poly import (
     Monomial,
     Polynomial,
     VariableSet,
+    _raw,
     heap_key,
     integer_multiple,
     monomial_degree,
-    monomial_div,
     monomial_divides,
     monomial_lcm,
     monomial_key,
@@ -58,11 +58,23 @@ class GroebnerBasis:
 
 
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S-polynomial of f and g."""
-    mf, cf = f.leading_term()
-    mg, cg = g.leading_term()
+    """S-polynomial of f and g up to a nonzero rational factor, which is all
+    division and ``.monic()`` need: (cg/d)*x^qf*tail_f - (cf/d)*x^qg*tail_g
+    from the two integer reducers, d = gcd(cf, cg), lcm = x^qf*lm_f = x^qg*lm_g."""
+    mf, cf, tail_f = f.reducer()
+    mg, cg, tail_g = g.reducer()
     lcm = monomial_lcm(mf, mg)
-    return f.mul_term(monomial_div(lcm, mf), 1 / cf) - g.mul_term(monomial_div(lcm, mg), 1 / cg)
+    qf, qg = tuple(map(sub, lcm, mf)), tuple(map(sub, lcm, mg))
+    d = math.gcd(cf, cg)
+    a, b = cg // d, cf // d
+    terms = {tuple(map(add, m, qf)): a * c for m, c in tail_f}
+    for m, c in tail_g:
+        m = tuple(map(add, m, qg))
+        if v := terms.get(m, 0) - b * c:
+            terms[m] = v
+        else:
+            del terms[m]
+    return _raw(f.nvars, terms)
 
 
 def normal_form(p: Polynomial, basis) -> Polynomial:

@@ -202,10 +202,13 @@ class Quotient:
     ``basis(d)`` lists the standard monomials of degree d, a k-basis of the
     degree-d piece; ``form(m)`` is the normal form of the monomial m as a
     term map over those monomials, and ``image(terms)`` the normal form of
-    any term map, by linearity.  ``basis`` and ``form`` memoize, so callers
-    that reduce many polynomials sharing monomials divide each monomial once.
-    ``form`` looks ``normal_form`` up in this module at every call, so a
-    rebinding of ``invariants.normal_form`` (a tracer, a counter) sees it.
+    any term map, by linearity.  Integral form coefficients are stored as
+    int (every form of a toric ideal has coefficient 1), so images of the
+    integer Jacobian minors and of monomial products are computed in
+    integers.  ``basis`` and ``form`` memoize, so callers that reduce many
+    polynomials sharing monomials divide each monomial once.  ``form`` looks
+    ``normal_form`` up in this module at every call, so a rebinding of
+    ``invariants.normal_form`` (a tracer, a counter) sees it.
     """
 
     def __init__(self, gb: GroebnerBasis):
@@ -225,7 +228,8 @@ class Quotient:
 
     def form(self, m: Monomial) -> dict:
         if m not in self._forms:
-            self._forms[m] = normal_form(Polynomial(self.gb.nvars, [(m, 1)]), self.gb).terms
+            terms = normal_form(Polynomial(self.gb.nvars, [(m, 1)]), self.gb).terms
+            self._forms[m] = {t: c.numerator if c.denominator == 1 else c for t, c in terms.items()}
         return self._forms[m]
 
     def image(self, terms: dict) -> dict:

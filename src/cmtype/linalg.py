@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
 Every rank, span test and solve in the library runs on :class:`Echelon`, a
-sparse row echelon form whose vectors are dicts from coordinate to Fraction.
+sparse row echelon form of dicts from coordinate to int or Fraction.
 :func:`rref` and :func:`rank`, dense Gaussian elimination over lists of rows
 of Fractions, are the reference the test oracles compare against; no library
 code calls them.  Everything is exact and deterministic.
@@ -50,9 +50,10 @@ class Echelon:
     """Sparse row echelon form of the vectors added so far.
 
     A vector is a dict from coordinate (any totally ordered key, such as a
-    monomial) to a nonzero Fraction.  ``rows`` maps each pivot, the largest
-    coordinate of its row, to that row scaled to pivot entry 1.  Pivots are
-    distinct, so the rows are independent and their count is the rank.
+    monomial) to a nonzero int or Fraction.  ``rows`` maps each pivot, the
+    largest coordinate of its row, to that row scaled to pivot entry 1; a
+    row stays int when its pivot divides it.  Pivots are distinct, so the
+    rows are independent and their count is the rank.
     """
 
     def __init__(self, vectors: Iterable[dict] = ()):
@@ -79,6 +80,10 @@ class Echelon:
         v = self.residual(vec)
         if v:
             pivot = max(v)
-            inv = 1 / Fraction(v[pivot])
-            self.rows[pivot] = {k: x * inv for k, x in v.items()}
+            p = v[pivot]
+            if type(p) is int and not any(x % p for x in v.values()):
+                self.rows[pivot] = {k: x // p for k, x in v.items()}
+            else:
+                inv = 1 / Fraction(p)
+                self.rows[pivot] = {k: x * inv for k, x in v.items()}
         return bool(v)

@@ -1,14 +1,15 @@
 """Exact multivariate polynomial arithmetic under the degrevlex term order.
 
-Coefficients are exact rationals (``fractions.Fraction``) at every interface;
-nothing in the library ever rounds.  Division by a basis runs internally on
-primitive integer multiples (:func:`integer_multiple`, :meth:`Polynomial.reducer`)
-whose rational scale is tracked exactly, so every result is again a Fraction
-polynomial.  A monomial is a plain exponent tuple, one entry per variable,
-and the position of a variable in its :class:`VariableSet` fixes its
-significance in degrevlex (earlier = more significant).  :func:`minors` is
-the one determinant routine: the Jacobian minors of the singular locus and
-the 2x2 minors of the determinantal families both come from it.
+Coefficients are exact, ``fractions.Fraction`` or ``int``, never ``float``;
+nothing in the library ever rounds.  The constructor stores Fractions; the
+S-polynomial keeps ints.  Division by a basis runs internally on primitive
+integer multiples (:func:`integer_multiple`, :meth:`Polynomial.reducer`)
+whose rational scale is tracked exactly, so every remainder is again a
+Fraction polynomial.  A monomial is a plain exponent tuple, one entry per
+variable, and the position of a variable in its :class:`VariableSet` fixes
+its significance in degrevlex (earlier = more significant).  :func:`minors`
+is the one determinant routine: the Jacobian minors of the singular locus
+and the 2x2 minors of the determinantal families both come from it.
 """
 
 from __future__ import annotations
@@ -147,10 +148,10 @@ def _coeff(value) -> Fraction:
 class Polynomial:
     """Immutable sparse polynomial over the rationals.
 
-    Stored as a map from exponent tuple to nonzero Fraction; two equal
-    polynomials therefore have identical term maps.  The degrevlex leading
-    term and the reducer data are memoized in the slots ``_lead`` and
-    ``_reducer``, set on first use.
+    Stored as a map from exponent tuple to nonzero exact coefficient, a
+    Fraction or an int, never a float; two equal polynomials therefore have
+    equal term maps.  The degrevlex leading term and the reducer data are
+    memoized in the slots ``_lead`` and ``_reducer``, set on first use.
     """
 
     __slots__ = ("nvars", "terms", "_lead", "_reducer")
@@ -336,7 +337,7 @@ class Polynomial:
         m, lc = self.leading_term()
         if lc == 1:
             return self
-        out = self * (1 / lc)
+        out = self * (Fraction(1) / lc)
         object.__setattr__(out, "_lead", (m, Fraction(1)))
         return out
 

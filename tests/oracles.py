@@ -7,10 +7,10 @@ in the quotient of the 2-variable polynomial ring.  Minimal generators and
 the family matcher's quadric-span data come from the original dense
 algorithms: a fresh rref for every membership test.  The normal form oracle
 is the original division over Fraction polynomials, one new polynomial per
-step.  The Buchberger oracle picks each S-pair by rescanning every open pair,
-and the singular locus oracle expands every Jacobian minor over Fraction
-polynomials; both reduce with the engine's ``normal_form``.  The artinian
-reduction oracle is the sequential search alone, one ``buchberger`` run per
+step.  The Buchberger oracle picks each S-pair by rescanning every open pair
+and builds its S-polynomial over Fractions, and the singular locus oracle
+expands every Jacobian minor over Fraction polynomials; both reduce with the
+engine's ``normal_form``.  The artinian reduction oracle is the sequential search alone, one ``buchberger`` run per
 trial, with no one-basis fast path and no memo.  The socle and
 nonzerodivisor oracles normal-form every product afresh with the engine's
 ``normal_form`` and take the ranks of dense matrices with rref.  The
@@ -46,7 +46,6 @@ from cmtype.groebner import (
     buchberger,
     minimalize_presentation,
     normal_form,
-    spoly,
 )
 from cmtype.invariants import (
     Analysis,
@@ -309,8 +308,17 @@ def normal_form_oracle(p: Polynomial, basis) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Buchberger with a rescan of every open pair per step and the singular locus
-# over Fraction minors: the algorithms the pair heap and integer minors replaced
+# Buchberger with a rescan of every open pair per step and Fraction
+# S-polynomials, and the singular locus over Fraction minors: the algorithms
+# the pair heap, the integer S-polynomial and integer minors replaced
+
+
+def spoly_oracle(f: Polynomial, g: Polynomial) -> Polynomial:
+    """S-polynomial of f and g."""
+    mf, cf = f.leading_term()
+    mg, cg = g.leading_term()
+    lcm = monomial_lcm(mf, mg)
+    return f.mul_term(monomial_div(lcm, mf), 1 / cf) - g.mul_term(monomial_div(lcm, mg), 1 / cg)
 
 
 def buchberger_oracle(pres, *, budgets: Budgets = DEFAULT_BUDGETS) -> GroebnerBasis:
@@ -364,7 +372,7 @@ def buchberger_oracle(pres, *, budgets: Budgets = DEFAULT_BUDGETS) -> GroebnerBa
         if processed > budgets.pairs:
             raise BudgetError(f"pair budget {budgets.pairs} exceeded")
         pairs.remove((i, j))
-        h = normal_form(spoly(basis[i], basis[j]), basis)
+        h = normal_form(spoly_oracle(basis[i], basis[j]), basis)
         if h:
             update(h.monic())
 

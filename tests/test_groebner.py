@@ -37,6 +37,7 @@ from oracles import (
     random_homogeneous_polynomial,
     rational_homogeneous_presentations,
     singular_locus_oracle,
+    spoly_oracle,
 )
 
 
@@ -81,6 +82,23 @@ class TestNormalForm:
         p = data.draw(polynomials(nvars))
         basis = data.draw(st.lists(polynomials(nvars), max_size=4))
         assert normal_form(p, basis) == normal_form_oracle(p, basis)
+
+
+class TestSpoly:
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_rational_multiple_of_the_fraction_oracle(self, data):
+        # non-monic inputs with rational coefficients, denominators up to 4
+        nvars = data.draw(st.integers(1, 4))
+        f, g = (data.draw(polynomials(nvars).filter(bool)) for _ in range(2))
+        basis = data.draw(st.lists(polynomials(nvars), max_size=4))
+        s, expected = spoly(f, g), spoly_oracle(f, g)
+        assert all(type(c) is int for c in s.terms.values())
+        assert s.terms.keys() == expected.terms.keys()
+        if expected:
+            m, c = expected.leading_term()
+            assert s * (c / s.terms[m]) == expected
+        assert normal_form(s, basis).monic() == normal_form(expected, basis).monic()
 
 
 class TestBuchberger:
@@ -196,13 +214,16 @@ class TestBuchberger:
     @given(rational_homogeneous_presentations(max_degree=2, max_generators=6))
     def test_pair_queue_matches_the_rescan_oracle(self, pres):
         # the heap pops the pair the min-rescan picked, so the same pairs are
-        # reduced in the same order: equal bases after the same normal forms
+        # reduced in the same order: equal bases after the same normal forms.
+        # The integer S-polynomial is a positive multiple of the oracle's
+        # rational one, so each is recorded as the primitive integer multiple
+        # that division starts from.
         divided = {"new": [], "oracle": []}
         nf = groebner.normal_form
 
         def recording(name):
             def recorded_normal_form(p, *args, **kwargs):
-                divided[name].append(p)
+                divided[name].append(poly.integer_multiple(p.terms)[1])
                 return nf(p, *args, **kwargs)
 
             return recorded_normal_form

@@ -1,4 +1,7 @@
-"""Hilbert series, h-vectors, artinian reductions, CM type."""
+"""Hilbert series, h-vectors, the quotient view, artinian reductions, CM type."""
+
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +21,13 @@ from cmtype import invariants
 from cmtype.groebner import minimalize_presentation
 from cmtype.invariants import artinian_reduction, hilbert_series_from_gb
 from cmtype.presentation import RingPresentation
-from cmtype.poly import VariableSet
+from cmtype.poly import VariableSet, monomials_of_degree
 
 from oracles import (
     artinian_reduction_oracle,
     buchberger_oracle,
     hilbert_function_oracle,
+    normal_form_oracle,
     rational_homogeneous_presentations,
     socle_dimension_oracle,
 )
@@ -129,6 +133,34 @@ class TestRingInvariants:
     def test_unit_ideal_rejected(self):
         with pytest.raises(InputError):
             analyze(parse_presentation("ring: x ; ideal: 2")).invariants
+
+
+class TestQuotientForm:
+    @staticmethod
+    def forms_against_the_oracle(text, max_degree=3):
+        """Every monomial form up to max_degree, each checked as rationals
+        against the Fraction division of the monomial itself."""
+        bundle = analyze(parse_presentation(text))
+        n = bundle.presentation.nvars
+        values = []
+        for d in range(max_degree + 1):
+            for m in monomials_of_degree(n, d):
+                form = bundle.quotient.form(m)
+                expected = normal_form_oracle(Polynomial(n, [(m, 1)]), bundle.gb)
+                assert {t: Fraction(c) for t, c in form.items()} == expected.terms, m
+                values.extend(form.values())
+        return values
+
+    def test_toric_forms_are_integers(self):
+        text = (Path(__file__).resolve().parents[1] / "bench/corpus/scroll_2-3.ring").read_text()
+        values = self.forms_against_the_oracle(text)
+        assert values and all(type(c) is int for c in values)
+
+    def test_non_integral_forms_stay_fractions(self):
+        # x^2 = 3/2 y^2 in the quotient; standard monomials keep coefficient 1
+        values = self.forms_against_the_oracle("ring: x,y ; ideal: 2*x^2 - 3*y^2")
+        assert Fraction(3, 2) in values
+        assert all(type(c) is int or c.denominator > 1 for c in values)
 
 
 class TestArtinianReduction:
