@@ -296,13 +296,16 @@ def artinian_reduction(
     forms and ended at the same ideal.  Otherwise the sequential search runs
     from the seed again; its trials share a memo keyed by the generator
     tuple, which holds the fast path's basis, so an ideal is never computed
-    twice.  Either way the result is exact, not probabilistic.
+    twice.  Either way the result is exact, not probabilistic.  Every trial
+    extends `minimal.generators`, so ``buchberger`` gets their series as prefix.
     """
     bases = {minimal.generators: (gb, series)}
+    prefix = (len(minimal.generators), series.numerator)
 
     def basis_of(generators: tuple[Polynomial, ...]) -> tuple[GroebnerBasis, HilbertSeries]:
         if generators not in bases:
-            trial_gb = buchberger(RingPresentation(minimal.variables, generators), budgets=budgets)
+            trial_pres = RingPresentation(minimal.variables, generators)
+            trial_gb = buchberger(trial_pres, budgets=budgets, prefix=prefix)
             bases[generators] = trial_gb, hilbert_series_from_gb(trial_gb)
         return bases[generators]
 

@@ -1,5 +1,7 @@
 """Buchberger engine, normal forms, initial ideals, minimal presentations."""
 
+import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -43,6 +45,38 @@ from oracles import (
 
 def gb_of(text):
     return buchberger(parse_presentation(text))
+
+
+def divisions(run, *modules):
+    """Run ``run()`` with each module's ``normal_form`` recording every
+    division: its input as the primitive integer multiple that division
+    starts from (the engine's integer S-polynomial is a positive multiple of
+    the oracle's rational one), and whether the remainder is zero."""
+    log = []
+    nf = groebner.normal_form
+
+    def recorded_normal_form(p, *args, **kwargs):
+        remainder = nf(p, *args, **kwargs)
+        log.append((poly.integer_multiple(p.terms)[1], remainder.is_zero))
+        return remainder
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in modules:
+            mp.setattr(module, "normal_form", recorded_normal_form)
+        return run(), log
+
+
+def assert_oracle_minus_zero_divisions(engine, oracle):
+    """The engine's divisions are the oracle's, in order, minus some that the
+    oracle reduced to zero."""
+    rest = iter(engine)
+    pending = next(rest, None)
+    for division in oracle:
+        if division == pending:
+            pending = next(rest, None)
+        else:
+            assert division[1], division
+    assert pending is None
 
 
 class TestNormalForm:
@@ -208,34 +242,20 @@ class TestBuchberger:
         # Leading terms are memoized and division keeps its own heap, so
         # comparisons stay far below the 212,733 of recomputing every leading term.
         assert calls["key"] < 10_000
-        assert calls["normal_form"] == 87
+        # the ideal meets the generic series, so the Hilbert bound settles
+        # most degrees: 87 normal forms when every pair was reduced
+        assert calls["normal_form"] == 40
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(rational_homogeneous_presentations(max_degree=2, max_generators=6))
     def test_pair_queue_matches_the_rescan_oracle(self, pres):
-        # the heap pops the pair the min-rescan picked, so the same pairs are
-        # reduced in the same order: equal bases after the same normal forms.
-        # The integer S-polynomial is a positive multiple of the oracle's
-        # rational one, so each is recorded as the primitive integer multiple
-        # that division starts from.
-        divided = {"new": [], "oracle": []}
-        nf = groebner.normal_form
-
-        def recording(name):
-            def recorded_normal_form(p, *args, **kwargs):
-                divided[name].append(poly.integer_multiple(p.terms)[1])
-                return nf(p, *args, **kwargs)
-
-            return recorded_normal_form
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(groebner, "normal_form", recording("new"))
-            gb = buchberger(pres)
-            mp.setattr(groebner, "normal_form", recording("oracle"))  # its _interreduce
-            mp.setattr(oracles, "normal_form", recording("oracle"))
-            expected = buchberger_oracle(pres)
+        # the heap pops the pair the min-rescan picked, so the same pairs come
+        # in the same order; the engine divides each of them except the pairs
+        # the Hilbert bound discards, and the oracle reduces those to zero
+        gb, engine = divisions(lambda: buchberger(pres), groebner)
+        expected, oracle = divisions(lambda: buchberger_oracle(pres), groebner, oracles)
         assert gb.elements == expected.elements
-        assert divided["new"] == divided["oracle"]
+        assert_oracle_minus_zero_divisions(engine, oracle)
 
     def test_jacobian_ideal_pairs_compute_few_lcms(self, monkeypatch):
         # scroll(2,3) and its 55 distinct reduced minors: a 65-generator
@@ -260,6 +280,99 @@ class TestBuchberger:
         # (65,111 lcms when every step took the min over all of them)
         assert calls["lcm"] < 5_000
         assert calls["normal_form"] == 389
+
+
+class TestHilbertDrivenDiscarding:
+    # a complete intersection of three quadrics in three variables
+    CI = "ring: x,y,z ; ideal: x^2 - y*z + z^2, y^2 - x*z + x*y, z^2 + x*y - y*z"
+
+    def test_discarded_pairs_count_against_the_pair_budget(self, monkeypatch):
+        # 9 pairs are popped and counted, as when every pair was divided,
+        # but 5 of them are discarded
+        pres = parse_presentation(self.CI)
+        with pytest.raises(BudgetError, match=r"^buchberger: pair budget 8 exceeded$"):
+            buchberger(pres, budgets=Budgets(pairs=8))
+        calls = {"spoly": 0}
+        original = groebner.spoly
+
+        def counted_spoly(*args):
+            calls["spoly"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(groebner, "spoly", counted_spoly)
+        gb = buchberger(pres, budgets=Budgets(pairs=9))
+        assert gb.elements == buchberger_oracle(pres).elements
+        assert calls["spoly"] == 4
+
+    def test_standard_monomial_count_is_capped(self, monkeypatch):
+        # one pair, of degree 21, in 9 variables: counting every degree below
+        # it would enumerate 1.5 million standard monomials of degree 20
+        names = [f"x{i}" for i in range(1, 10)]
+        text = f"ring: {', '.join(names)} ; ideal: x1^2 + x2*x3, x1*x2^19 + x3^20"
+        counted = []
+        original = groebner._standard_monomials
+
+        def recording(*args):
+            counted.append(len(result := original(*args)))
+            return result
+
+        monkeypatch.setattr(groebner, "_standard_monomials", recording)
+        pres = parse_presentation(text)
+        assert buchberger(pres).elements == buchberger_oracle(pres).elements
+        assert 0 < sum(counted) < 20_000
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_lex_bound_holds_and_bases_match_the_oracle(self, data):
+        # r > n, duplicate, scaled and combined generators and linear forms
+        # all come from generator_sets; the series of the first k generators
+        # is the prefix, as the artinian reduction passes the ring's own
+        nvars, gens = data.draw(generator_sets())
+        k = data.draw(st.integers(0, len(gens)))
+        names = [f"x{i}" for i in range(nvars)]
+        numerator = [1]
+        if k:
+            prefix_gb = buchberger_oracle(make_presentation(names, gens[:k]))
+            numerator = hilbert_numerator(initial_ideal(prefix_gb))
+        degrees = [g.degree() for g in gens[k:]]
+        bound = list(itertools.islice(groebner._hilbert_bound(numerator, degrees, nvars), 5))
+        series = [hilbert_function_oracle(gens, nvars, d) for d in range(5)]
+        assert series >= bound  # list order is the lex order
+        pres = make_presentation(names, gens)
+        expected = buchberger_oracle(pres).elements
+        assert buchberger(pres, prefix=(k, numerator)).elements == expected
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_the_bound_past_a_missed_degree_is_never_read(self, data):
+        # B = HS - t^d + t^(d+1)/(1-t) is a lex lower bound whatever follows
+        # degree d, where it misses HS; past d it exceeds HS by one, so a run
+        # still counting there would discard the last element of a degree
+        nvars, gens = data.draw(generator_sets())
+        d = data.draw(st.integers(0, 4))
+        pres = make_presentation([f"x{i}" for i in range(nvars)], gens)
+        expected = buchberger_oracle(pres).elements
+        numerator = hilbert_numerator(initial_ideal(buchberger_oracle(pres)))
+        tail = [(-1) ** i * math.comb(nvars - 1, i) for i in range(nvars)]  # (1-t)^(n-1)
+        numerator += [0] * (d + nvars + 1 - len(numerator))
+        for i, c in enumerate(tail):
+            numerator[d + i] -= c
+            numerator[d + i + 1] += 2 * c
+        assert buchberger(pres, prefix=(len(gens), numerator)).elements == expected
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_inhomogeneous_input_divides_every_pair(self, data):
+        # a term one degree up makes the first generator inhomogeneous; pops
+        # are then out of degree order, so nothing may be discarded
+        nvars, gens = data.draw(generator_sets())
+        top = data.draw(st.sampled_from(monomials_of_degree(nvars, gens[0].degree() + 1)))
+        gens = [gens[0] + Polynomial(nvars, [(top, 1)])] + gens[1:]
+        pres = make_presentation([f"x{i}" for i in range(nvars)], gens)
+        gb, engine = divisions(lambda: buchberger(pres), groebner)
+        expected, oracle = divisions(lambda: buchberger_oracle(pres), groebner, oracles)
+        assert gb.elements == expected.elements
+        assert engine == oracle
 
 
 class TestInitialIdeal:

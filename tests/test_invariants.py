@@ -16,6 +16,7 @@ from cmtype import (
     make_presentation,
     parse_presentation,
     scroll_ideal,
+    veronese_cone_ideal,
 )
 from cmtype import invariants
 from cmtype.groebner import minimalize_presentation
@@ -210,6 +211,33 @@ class TestArtinianReduction:
                 expected_basis.variables,
                 expected_basis.elements,
             )
+
+    @pytest.mark.parametrize(
+        "pres, fallback",
+        [(scroll_ideal((2, 3)), False), (scroll_ideal((2, 2)), True), (veronese_cone_ideal(5), True)],
+        ids=["scroll_2-3", "scroll_2-2", "veronese_cone_5"],
+    )
+    def test_prefix_series_keeps_the_oracle_reduction(self, monkeypatch, pres, fallback):
+        # every trial basis is told the ring's own series for the generators
+        # of I; scroll(2,2) and veronese_cone(5) take the sequential search
+        minimal = minimalize_presentation(pres)
+        gb = buchberger(minimal)
+        series = hilbert_series_from_gb(gb)
+        prefixes = []
+        original = invariants.buchberger
+
+        def recording(*args, **kwargs):
+            prefixes.append(kwargs["prefix"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(invariants, "buchberger", recording)
+        reduction, basis = artinian_reduction(minimal, gb, series, seed=1)
+        monkeypatch.undo()
+        expected, expected_basis = artinian_reduction_oracle(minimal, gb, series, seed=1)
+        assert reduction == expected
+        assert basis.elements == expected_basis.elements
+        assert set(prefixes) == {(len(minimal.generators), series.numerator)}
+        assert (len(prefixes) > 1) == fallback
 
     def test_one_basis_when_the_first_forms_are_parameters(self, monkeypatch):
         # scroll(2,3): dim 3, where the sequential search alone runs three trials
