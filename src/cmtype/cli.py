@@ -28,12 +28,12 @@ import time
 
 from .classifier import classify
 from .drozd_roiter import arrangement_dr, line_arrangement, semigroup_closure, semigroup_dr
-from .errors import BudgetError, Budgets, InputError
+from .errors import BudgetError, Budgets, DEFAULT_BUDGETS, InputError
 from .families import catalog_presentation
 from .groebner import buchberger
 from .invariants import analyze
 from .parsing import parse_polynomial, parse_presentation
-from .presentation import render_polynomial, render_presentation
+from .presentation import RingPresentation, render_polynomial, render_presentation
 from .report import (
     build_document,
     classification_sections,
@@ -53,8 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the canonical JSON report")
     common.add_argument("--seed", type=int, default=1, help="seed for linear-parameter search")
-    common.add_argument("--budget-pairs", type=int, default=None, help="S-pair budget override")
-    common.add_argument("--budget-degree", type=int, default=None, help="S-pair degree budget override")
+    common.add_argument(
+        "--budget-pairs", type=int, default=DEFAULT_BUDGETS.pairs, help="S-pair budget"
+    )
+    common.add_argument(
+        "--budget-degree", type=int, default=DEFAULT_BUDGETS.degree, help="S-pair degree budget"
+    )
 
     parser = argparse.ArgumentParser(
         prog="cmtype",
@@ -92,21 +96,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _budgets(ns: argparse.Namespace) -> Budgets:
-    base = Budgets()
-    return Budgets(
-        pairs=ns.budget_pairs if ns.budget_pairs is not None else base.pairs,
-        degree=ns.budget_degree if ns.budget_degree is not None else base.degree,
-        minors=base.minors,
-    )
-
-
-def _read_file(path: str) -> str:
+def _read_presentation(path: str, require_homogeneous: bool) -> tuple[str, RingPresentation]:
+    """The file's text and its parsed presentation; the parser's warnings go to stderr."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    pres = parse_presentation(text, require_homogeneous=require_homogeneous)
+    for warning in pres.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return text, pres
 
 
 def _emit(doc: dict, started: float, as_json: bool) -> int:
@@ -119,14 +119,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     started = time.perf_counter()
-    budgets = _budgets(ns)
+    budgets = Budgets(pairs=ns.budget_pairs, degree=ns.budget_degree)
 
     try:
         if ns.subcommand == "analyze":
-            text = _read_file(ns.file)
-            pres = parse_presentation(text, require_homogeneous=True)
-            for warning in pres.warnings:
-                print(f"warning: {warning}", file=sys.stderr)
+            text, pres = _read_presentation(ns.file, require_homogeneous=True)
             bundle = analyze(pres, seed=ns.seed, budgets=budgets)
             names = tuple(bundle.presentation.variables)
             sections = {
@@ -144,10 +141,7 @@ def main(argv=None) -> int:
             return _emit(doc, started, ns.json)
 
         if ns.subcommand == "classify":
-            text = _read_file(ns.file)
-            pres = parse_presentation(text, require_homogeneous=True)
-            for warning in pres.warnings:
-                print(f"warning: {warning}", file=sys.stderr)
+            text, pres = _read_presentation(ns.file, require_homogeneous=True)
             result = classify(pres, frozenset(ns.assume), seed=ns.seed, budgets=budgets)
             sections = {"assumptions": sorted(ns.assume)}
             sections.update(classification_sections(result))
@@ -173,8 +167,7 @@ def main(argv=None) -> int:
             return _emit(doc, started, ns.json)
 
         if ns.subcommand == "arrangement":
-            text = _read_file(ns.file)
-            pres = parse_presentation(text)
+            text, pres = _read_presentation(ns.file, require_homogeneous=False)
             reduction = parse_polynomial(ns.reduction, pres.variables)
             arrangement = line_arrangement(pres.generators, reduction)
             result = arrangement_dr(arrangement)
@@ -196,8 +189,7 @@ def main(argv=None) -> int:
             return 0
 
         if ns.subcommand == "gb":
-            text = _read_file(ns.file)
-            pres = parse_presentation(text)
+            text, pres = _read_presentation(ns.file, require_homogeneous=False)
             basis = buchberger(pres, budgets=budgets)
             names = tuple(pres.variables)
             doc = build_document(

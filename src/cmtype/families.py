@@ -13,6 +13,7 @@ certificate applies to them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
@@ -271,16 +272,19 @@ def _scroll_types_with_nvars(n: int) -> list[ScrollType]:
     return found
 
 
-def _permutation_candidates(n: int) -> list[tuple[FamilyTag, RingPresentation]]:
-    candidates: list[tuple[FamilyTag, RingPresentation]] = []
-    for scroll in _scroll_types_with_nvars(n):
-        candidates.append(
-            (FamilyTag("scroll", param=scroll.a), scroll_ideal(scroll))
-        )
-    if n >= 6:
+def _permutation_candidates(n: int, quadrics: int) -> list[tuple[FamilyTag, RingPresentation]]:
+    """The catalog families on n variables with the given number of quadrics,
+    filtered before any ideal is built: a scroll of type a has C(sum a, 2),
+    the Veronese cone 6, gw12 and graded12 3 each."""
+    candidates: list[tuple[FamilyTag, RingPresentation]] = [
+        (FamilyTag("scroll", param=scroll.a), scroll_ideal(scroll))
+        for scroll in _scroll_types_with_nvars(n)
+        if math.comb(sum(scroll.a), 2) == quadrics
+    ]
+    if n >= 6 and quadrics == 6:
         p = n - 1
         candidates.append((FamilyTag("veronese_cone", param=p), veronese_cone_ideal(p)))
-    if n == 3:
+    if n == 3 and quadrics == 3:
         candidates.append((FamilyTag("gw12"), gw12_ideal()))
         candidates.append((FamilyTag("graded12"), graded12_ideal()))
     return candidates
@@ -290,11 +294,12 @@ def match_named_family(pres: RingPresentation) -> FamilyTag:
     """Match a minimal presentation against the family catalog.
 
     Quadrics and binary forms are tagged by their invariants; all other
-    families are searched over variable permutations in lexicographic order
-    (first match wins), pruned by the rank and support signatures of the
-    quadric span.  A match is reported when the permuted family's quadrics
-    span exactly the input's quadrics: both ideals are generated by those
-    spans, so the ideals, and hence their reduced Groebner bases, are equal.
+    families with the input's number of quadrics are searched over variable
+    permutations in lexicographic order (first match wins), pruned by the
+    support signatures of the quadric span.  A match is reported when the
+    permuted family's quadrics span exactly the input's quadrics: both ideals
+    are generated by those spans, so the ideals, and hence their reduced
+    Groebner bases, are equal.
     """
     minimal = pres if pres.minimalized else minimalize_presentation(pres)
     gens = minimal.generators
@@ -317,15 +322,13 @@ def match_named_family(pres: RingPresentation) -> FamilyTag:
 
     input_echelon = linalg.Echelon(g.terms for g in gens)
     input_sigs = _support_signatures(input_echelon, n)
-    for tag, family in _permutation_candidates(n):
+    for tag, family in _permutation_candidates(n, len(input_echelon.rows)):
         # catalog generators are quadrics; only their span is read
         family_echelon = linalg.Echelon(g.terms for g in family.generators)
-        if len(family_echelon.rows) != len(input_echelon.rows):
-            continue
         fam_sigs = _support_signatures(family_echelon, n)
         for sigma in _constrained_permutations(fam_sigs, input_sigs, n):
             permuted = (g.permute_variables(sigma) for g in family.generators)
-            # equal ranks, so containment of the permuted span is equality
+            # the family's quadric count is the input's rank, so containment is equality
             if not any(input_echelon.residual(pg.terms) for pg in permuted):
                 return FamilyTag(tag.kind, param=tag.param, certificate=tuple(sigma))
     return FamilyTag("none")

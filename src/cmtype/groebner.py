@@ -12,12 +12,15 @@ keyed by (lcm degree, pair index), so selection pops instead of rescanning.
 On homogeneous input a pair whose degree a lower bound on the Hilbert series
 already settles is discarded unreduced (Traverso, J. Symb. Comp. 1996, with
 the lex form of Froeberg's inequality, Math. Scand. 56, 1985).
+
+The module also holds the one expansion of a Hilbert series
+(:func:`hilbert_coefficient`, :func:`numerator_product`) and the one
+standard-monomial enumerator, which :mod:`cmtype.invariants` shares.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -168,6 +171,9 @@ def buchberger(
     remaining pair of degree d reduces to zero.  Each new element of degree d
     takes one standard monomial away, so a degree is counted once.  The rule
     stops at the first completed degree that misses B, or where B < 0.
+    B(d) is ``hilbert_coefficient`` of the numerator N(t) * prod_j (1 - t^{d_j})
+    truncated at ``budgets.degree``, as a pair above that degree raises
+    first, or at ``MAX_BOUND_DEGREE``, where the rule stops.
     Discarded pairs count against ``budgets.pairs``, and the reduced basis
     is unique, so the result does not change.
     """
@@ -207,7 +213,8 @@ def buchberger(
 
     k, numerator = prefix
     degrees = [g.degree() for g in gens[k:]]
-    bound = _hilbert_bound(numerator, degrees, pres.nvars) if pres.homogeneous else None
+    top = min(budgets.degree, MAX_BOUND_DEGREE)
+    bound = numerator_product(numerator, degrees, top) if pres.homogeneous else None
     # the last degree counted, its standard monomials then, and their excess over B now
     degree, standard, excess = -1, [], 0
 
@@ -225,7 +232,7 @@ def buchberger(
             raise BudgetError(f"buchberger: pair budget {budgets.pairs} exceeded")
         del lcms[i, j]
         while bound is not None and degree < lcm_degree:
-            b = next(bound)
+            b = hilbert_coefficient(bound, pres.nvars, degree + 1) if degree < top else -1
             if excess or b < 0 or len(standard) * pres.nvars > MAX_STANDARD_CANDIDATES:
                 bound = None
             else:
@@ -242,28 +249,38 @@ def buchberger(
     return GroebnerBasis(pres.variables, _interreduce(basis))
 
 
-# Cap on the candidates (n times the standard monomials one degree down) the
-# discarding rule enumerates for a degree; past it the rule stops.  A quadric
-# and a degree-20 form in 9 variables would count 1.5 million of degree 20.
+# Caps on the discarding rule, past which it stops: the candidates (n times
+# the standard monomials one degree down) it enumerates for a degree, and the
+# degree it counts to.  A quadric and a degree-20 form in 9 variables would
+# count 1.5 million of degree 20; under a degree budget of 10^9,
+# x^100000000*y - y^100000001 would need a bound of 10^8 coefficients, and
+# reading degree d off the bound costs d steps.
 MAX_STANDARD_CANDIDATES = 20_000
+MAX_BOUND_DEGREE = 1_000
 
 
-def _hilbert_bound(numerator: Sequence[int], degrees: Sequence[int], nvars: int):
-    """Coefficients, degree 0 upwards, of N(t) * prod_j (1 - t^{d_j}) / (1-t)^nvars:
-    each factor subtracts its input from d_j degrees back, each 1/(1-t) is a
-    running sum."""
-    seen: list[list[int]] = [[] for _ in degrees]  # the input of each factor
-    sums = [0] * nvars
-    for e in itertools.count():
-        c = numerator[e] if e < len(numerator) else 0
-        for inputs, d in zip(seen, degrees):
-            inputs.append(c)
-            if e >= d:
-                c -= inputs[e - d]
-        for v in range(nvars):
-            sums[v] += c
-            c = sums[v]
-        yield c
+def hilbert_coefficient(numerator: Sequence[int], nvars: int, d: int) -> int:
+    """The coefficient of t^d in N(t)/(1-t)^nvars, the sum over k <= d of
+    N_k * C(nvars - 1 + d - k, d - k); 0 for d < 0."""
+    if d < 0:
+        return 0
+    if nvars == 0:
+        return numerator[d] if d < len(numerator) else 0
+    return sum(
+        c * math.comb(nvars - 1 + d - k, d - k) for k, c in enumerate(numerator[: d + 1]) if c
+    )
+
+
+def numerator_product(numerator: Sequence[int], degrees: Sequence[int], top: int) -> list[int]:
+    """N(t) * prod_j (1 - t^{d_j}) up to degree top: each factor subtracts
+    the product so far from d_j degrees back.  The truncation keeps the list
+    short when some d_j is huge (x^100000000*y - y^100000001)."""
+    product = list(numerator[: max(top + 1, 0)])
+    product += [0] * (min(top + 1, len(numerator) + sum(degrees)) - len(product))
+    for d in degrees:
+        for e in range(len(product) - 1, d - 1, -1):
+            product[e] -= product[e - d]
+    return product
 
 
 def _standard_monomials(previous, leads, nvars: int, degree: int) -> list[Monomial]:

@@ -2,15 +2,18 @@
 
 The pipeline is: reduced Groebner basis -> initial ideal -> Hilbert numerator
 (pivot-variable recursion on the monomial generators) -> exact deflation by
-(1-t) to read off dimension and h-vector.  Cohen-Macaulayness is decided by
-comparing the length of a verified artinian reduction with the multiplicity,
-and the Cohen-Macaulay type is the socle dimension of that reduction.
+(1-t) to read off dimension and h-vector.  The Hilbert function, the
+coprime shortcut of the numerator and the standard monomials of
+:class:`Quotient` use the expansion and the enumerator of
+:mod:`cmtype.groebner`, the same ones its pair-discarding bound reads.
+Cohen-Macaulayness is decided by comparing the length of a verified artinian
+reduction with the multiplicity, and the Cohen-Macaulay type is the socle
+dimension of that reduction.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import random
 from dataclasses import dataclass
 from itertools import accumulate
@@ -25,7 +28,16 @@ from .errors import (
     InputError,
     LsopSearchError,
 )
-from .groebner import GroebnerBasis, buchberger, initial_ideal, minimalize_presentation, normal_form
+from .groebner import (
+    GroebnerBasis,
+    _standard_monomials,
+    buchberger,
+    hilbert_coefficient,
+    initial_ideal,
+    minimalize_presentation,
+    normal_form,
+    numerator_product,
+)
 from .poly import (
     Monomial,
     Polynomial,
@@ -33,7 +45,6 @@ from .poly import (
     monomial_divides,
     monomial_lcm,
     monomial_mul,
-    monomials_of_degree,
 )
 from .presentation import RingPresentation, render_polynomial
 
@@ -54,15 +65,6 @@ def _poly_add(a: list[int], b: list[int]) -> list[int]:
         out[i] += c
     for i, c in enumerate(b):
         out[i] += c
-    return out
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
     return out
 
 
@@ -87,13 +89,8 @@ def _numerator(gens: tuple[Monomial, ...], nvars: int) -> list[int]:
             if e:
                 counts[i] += 1
     if all(c <= 1 for c in counts):
-        result = [1]
-        for m in gens:
-            factor = [0] * (monomial_degree(m) + 1)
-            factor[0] = 1
-            factor[-1] = -1
-            result = _poly_mul(result, factor)
-        return result
+        degrees = [monomial_degree(m) for m in gens]
+        return numerator_product([1], degrees, sum(degrees))
     pivot = counts.index(max(counts))
     plus = tuple(m for m in gens if m[pivot] == 0)
     pivot_mono = tuple(1 if i == pivot else 0 for i in range(nvars))
@@ -147,16 +144,7 @@ class HilbertSeries:
 
     def hilbert_function(self, d: int) -> int:
         """dim_k of the degree-d piece of the quotient."""
-        if d < 0:
-            return 0
-        n = self.nvars
-        total = 0
-        for k, c in enumerate(self.numerator):
-            if k > d:
-                break
-            if c:
-                total += c * math.comb(n - 1 + d - k, d - k) if n > 0 else (c if k == d else 0)
-        return total
+        return hilbert_coefficient(self.numerator, self.nvars, d)
 
 
 def _deflate(numerator: list[int]) -> tuple[int, list[int]]:
@@ -200,9 +188,10 @@ class Quotient:
     """The graded pieces of S/I, read through its reduced Groebner basis.
 
     ``basis(d)`` lists the standard monomials of degree d, a k-basis of the
-    degree-d piece; ``form(m)`` is the normal form of the monomial m as a
-    term map over those monomials, and ``image(terms)`` the normal form of
-    any term map, by linearity.  Integral form coefficients are stored as
+    degree-d piece, grown from ``basis(d - 1)`` by the enumerator that
+    ``buchberger`` counts with; ``form(m)`` is the normal form of the
+    monomial m as a term map over those monomials, and ``image(terms)`` the
+    normal form of any term map, by linearity.  Integral form coefficients are stored as
     int (every form of a toric ideal has coefficient 1), so images of the
     integer Jacobian minors and of monomial products are computed in
     integers.  ``basis`` and ``form`` memoize, so callers that reduce many
@@ -213,18 +202,15 @@ class Quotient:
 
     def __init__(self, gb: GroebnerBasis):
         self.gb = gb
-        self._bases: dict[int, list[Monomial]] = {}
+        self._bases: list[list[Monomial]] = []  # degrees 0, 1, ...
         self._forms: dict[Monomial, dict] = {}
 
     def basis(self, d: int) -> list[Monomial]:
-        if d not in self._bases:
-            leads = self.gb.leading_monomials()
-            self._bases[d] = [
-                m
-                for m in monomials_of_degree(self.gb.nvars, d)
-                if not any(monomial_divides(lead, m) for lead in leads)
-            ]
-        return self._bases[d]
+        leads, n = self.gb.leading_monomials(), self.gb.nvars
+        while len(self._bases) <= d:
+            previous = self._bases[-1] if self._bases else []
+            self._bases.append(_standard_monomials(previous, leads, n, len(self._bases)))
+        return self._bases[d] if d >= 0 else []
 
     def form(self, m: Monomial) -> dict:
         if m not in self._forms:

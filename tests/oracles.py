@@ -58,7 +58,6 @@ from cmtype.linalg import rank, rref
 from cmtype.poly import (
     Monomial,
     monomial_degree,
-    monomial_div,
     monomial_divides,
     monomial_key,
     monomial_lcm,
@@ -67,6 +66,16 @@ from cmtype.poly import (
 )
 from cmtype.presentation import RingPresentation, render_polynomial
 from cmtype.singularity import SingularityReport
+
+
+def monomial_div(a: Monomial, b: Monomial) -> Monomial | None:
+    """a / b, or None when b does not divide a."""
+    out = []
+    for x, y in zip(a, b):
+        if x < y:
+            return None
+        out.append(x - y)
+    return tuple(out)
 
 
 def hilbert_function_oracle(generators, nvars: int, degree: int) -> int:

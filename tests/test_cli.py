@@ -259,6 +259,17 @@ class TestDeterminismAndExitCodes:
         assert code == 3
         assert "hilbert_numerator" in err and "Traceback" not in err
 
+    def test_huge_degree_budget_keeps_the_hilbert_bound_short(self, capsys, tmp_path):
+        # the discarding bound is truncated at MAX_BOUND_DEGREE, not at the
+        # degree budget: 10^8 coefficients would exhaust memory, and counting
+        # standard monomials up to the pair of degree 10^8 + 2 would not end
+        started = time.perf_counter()
+        for ideal in ("x^100000000*y - y^100000001", "x^100000000*y - y^100000001, x*y^2"):
+            path = write(tmp_path, "huge.ring", f"ring: x, y\nideal: {ideal}\n")
+            code, out, err = run_cli(capsys, "gb", path, "--budget-degree", "1000000000")
+            assert code == 0 and "Traceback" not in err
+        assert time.perf_counter() - started < 1.0
+
     def test_minor_budget_degrades_analyze(self, capsys, tmp_path):
         # bench/corpus/scroll_1-1-1-2.ring: 10 quadrics in 9 variables, codim 4,
         # C(10, 4) * C(9, 4) = 26,460 Jacobian minors over the 20,000 budget
@@ -362,10 +373,17 @@ class TestDeterminismAndExitCodes:
         assert code == 2
 
     def test_zero_generator_warning_on_stderr(self, capsys, tmp_path):
-        path = write(tmp_path, "warn.ring", "ring: x, y\nideal: x - x, x*y\n")
-        code, out, err = run_cli(capsys, "classify", path)
-        assert code == 0
-        assert "zero" in err
+        # every subcommand that reads a presentation file passes the parser's warnings on
+        for argv, ideal in (
+            (("analyze",), "x - x, x*y"),
+            (("classify",), "x - x, x*y"),
+            (("gb",), "x - x, x*y"),
+            (("arrangement", "--reduction", "x + y"), "x - x, x, y"),
+        ):
+            path = write(tmp_path, "warn.ring", f"ring: x, y\nideal: {ideal}\n")
+            code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+            assert code == 0, err
+            assert "warning: generator 1 is zero" in err
 
 
 # Text fragments for the fuzzed CLI: presentation keywords, names (known and

@@ -1,6 +1,7 @@
 """Family generators, invariant tags, and catalog recognition."""
 
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -248,33 +249,36 @@ class TestMatchNamedFamily:
         rng = random.Random(11)
         checked = 0
         for n in range(3, 8):
-            for expected, family in _permutation_candidates(n):
-                if len(family.generators) < 2:
-                    continue  # a single quadric is tagged by rank instead
-                sigma = list(range(n))
-                rng.shuffle(sigma)
-                scrambled = make_presentation(
-                    [f"v{i}" for i in range(n)],
-                    [g.permute_variables(tuple(sigma)) for g in family.generators],
-                )
-                tag = match_named_family(scrambled)
-                assert (tag.kind, tag.param) == (expected.kind, expected.param)
-                assert_certificate_replays(scrambled, tag)
-                checked += 1
+            for quadrics in range(math.comb(n, 2) + 1):
+                for expected, family in _permutation_candidates(n, quadrics):
+                    if len(family.generators) < 2:
+                        continue  # a single quadric is tagged by rank instead
+                    sigma = list(range(n))
+                    rng.shuffle(sigma)
+                    scrambled = make_presentation(
+                        [f"v{i}" for i in range(n)],
+                        [g.permute_variables(tuple(sigma)) for g in family.generators],
+                    )
+                    tag = match_named_family(scrambled)
+                    assert (tag.kind, tag.param) == (expected.kind, expected.param)
+                    assert_certificate_replays(scrambled, tag)
+                    checked += 1
         assert checked == 26
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_echelon_rank_and_signatures_match_dense_rref(self, n):
+        # the quadric count the candidates are filtered by is the echelon rank
         reverse = tuple(reversed(range(n)))
-        for _, family in _permutation_candidates(n):
-            minimal = minimalize_presentation(family).generators
-            for gens in (minimal, [g.permute_variables(reverse) for g in minimal]):
-                mat, pivots, basis = degree2_rref_oracle(gens, n)
-                echelon = linalg.Echelon(g.terms for g in gens)
-                assert len(echelon.rows) == len(pivots)
-                assert _support_signatures(echelon, n) == (
-                    support_signatures_oracle(mat, basis, n)
-                )
+        for quadrics in range(math.comb(n, 2) + 1):
+            for _, family in _permutation_candidates(n, quadrics):
+                minimal = minimalize_presentation(family).generators
+                for gens in (minimal, [g.permute_variables(reverse) for g in minimal]):
+                    mat, pivots, basis = degree2_rref_oracle(gens, n)
+                    echelon = linalg.Echelon(g.terms for g in gens)
+                    assert len(echelon.rows) == len(pivots) == quadrics
+                    assert _support_signatures(echelon, n) == (
+                        support_signatures_oracle(mat, basis, n)
+                    )
 
     def test_minimalize_and_match_use_no_dense_elimination(self, monkeypatch):
         # a return to dense rref on this path fails here on a call, not on time

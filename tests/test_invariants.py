@@ -31,6 +31,7 @@ from oracles import (
     normal_form_oracle,
     rational_homogeneous_presentations,
     socle_dimension_oracle,
+    standard_monomials,
 )
 
 
@@ -98,6 +99,8 @@ class TestRingInvariants:
             expected = hilbert_function_oracle(list(pres.generators), pres.nvars, d)
             assert bundle.series.hilbert_function(d) == expected
             assert len(bundle.quotient.basis(d)) == expected
+            standard = standard_monomials(bundle.gb.leading_monomials(), bundle.gb.nvars, d)
+            assert set(bundle.quotient.basis(d)) == set(standard)
 
     def test_free_variable_additivity(self):
         for text in CORPUS.values():
