@@ -49,15 +49,26 @@ from .report import (
 from .singularity import singular_locus
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of the budgets: 0 is a budget, a negative count is not."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the canonical JSON report")
     common.add_argument("--seed", type=int, default=1, help="seed for linear-parameter search")
     common.add_argument(
-        "--budget-pairs", type=int, default=DEFAULT_BUDGETS.pairs, help="S-pair budget"
+        "--budget-pairs", type=nonnegative_int, default=DEFAULT_BUDGETS.pairs, help="S-pair budget"
     )
     common.add_argument(
-        "--budget-degree", type=int, default=DEFAULT_BUDGETS.degree, help="S-pair degree budget"
+        "--budget-degree",
+        type=nonnegative_int,
+        default=DEFAULT_BUDGETS.degree,
+        help="S-pair degree budget",
     )
 
     parser = argparse.ArgumentParser(

@@ -60,8 +60,12 @@ MAX_SIEVE_ENTRIES = 1_000_000
 def semigroup_closure(gens: Sequence[int]) -> NumericalSemigroup:
     """Close the generators under addition; sieve membership and Frobenius.
 
-    Raises BudgetError when the first sieve would exceed MAX_SIEVE_ENTRIES.
+    Zero generators are dropped; a negative one raises InputError.  Raises
+    BudgetError when the first sieve would exceed MAX_SIEVE_ENTRIES.
     """
+    for g in gens:
+        if int(g) < 0:
+            raise InputError(f"semigroup generator {g} is negative")
     cleaned = sorted({int(g) for g in gens if int(g) > 0})
     if not cleaned:
         raise InputError("at least one positive generator is required")

@@ -61,7 +61,7 @@ def _determinantal(
     nvars = len(names)
     units = [{tuple(int(j == i) for j in range(nvars)): 1} for i in range(nvars)]
     matrix = [[units[i] for i in row] for row in index_matrix]
-    gens = (Polynomial(nvars, det) for det in minors(matrix, 2) if det)
+    gens = (Polynomial(nvars, det) for det in minors(matrix, 2, lambda m: {m: 1}) if det)
     return make_presentation(names, dict.fromkeys(gens))
 
 

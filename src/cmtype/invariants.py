@@ -191,13 +191,16 @@ class Quotient:
     degree-d piece, grown from ``basis(d - 1)`` by the enumerator that
     ``buchberger`` counts with; ``form(m)`` is the normal form of the
     monomial m as a term map over those monomials, and ``image(terms)`` the
-    normal form of any term map, by linearity.  Integral form coefficients are stored as
-    int (every form of a toric ideal has coefficient 1), so images of the
-    integer Jacobian minors and of monomial products are computed in
-    integers.  ``basis`` and ``form`` memoize, so callers that reduce many
-    polynomials sharing monomials divide each monomial once.  ``form`` looks
-    ``normal_form`` up in this module at every call, so a rebinding of
-    ``invariants.normal_form`` (a tracer, a counter) sees it.
+    normal form of any term map, by linearity.  A monomial no leading
+    monomial divides is standard, its own normal form, and is answered
+    without division.  Integral form coefficients are stored as int (every
+    form of a toric ideal has coefficient 1), so the Jacobian minors that
+    :func:`cmtype.poly.minors` expands through ``form`` and the images of
+    monomial products are computed in integers.  ``basis`` and ``form``
+    memoize, so callers that reduce many polynomials sharing monomials
+    divide each monomial once.  ``form`` looks ``normal_form`` up in this
+    module at every call, so a rebinding of ``invariants.normal_form`` (a
+    tracer, a counter) sees it.
     """
 
     def __init__(self, gb: GroebnerBasis):
@@ -214,8 +217,13 @@ class Quotient:
 
     def form(self, m: Monomial) -> dict:
         if m not in self._forms:
-            terms = normal_form(Polynomial(self.gb.nvars, [(m, 1)]), self.gb).terms
-            self._forms[m] = {t: c.numerator if c.denominator == 1 else c for t, c in terms.items()}
+            if any(monomial_divides(lead, m) for lead in self.gb.leading_monomials()):
+                terms = normal_form(Polynomial(self.gb.nvars, [(m, 1)]), self.gb).terms
+                self._forms[m] = {
+                    t: c.numerator if c.denominator == 1 else c for t, c in terms.items()
+                }
+            else:  # a standard monomial is its own normal form
+                self._forms[m] = {m: 1}
         return self._forms[m]
 
     def image(self, terms: dict) -> dict:

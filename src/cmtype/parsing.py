@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InhomogeneousError, ParseError
-from .poly import Polynomial, VariableSet
+from .poly import Polynomial, VariableSet, monomial_mul, unit_monomial
 from .presentation import RingPresentation
 
 _TOKEN_RE = re.compile(
@@ -126,6 +126,9 @@ _DIGIT_LIMIT = 10**MAX_DIGITS
 
 
 class _PolyParser:
+    """Reads expressions into term maps ``{monomial: int | Fraction}``:
+    products add exponents and sums accumulate in place."""
+
     def __init__(self, stream: _Stream, variables: VariableSet):
         self.stream = stream
         self.variables = variables
@@ -133,26 +136,34 @@ class _PolyParser:
         self.depth = 0
         self.products = 0
 
-    def parse_expr(self) -> Polynomial:
+    def parse_expr(self) -> dict:
         sign = 1
         while self.stream.at_op("+") or self.stream.at_op("-"):
             if self.stream.next().value == "-":
                 sign = -sign
-        result = self.parse_term() * sign
+        result = self.parse_term()
+        if sign < 0:
+            result = {m: -c for m, c in result.items()}
         while self.stream.at_op("+") or self.stream.at_op("-"):
             tok = self.stream.next()
-            term = self.parse_term() * (1 if tok.value == "+" else -1)
-            result = self.checked(result + term, term.terms, tok)
+            term = self.parse_term()
+            sign = 1 if tok.value == "+" else -1
+            for m, c in term.items():
+                if v := result.get(m, 0) + sign * c:
+                    result[m] = v
+                else:
+                    del result[m]
+            self.checked(result, term, tok)
         return result
 
-    def parse_term(self) -> Polynomial:
+    def parse_term(self) -> dict:
         result = self.parse_factor()
         while self.stream.at_op("*"):
             tok = self.stream.next()
             result = self.product(result, self.parse_factor(), tok)
         return result
 
-    def parse_factor(self) -> Polynomial:
+    def parse_factor(self) -> dict:
         base = self.parse_atom()
         if self.stream.at_op("^"):
             op = self.stream.next()
@@ -160,7 +171,7 @@ class _PolyParser:
             if tok.kind != "number":
                 raise ParseError("expected integer exponent after '^'", tok.line, tok.column)
             self.stream.next()
-            result = Polynomial.one(self.nvars)
+            result = {unit_monomial(self.nvars): 1}
             for bit in bin(int(tok.value))[2:]:  # square and multiply, high bit first
                 result = self.product(result, result, op)
                 if bit == "1":
@@ -168,39 +179,48 @@ class _PolyParser:
             return result
         return base
 
-    def product(self, a: Polynomial, b: Polynomial, tok: Token) -> Polynomial:
-        self.products += len(a.terms) * len(b.terms)
+    def product(self, a: dict, b: dict, tok: Token) -> dict:
+        self.products += len(a) * len(b)
         if self.products > MAX_TERM_PRODUCTS:
             message = f"expanding the input needs more than {MAX_TERM_PRODUCTS} term products"
             raise ParseError(message, tok.line, tok.column)
-        return self.checked(a * b, None, tok)
+        out: dict = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = monomial_mul(m1, m2)
+                if v := out.get(m, 0) + c1 * c2:
+                    out[m] = v
+                else:
+                    del out[m]
+        return self.checked(out, out, tok)
 
-    def checked(self, p: Polynomial, monomials, tok: Token) -> Polynomial:
-        """p, once its coefficients at `monomials` (all when None) are within MAX_DIGITS."""
-        for c in map(p.terms.get, p.terms if monomials is None else monomials):
+    def checked(self, terms: dict, monomials, tok: Token) -> dict:
+        """terms, once its coefficients at `monomials` are within MAX_DIGITS."""
+        for c in map(terms.get, monomials):
             if c and max(abs(c.numerator), c.denominator) >= _DIGIT_LIMIT:
                 message = f"a coefficient has more than {MAX_DIGITS} digits"
                 raise ParseError(message, tok.line, tok.column)
-        return p
+        return terms
 
-    def parse_atom(self) -> Polynomial:
+    def parse_atom(self) -> dict:
         tok = self.stream.peek()
         if tok.kind == "number":
             self.stream.next()
-            value = Fraction(int(tok.value))
+            value = int(tok.value)
             if self.stream.at_op("/"):
                 self.stream.next()
                 den = self.stream.peek()
                 if den.kind != "number" or int(den.value) == 0:
                     raise ParseError("expected nonzero integer denominator", den.line, den.column)
                 self.stream.next()
-                value /= int(den.value)
-            return Polynomial.constant(self.nvars, value)
+                value = Fraction(value, int(den.value))
+            return {unit_monomial(self.nvars): value} if value else {}
         if tok.kind == "ident":
             self.stream.next()
             if tok.value not in self.variables.names:
                 raise ParseError(f"unknown variable {tok.value!r}", tok.line, tok.column)
-            return Polynomial.variable(self.nvars, self.variables.index(tok.value))
+            i = self.variables.index(tok.value)
+            return {tuple(int(j == i) for j in range(self.nvars)): 1}
         if tok.kind == "op" and tok.value == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(
@@ -220,7 +240,7 @@ class _PolyParser:
 def parse_polynomial(text: str, variables: VariableSet) -> Polynomial:
     """Parse a single polynomial expression over known variables."""
     stream = _Stream(_tokenize(text))
-    poly = _PolyParser(stream, variables).parse_expr()
+    poly = Polynomial(len(variables), _PolyParser(stream, variables).parse_expr())
     tok = stream.peek()
     if tok.kind != "end":
         raise ParseError(f"unexpected trailing input {tok.value!r}", tok.line, tok.column)
@@ -262,7 +282,7 @@ def parse_presentation(text: str, require_homogeneous: bool = False) -> RingPres
         while True:
             position += 1
             tok = stream.peek()
-            poly = parser.parse_expr()
+            poly = Polynomial(len(variables), parser.parse_expr())
             if poly.is_zero:
                 warnings.append(f"generator {position} is zero and was dropped")
             else:

@@ -8,19 +8,21 @@ whose rational scale is tracked exactly, so every remainder is again a
 Fraction polynomial.  A monomial is a plain exponent tuple, one entry per
 variable, and the position of a variable in its :class:`VariableSet` fixes
 its significance in degrevlex (earlier = more significant).  :func:`minors`
-is the one determinant routine: the Jacobian minors of the singular locus
-and the 2x2 minors of the determinantal families both come from it.
+is the one determinant routine: the Jacobian minors of the singular locus,
+expanded modulo the ideal as exterior products of their rows, and the 2x2
+minors of the determinantal families both come from it.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from operator import add
-from typing import Iterable, Iterator, Sequence
+from operator import add, le
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 
@@ -38,16 +40,16 @@ def monomial_degree(m: Monomial) -> int:
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """True when a divides b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def unit_monomial(nvars: int) -> Monomial:
@@ -449,40 +451,72 @@ def integer_multiple(terms: dict) -> tuple[Fraction, dict[Monomial, int]]:
 # determinants
 
 
-def minors(matrix: Sequence[Sequence[dict]], size: int) -> Iterator[dict]:
+def minors(
+    matrix: Sequence[Sequence[dict]], size: int, form: Callable[[Monomial], dict]
+) -> Iterator[dict]:
     """Every size x size minor of a matrix of integer term maps ``{monomial:
     int}``, as such a map (empty when zero): row combinations outer, column
-    combinations inner.  Laplace expansion along the first row, memoized on
-    (rows, cols), so sub-minors shared by many minors are expanded once."""
-    memo: dict = {}
+    combinations inner.  Every product of monomials m is replaced by the term
+    map ``form(m)``, so a normal form modulo an ideal I gives every minor
+    already reduced modulo I; ``lambda m: {m: 1}`` gives the plain minors.
 
-    def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict:
-        key = (rows, cols)
-        if key in memo:
-            return memo[key]
+    The minors on one row set are the coordinates of the exterior product of
+    those rows, each built as the first row wedged with the memoized product
+    of the rows below it: an entry (r0, j) times the minor on a column set S
+    without j adds to the minor on S + {j}, signed by j's position there.
+    Reducing each product is exact, since NF(a*b) = NF(NF(a)*b) when the
+    normal form NF is linear and NF(a) - a lies in I; ``form`` is called once
+    per distinct pair of factor monomials."""
+    products: dict = {}
+    below: dict = {}
+
+    def wedge(rows: tuple[int, ...]) -> dict:
+        """{cols: minor on (rows, cols)} over the column sets with a term."""
+        first = matrix[rows[0]]
+        result: dict = {}
         if len(rows) == 1:
-            result = matrix[rows[0]][cols[0]]
-        else:
-            result = {}
-            r0 = rows[0]
-            rest = rows[1:]
-            for k, c in enumerate(cols):
-                entry = matrix[r0][c]
+            for j, entry in enumerate(first):
                 if not entry:
                     continue
-                sub = minor(rest, cols[:k] + cols[k + 1 :])
+                out = result[(j,)] = {}
+                for m, c in entry.items():
+                    for t, x in form(m).items():
+                        if v := out.get(t, 0) + c * x:
+                            out[t] = v
+                        else:
+                            del out[t]
+            return result
+        rest = rows[1:]
+        if rest not in below:
+            below[rest] = wedge(rest)
+        entries = [(j, entry) for j, entry in enumerate(first) if entry]
+        for cols, sub in below[rest].items():
+            if not sub:
+                continue
+            for j, entry in entries:
+                if j in cols:
+                    continue
+                k = bisect_left(cols, j)
+                key = cols[:k] + (j,) + cols[k:]
+                out = result.get(key)
+                if out is None:
+                    out = result[key] = {}
                 sign = -1 if k % 2 else 1
                 for m1, c1 in entry.items():
                     c1 *= sign
                     for m2, c2 in sub.items():
-                        m = tuple(map(add, m1, m2))
-                        if v := result.get(m, 0) + c1 * c2:
-                            result[m] = v
-                        else:
-                            del result[m]
-        memo[key] = result
+                        reduced = products.get(pair := (m1, m2))
+                        if reduced is None:
+                            reduced = products[pair] = form(monomial_mul(m1, m2))
+                        c = c1 * c2
+                        for t, x in reduced.items():
+                            if v := out.get(t, 0) + c * x:
+                                out[t] = v
+                            else:
+                                del out[t]
         return result
 
     for rows in combinations(range(len(matrix)), size):
+        dets = wedge(rows)
         for cols in combinations(range(len(matrix[rows[0]])), size):
-            yield minor(rows, cols)
+            yield dets.get(cols) or {}

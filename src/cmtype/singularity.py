@@ -7,11 +7,11 @@ consumers must surface that assumption whenever a verdict depends on it.
 
 The Jacobian rows are those of the generators' primitive integer multiples,
 so every minor is a nonzero constant times the rational one and I + minors
-is unchanged; :func:`cmtype.poly.minors`, the memoized Laplace expansion,
-runs over integer term maps.
-Each minor is reduced modulo I through the analysis's quotient view, which
-normal-forms every distinct monomial once, and enters one sparse echelon;
-I plus the echelon rows is I plus every minor.  When in some degree d the
+is unchanged; :func:`cmtype.poly.minors` expands them over integer term maps
+as exterior products of the rows, replacing every monomial product by its
+normal form from the analysis's quotient view, so each minor comes out
+reduced modulo I.  The minors enter one sparse echelon; I plus the echelon
+rows is I plus every minor.  When in some degree d the
 rows span all of R_d (their count is the Hilbert function at d), I + minors
 holds every form of degree d, so the singular locus is the origin and no
 Groebner basis is computed; otherwise one basis of I plus the rows gives
@@ -77,9 +77,9 @@ def singular_locus(bundle: Analysis, *, budgets: Budgets = DEFAULT_BUDGETS) -> S
         )
     # I + rows = I + minors; the minors are forms, so the degree-d rows span their image in R_d
     echelon = linalg.Echelon()
-    for det in minors(jacobian, codim):
+    for det in minors(jacobian, codim, bundle.quotient.form):
         if det:
-            echelon.add(bundle.quotient.image(det))
+            echelon.add(det)
 
     spans = [Polynomial(nvars, row) for row in echelon.rows.values()]
     jacobian_ideal = RingPresentation(minimal.variables, tuple(gens) + tuple(spans))

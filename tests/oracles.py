@@ -10,7 +10,8 @@ is the original division over Fraction polynomials, one new polynomial per
 step.  The Buchberger oracle picks each S-pair by rescanning every open pair
 and builds its S-polynomial over Fractions, and the singular locus oracle
 expands every Jacobian minor over Fraction polynomials; both reduce with the
-engine's ``normal_form``.  The artinian reduction oracle is the sequential search alone, one ``buchberger`` run per
+engine's ``normal_form``.  ``laplace_minors`` is the original memoized Laplace
+expansion of integer term-map minors, without reduction modulo an ideal.  The artinian reduction oracle is the sequential search alone, one ``buchberger`` run per
 trial, with no one-basis fast path and no memo.  The socle and
 nonzerodivisor oracles normal-form every product afresh with the engine's
 ``normal_form`` and take the ranks of dense matrices with rref.  The
@@ -31,7 +32,8 @@ from fractions import Fraction
 
 import math
 from itertools import combinations
-from typing import Sequence
+from operator import add
+from typing import Iterator, Sequence
 
 from hypothesis import strategies as st
 
@@ -409,6 +411,45 @@ def _minor(matrix, rows: tuple[int, ...], cols: tuple[int, ...], memo) -> Polyno
             result = result + term if k % 2 == 0 else result - term
     memo[key] = result
     return result
+
+
+def laplace_minors(matrix: Sequence[Sequence[dict]], size: int) -> Iterator[dict]:
+    """Every size x size minor of a matrix of integer term maps ``{monomial:
+    int}``, as such a map (empty when zero): row combinations outer, column
+    combinations inner.  Laplace expansion along the first row, memoized on
+    (rows, cols), so sub-minors shared by many minors are expanded once."""
+    memo: dict = {}
+
+    def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict:
+        key = (rows, cols)
+        if key in memo:
+            return memo[key]
+        if len(rows) == 1:
+            result = matrix[rows[0]][cols[0]]
+        else:
+            result = {}
+            r0 = rows[0]
+            rest = rows[1:]
+            for k, c in enumerate(cols):
+                entry = matrix[r0][c]
+                if not entry:
+                    continue
+                sub = minor(rest, cols[:k] + cols[k + 1 :])
+                sign = -1 if k % 2 else 1
+                for m1, c1 in entry.items():
+                    c1 *= sign
+                    for m2, c2 in sub.items():
+                        m = tuple(map(add, m1, m2))
+                        if v := result.get(m, 0) + c1 * c2:
+                            result[m] = v
+                        else:
+                            del result[m]
+        memo[key] = result
+        return result
+
+    for rows in combinations(range(len(matrix)), size):
+        for cols in combinations(range(len(matrix[rows[0]])), size):
+            yield minor(rows, cols)
 
 
 def singular_locus_oracle(

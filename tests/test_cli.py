@@ -144,6 +144,12 @@ class TestSemigroupCommand:
         assert code == 2
         assert "gcd" in err
 
+    def test_negative_generator_exit_2(self, capsys):
+        # it used to be dropped silently, reporting <2,3>
+        code, out, err = run_cli(capsys, "semigroup", "2,3,-1")
+        assert code == 2
+        assert "generator -1 is negative" in err and not out
+
 
 class TestArrangementCommand:
     def test_four_lines(self, capsys, tmp_path):
@@ -236,6 +242,15 @@ class TestDeterminismAndExitCodes:
         code, out, err = run_cli(capsys, "gb", path, "--budget-pairs", "0")
         assert code == 3
         assert "buchberger: pair budget 0 exceeded" in err
+
+    @pytest.mark.parametrize("flag", ["--budget-pairs", "--budget-degree"])
+    def test_negative_budget_exit_2(self, capsys, tmp_path, flag):
+        # a negative budget used to run and end in an out_of_scope verdict
+        path = write(tmp_path, "r.ring", "ring: x, y\nideal: x*y\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", path, flag, "-3"])
+        assert exc.value.code == 2
+        assert f"{flag}: must be a nonnegative integer, got -3" in capsys.readouterr().err
 
     def test_minimalize_budget_exits_cleanly(self, capsys, tmp_path):
         path = write(tmp_path, "huge.ring", "ring: x, y\nideal: x^2, y^100000000\n")

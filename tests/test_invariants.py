@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from cmtype import (
     veronese_cone_ideal,
 )
 from cmtype import invariants
-from cmtype.groebner import minimalize_presentation
+from cmtype.groebner import minimalize_presentation, normal_form
 from cmtype.invariants import artinian_reduction, hilbert_series_from_gb
 from cmtype.presentation import RingPresentation
 from cmtype.poly import VariableSet, monomials_of_degree
@@ -165,6 +166,27 @@ class TestQuotientForm:
         values = self.forms_against_the_oracle("ring: x,y ; ideal: 2*x^2 - 3*y^2")
         assert Fraction(3, 2) in values
         assert all(type(c) is int or c.denominator > 1 for c in values)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(rational_homogeneous_presentations(max_degree=3, max_generators=3))
+    def test_standard_monomials_are_answered_without_division(self, pres):
+        # every monomial up to degree 4: a standard one is its own form and
+        # never reaches normal_form, any other is divided once and agrees
+        # with normal_form
+        gb = buchberger(pres)
+        quotient = invariants.Quotient(gb)
+        with mock.patch.object(invariants, "normal_form", wraps=invariants.normal_form) as divide:
+            for d in range(5):
+                standard = set(quotient.basis(d))
+                for m in monomials_of_degree(gb.nvars, d):
+                    calls = divide.call_count
+                    form = quotient.form(m)
+                    expected = normal_form(Polynomial(gb.nvars, [(m, 1)]), gb).terms
+                    assert form == expected, m
+                    if m in standard:
+                        assert form == {m: 1} and divide.call_count == calls, m
+                    else:
+                        assert divide.call_count == calls + 1, m
 
 
 class TestArtinianReduction:

@@ -1,7 +1,7 @@
 """Jacobian-criterion singular locus."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from cmtype import (
     analyze,
@@ -14,8 +14,9 @@ from cmtype import (
 )
 from cmtype import invariants, linalg, singularity
 from cmtype.families import sum_of_squares
+from cmtype.poly import integer_multiple, minors
 
-from oracles import rational_homogeneous_presentations, singular_locus_oracle
+from oracles import laplace_minors, rational_homogeneous_presentations, singular_locus_oracle
 
 
 def report_for(text):
@@ -99,6 +100,23 @@ def test_matches_the_fraction_minor_oracle(pres):
     assert report.singular_dim == expected.singular_dim
 
 
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(rational_homogeneous_presentations(max_degree=3, max_generators=4), st.integers(1, 4))
+def test_minors_in_the_quotient_are_the_reduced_laplace_minors(pres, size):
+    # mixed degrees and non-toric forms with Fraction normal forms: each
+    # minor, expanded with every monomial product reduced, is the normal
+    # form of the plain minor
+    nvars = pres.nvars
+    primitive = [g * (1 / integer_multiple(g.terms)[0]) for g in pres.generators]
+    jacobian = [
+        [{m: c.numerator for m, c in g.derivative(j).terms.items()} for j in range(nvars)]
+        for g in primitive
+    ]
+    quotient = invariants.Quotient(buchberger(pres))
+    expected = [quotient.image(det) for det in laplace_minors(jacobian, size)]
+    assert list(minors(jacobian, size, quotient.form)) == expected
+
+
 def count_calls(monkeypatch, module, name):
     calls = []
     function = getattr(module, name)
@@ -112,8 +130,10 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_scroll_minors_span_a_whole_degree(monkeypatch):
-    # scroll(2,3): 5,665 nonzero minors, but only 210 distinct monomials to
-    # normal-form, and their span fills a degree of R, so no basis is needed
+    # scroll(2,3): 5,665 minors are nonzero in S, with 210 distinct
+    # monomials, the bound below; expanding them in the quotient divides
+    # only 112 monomials, and their span fills a degree of R, so no basis
+    # is needed
     bundle = analyze(scroll_ideal((2, 3)))
     normal_forms = count_calls(monkeypatch, invariants, "normal_form")
     bases = count_calls(monkeypatch, singularity, "buchberger")
