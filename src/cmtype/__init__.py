@@ -50,7 +50,6 @@ from .families import (
 from .groebner import (
     GroebnerBasis,
     buchberger,
-    initial_ideal,
     minimalize_presentation,
     normal_form,
     spoly,

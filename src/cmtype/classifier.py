@@ -354,7 +354,7 @@ def _classify_dim_ge2(ctx: _Context) -> ClassificationReport:
     if inv.is_gorenstein:
         if inv.is_hypersurface:
             form = ctx.bundle.presentation.generators[0]
-            if form.homogeneous_degree() == 2:
+            if form.degree() == 2:
                 rank = quadric_rank(form)
                 n = inv.embdim
                 ctx.family = FamilyTag("quadric", param=(rank, n))

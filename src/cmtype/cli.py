@@ -10,7 +10,8 @@ Subcommands::
     gb FILE                           reduced Groebner basis (degrevlex)
 
 Global flags: ``--json`` (canonical report serialization), ``--seed N``
-(linear-parameter seed, default 1), ``--budget-pairs N``, ``--budget-degree N``.
+(nonnegative linear-parameter seed, default 1), ``--budget-pairs N``,
+``--budget-degree N``.
 Exit codes: 0 success, 2 input error, 3 budget error.  ``analyze`` keeps
 its invariants when the singular locus exceeds a budget: it exits 0 with a
 null ``singularity`` section and the reason in ``singularity_skipped``.
@@ -50,7 +51,8 @@ from .singularity import singular_locus
 
 
 def nonnegative_int(text: str) -> int:
-    """argparse type of the budgets: 0 is a budget, a negative count is not."""
+    """argparse type of the seed and the budgets: a negative count is no
+    budget, and random.Random would seed -3 as 3."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
@@ -60,7 +62,7 @@ def nonnegative_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the canonical JSON report")
-    common.add_argument("--seed", type=int, default=1, help="seed for linear-parameter search")
+    common.add_argument("--seed", type=nonnegative_int, default=1, help="seed for linear-parameter search")
     common.add_argument(
         "--budget-pairs", type=nonnegative_int, default=DEFAULT_BUDGETS.pairs, help="S-pair budget"
     )

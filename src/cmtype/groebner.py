@@ -1,4 +1,4 @@
-"""Buchberger's algorithm, normal forms, initial ideals, minimal presentations.
+"""Buchberger's algorithm, normal forms, minimal presentations.
 
 Degrevlex is the one term order: leading terms, division and the reduced
 basis all follow :func:`cmtype.poly.monomial_key`.  The engine is
@@ -36,6 +36,7 @@ from .poly import (
     _raw,
     heap_key,
     integer_multiple,
+    minimal_monomials,
     monomial_degree,
     monomial_divides,
     monomial_lcm,
@@ -195,11 +196,7 @@ def buchberger(
         by_lcm: dict[Monomial, list[int]] = {}
         for i, lcm in enumerate(new_lcms):
             by_lcm.setdefault(lcm, []).append(i)
-        minimal: list[Monomial] = []
-        for lcm in sorted(by_lcm, key=monomial_key):
-            if not any(monomial_divides(seen, lcm) for seen in minimal):
-                minimal.append(lcm)
-        for lcm in minimal:
+        for lcm in minimal_monomials(by_lcm):
             members = by_lcm[lcm]
             if not any(lcm == monomial_mul(leads[i], mf) for i in members):
                 i = min(members)
@@ -310,14 +307,6 @@ def _interreduce(elements: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     return tuple(reduced)
 
 
-def initial_ideal(gb: GroebnerBasis) -> RingPresentation:
-    """The monomial ideal of leading terms; its quotient shares the Hilbert
-    function of the original quotient."""
-    n = gb.nvars
-    gens = tuple(Polynomial(n, [(m, 1)]) for m in gb.leading_monomials())
-    return RingPresentation(gb.variables, gens)
-
-
 # ---------------------------------------------------------------------------
 # minimal presentations
 
@@ -367,28 +356,31 @@ def _minimal_homogeneous_generators(
 def minimalize_presentation(pres: RingPresentation) -> RingPresentation:
     """Minimal presentation of the same graded ring.
 
-    Every generator with a nonzero linear part (for a homogeneous ideal, a
-    linear form) is eliminated by substituting out its leading variable; the
-    remaining generators are pruned to a minimal homogeneous generating set.
-    The variable count of the result is the embedding dimension.
+    The linear generators of a homogeneous ideal span its linear part L.  In
+    one echelon their rows have distinct leading variables, so they are a
+    Groebner basis of L, and the normal form of every other generator modulo
+    L is the one congruent polynomial free of those pivot variables, which
+    are then dropped.  The remaining generators are pruned to a minimal
+    homogeneous generating set.  The variable count of the result is the
+    embedding dimension.
     """
     if not pres.homogeneous:
         raise InhomogeneousError("minimalize_presentation requires a homogeneous ideal")
     variables = pres.variables
-    gens = list(pres.generators)
-
-    while True:
-        gens = [g for g in gens if not g.is_zero]
-        linear = next((g for g in gens if g.degree() == 1), None)
-        if linear is None:
-            break
-        lm, lc = linear.leading_term()
-        i = lm.index(1)
-        # x_i = x_i - linear/lc has no x_i left; substitute it everywhere.
-        replacement = Polynomial.variable(len(variables), i) - linear * (1 / lc)
-        gens = [g.substitute(i, replacement) for g in gens if g is not linear]
-        gens = [g.drop_variable(i) for g in gens]
-        variables = variables.drop(i)
+    gens = [g for g in pres.generators if g.degree() != 1]
+    linear = linalg.Echelon(g.terms for g in pres.generators if g.degree() == 1)
+    if linear.rows:
+        rows = [Polynomial(pres.nvars, row) for row in linear.rows.values()]
+        keep = [i for i in range(pres.nvars) if not any(lm[i] for lm in linear.rows)]
+        variables = VariableSet(tuple(variables.names[i] for i in keep))
+        # dropping variables that no term uses keeps the degrevlex order of the terms
+        gens = [
+            polynomial_from_descending(
+                len(keep), {tuple(m[i] for i in keep): c for m, c in h.terms.items()}
+            )
+            for g in gens
+            if (h := normal_form(g, rows))
+        ]
 
     minimal = _minimal_homogeneous_generators(gens, len(variables))
     return RingPresentation(variables, tuple(minimal), minimalized=True, warnings=pres.warnings)

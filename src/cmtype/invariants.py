@@ -1,7 +1,7 @@
 """Hilbert series, dimension, h-vector, multiplicity, and Cohen-Macaulay data.
 
-The pipeline is: reduced Groebner basis -> initial ideal -> Hilbert numerator
-(pivot-variable recursion on the monomial generators) -> exact deflation by
+The pipeline is: reduced Groebner basis -> its leading monomials -> Hilbert
+numerator (pivot-variable recursion on the minimal ones) -> exact deflation by
 (1-t) to read off dimension and h-vector.  The Hilbert function, the
 coprime shortcut of the numerator and the standard monomials of
 :class:`Quotient` use the expansion and the enumerator of
@@ -33,7 +33,6 @@ from .groebner import (
     _standard_monomials,
     buchberger,
     hilbert_coefficient,
-    initial_ideal,
     minimalize_presentation,
     normal_form,
     numerator_product,
@@ -41,6 +40,7 @@ from .groebner import (
 from .poly import (
     Monomial,
     Polynomial,
+    minimal_monomials,
     monomial_degree,
     monomial_divides,
     monomial_lcm,
@@ -68,16 +68,8 @@ def _poly_add(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _minimal_monomials(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
-    minimal: list[Monomial] = []
-    for m in sorted(set(gens), key=lambda m: (monomial_degree(m), m)):
-        if not any(monomial_divides(g, m) for g in minimal):
-            minimal.append(m)
-    return tuple(minimal)
-
-
 def _numerator(gens: tuple[Monomial, ...], nvars: int) -> list[int]:
-    gens = _minimal_monomials(gens)
+    gens = minimal_monomials(gens)
     if not gens:
         return [1]
     if any(monomial_degree(m) == 0 for m in gens):
@@ -107,22 +99,17 @@ def _numerator(gens: tuple[Monomial, ...], nvars: int) -> list[int]:
 MAX_NUMERATOR_DEGREE = 10_000
 
 
-def hilbert_numerator(monomial_ideal: RingPresentation) -> list[int]:
-    """N(t) with Hilbert series of the quotient equal to N(t)/(1-t)^nvars."""
-    exps = []
-    for g in monomial_ideal.generators:
-        if len(g.terms) != 1:
-            raise InputError("hilbert_numerator requires monomial generators")
-        exps.append(next(iter(g.terms)))
-    gens = _minimal_monomials(exps)
+def hilbert_numerator(monomials: Sequence[Monomial], nvars: int) -> list[int]:
+    """N(t) with the Hilbert series of S/(monomials) equal to N(t)/(1-t)^nvars."""
+    gens = minimal_monomials(monomials)
     # Every term of N(t) is +-t^deg lcm(S) for a set S of minimal generators
     # (the Taylor resolution), so deg lcm(all) bounds its degree.
-    bound = monomial_degree(functools.reduce(monomial_lcm, gens, (0,) * monomial_ideal.nvars))
+    bound = monomial_degree(functools.reduce(monomial_lcm, gens, (0,) * nvars))
     if bound > MAX_NUMERATOR_DEGREE:
         raise BudgetError(
             f"hilbert_numerator: degree bound {bound} exceeds the cap {MAX_NUMERATOR_DEGREE}"
         )
-    return _strip(_numerator(gens, monomial_ideal.nvars))
+    return _strip(_numerator(gens, nvars))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +145,7 @@ def _deflate(numerator: list[int]) -> tuple[int, list[int]]:
 
 
 def hilbert_series_from_gb(gb: GroebnerBasis) -> HilbertSeries:
-    numerator = hilbert_numerator(initial_ideal(gb))
+    numerator = hilbert_numerator(gb.leading_monomials(), gb.nvars)
     if all(c == 0 for c in numerator):
         raise InputError("the ideal is the unit ideal; not a graded ring presentation")
     deflations, hvec = _deflate(numerator)

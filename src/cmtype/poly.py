@@ -86,6 +86,16 @@ def heap_key(m: Monomial):
     return (-sum(m), m[::-1])
 
 
+def minimal_monomials(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
+    """The distinct monomials that no other one divides, ascending in
+    degrevlex: a proper divisor always comes earlier in that order."""
+    minimal: list[Monomial] = []
+    for m in sorted(set(monomials), key=monomial_key):
+        if not any(monomial_divides(g, m) for g in minimal):
+            minimal.append(m)
+    return tuple(minimal)
+
+
 # ---------------------------------------------------------------------------
 # variables
 
@@ -120,9 +130,6 @@ class VariableSet:
             return self.names.index(name)
         except ValueError:
             raise InputError(f"unknown variable {name!r}") from None
-
-    def drop(self, i: int) -> "VariableSet":
-        return VariableSet(self.names[:i] + self.names[i + 1 :])
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +211,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degrees = {monomial_degree(m) for m in self.terms}
         return len(degrees) <= 1
-
-    def homogeneous_degree(self) -> int:
-        if not self.is_homogeneous():
-            raise InputError("polynomial is not homogeneous")
-        return self.degree()
 
     def coefficient(self, m: Monomial) -> Fraction:
         return self.terms.get(tuple(m), Fraction(0))
@@ -334,29 +336,6 @@ class Polynomial:
         return out
 
     # -- structural operations ----------------------------------------------
-
-    def substitute(self, i: int, replacement: "Polynomial") -> "Polynomial":
-        """Substitute the i-th variable by a polynomial over the same variables."""
-        self._check_compatible(replacement)
-        powers: dict[int, Polynomial] = {0: Polynomial.one(self.nvars)}
-        result = Polynomial.zero(self.nvars)
-        for m, c in sorted(self.terms.items()):
-            e = m[i]
-            if e not in powers:
-                powers[e] = replacement**e
-            rest = list(m)
-            rest[i] = 0
-            result = result + powers[e].mul_term(tuple(rest), c)
-        return result
-
-    def drop_variable(self, i: int) -> "Polynomial":
-        """Remove an unused variable (every exponent at position i must be 0)."""
-        data = {}
-        for m, c in self.terms.items():
-            if m[i] != 0:
-                raise InputError(f"variable {i} still occurs; cannot drop it")
-            data[m[:i] + m[i + 1 :]] = c
-        return _raw(self.nvars - 1, data)
 
     def extend(self, extra: int) -> "Polynomial":
         """Append `extra` fresh variables (exponent 0 everywhere)."""

@@ -12,7 +12,7 @@ from .poly import Polynomial, VariableSet
 class RingPresentation:
     """R = S/I for S = k[variables] and I generated by nonzero `generators`;
     `minimalized` marks a minimal presentation.  Ideals without a ring in
-    view (a Jacobian ideal, an initial ideal) use the same type."""
+    view, such as a Jacobian ideal, use the same type."""
 
     variables: VariableSet
     generators: tuple[Polynomial, ...]

@@ -5,7 +5,9 @@ dense rank computations on monomial bases, semigroup lengths from explicit
 exponent-set differences, and arrangement lengths from graded linear algebra
 in the quotient of the 2-variable polynomial ring.  Minimal generators and
 the family matcher's quadric-span data come from the original dense
-algorithms: a fresh rref for every membership test.  The normal form oracle
+algorithms: a fresh rref for every membership test.  The minimal
+presentation oracle is the original elimination of linear generators, one
+substitution of a leading variable at a time.  The normal form oracle
 is the original division over Fraction polynomials, one new polynomial per
 step.  The Buchberger oracle picks each S-pair by rescanning every open pair
 and builds its S-polynomial over Fractions, and the singular locus oracle
@@ -41,10 +43,18 @@ from cmtype import Polynomial, linalg, make_presentation
 from cmtype.classifier import ObstructionData
 from cmtype.drozd_roiter import NumericalSemigroup
 from cmtype.families import ScrollType
-from cmtype.errors import BudgetError, Budgets, DEFAULT_BUDGETS, InputError, LsopSearchError
+from cmtype.errors import (
+    BudgetError,
+    Budgets,
+    DEFAULT_BUDGETS,
+    InhomogeneousError,
+    InputError,
+    LsopSearchError,
+)
 from cmtype.groebner import (
     GroebnerBasis,
     _interreduce,
+    _minimal_homogeneous_generators,
     buchberger,
     minimalize_presentation,
     normal_form,
@@ -59,6 +69,8 @@ from cmtype.invariants import (
 from cmtype.linalg import rank, rref
 from cmtype.poly import (
     Monomial,
+    VariableSet,
+    _raw,
     monomial_degree,
     monomial_divides,
     monomial_key,
@@ -260,6 +272,56 @@ def minimal_homogeneous_generators_oracle(gens, nvars: int):
             continue
         kept.append(g)
     return kept
+
+
+def _substitute(p: Polynomial, i: int, replacement: Polynomial) -> Polynomial:
+    """Substitute the i-th variable by a polynomial over the same variables."""
+    powers: dict[int, Polynomial] = {0: Polynomial.one(p.nvars)}
+    result = Polynomial.zero(p.nvars)
+    for m, c in sorted(p.terms.items()):
+        e = m[i]
+        if e not in powers:
+            powers[e] = replacement**e
+        rest = list(m)
+        rest[i] = 0
+        result = result + powers[e].mul_term(tuple(rest), c)
+    return result
+
+
+def _drop_variable(p: Polynomial, i: int) -> Polynomial:
+    """Remove an unused variable (every exponent at position i must be 0)."""
+    data = {}
+    for m, c in p.terms.items():
+        if m[i] != 0:
+            raise InputError(f"variable {i} still occurs; cannot drop it")
+        data[m[:i] + m[i + 1 :]] = c
+    return _raw(p.nvars - 1, data)
+
+
+def minimalize_presentation_oracle(pres: RingPresentation) -> RingPresentation:
+    """The original elimination: while a linear generator is left, substitute
+    out its leading variable everywhere and drop that variable; then prune
+    with the engine's ``_minimal_homogeneous_generators``."""
+    if not pres.homogeneous:
+        raise InhomogeneousError("minimalize_presentation requires a homogeneous ideal")
+    variables = pres.variables
+    gens = list(pres.generators)
+
+    while True:
+        gens = [g for g in gens if not g.is_zero]
+        linear = next((g for g in gens if g.degree() == 1), None)
+        if linear is None:
+            break
+        lm, lc = linear.leading_term()
+        i = lm.index(1)
+        # x_i = x_i - linear/lc has no x_i left; substitute it everywhere.
+        replacement = Polynomial.variable(len(variables), i) - linear * (1 / lc)
+        gens = [_substitute(g, i, replacement) for g in gens if g is not linear]
+        gens = [_drop_variable(g, i) for g in gens]
+        variables = VariableSet(variables.names[:i] + variables.names[i + 1 :])
+
+    minimal = _minimal_homogeneous_generators(gens, len(variables))
+    return RingPresentation(variables, tuple(minimal), minimalized=True, warnings=pres.warnings)
 
 
 def degree2_rref_oracle(gens, nvars: int):

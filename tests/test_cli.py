@@ -252,6 +252,19 @@ class TestDeterminismAndExitCodes:
         assert exc.value.code == 2
         assert f"{flag}: must be a nonnegative integer, got -3" in capsys.readouterr().err
 
+    def test_negative_seed_exit_2(self, capsys, tmp_path):
+        # random.Random seeds -3 as 3: the LSOP of seed 3 under another digest
+        path = write(tmp_path, "r.ring", "ring: x, y\nideal: x*y\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", path, "--seed", "-3"])
+        assert exc.value.code == 2
+        assert "--seed: must be a nonnegative integer, got -3" in capsys.readouterr().err
+
+    def test_seed_zero_is_a_seed(self, capsys, tmp_path):
+        path = write(tmp_path, "r.ring", "ring: x, y\nideal: x*y\n")
+        doc = run_json(capsys, "analyze", path, "--seed", "0")
+        assert doc["artinian_reduction"]["seed"] == 0
+
     def test_minimalize_budget_exits_cleanly(self, capsys, tmp_path):
         path = write(tmp_path, "huge.ring", "ring: x, y\nideal: x^2, y^100000000\n")
         code, out, err = run_cli(capsys, "analyze", path)

@@ -1,4 +1,4 @@
-"""Buchberger engine, normal forms, initial ideals, minimal presentations."""
+"""Buchberger engine, normal forms, leading monomials, minimal presentations."""
 
 import math
 import random
@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from cmtype import (
     BudgetError,
     Budgets,
+    CmtypeError,
     Polynomial,
     buchberger,
-    initial_ideal,
     make_presentation,
     minimalize_presentation,
     normal_form,
@@ -26,13 +26,14 @@ from cmtype.groebner import _minimal_homogeneous_generators
 from cmtype.invariants import hilbert_numerator, hilbert_series_from_gb
 from cmtype import poly
 from cmtype.poly import monomial_divides, monomials_of_degree
-from cmtype.presentation import RingPresentation
+from cmtype.presentation import RingPresentation, render_presentation
 
 import oracles
 from oracles import (
     buchberger_oracle,
     hilbert_function_oracle,
     minimal_homogeneous_generators_oracle,
+    minimalize_presentation_oracle,
     normal_form_oracle,
     random_homogeneous_ideal,
     random_homogeneous_polynomial,
@@ -332,7 +333,7 @@ class TestHilbertDrivenDiscarding:
         numerator = [1]
         if k:
             prefix_gb = buchberger_oracle(make_presentation(names, gens[:k]))
-            numerator = hilbert_numerator(initial_ideal(prefix_gb))
+            numerator = hilbert_numerator(prefix_gb.leading_monomials(), nvars)
         degrees = [g.degree() for g in gens[k:]]
         product = groebner.numerator_product(numerator, degrees, 4)
         bound = [groebner.hilbert_coefficient(product, nvars, d) for d in range(5)]
@@ -352,7 +353,7 @@ class TestHilbertDrivenDiscarding:
         d = data.draw(st.integers(0, 4))
         pres = make_presentation([f"x{i}" for i in range(nvars)], gens)
         expected = buchberger_oracle(pres).elements
-        numerator = hilbert_numerator(initial_ideal(buchberger_oracle(pres)))
+        numerator = hilbert_numerator(buchberger_oracle(pres).leading_monomials(), nvars)
         tail = [(-1) ** i * math.comb(nvars - 1, i) for i in range(nvars)]  # (1-t)^(n-1)
         numerator += [0] * (d + nvars + 1 - len(numerator))
         for i, c in enumerate(tail):
@@ -378,21 +379,18 @@ class TestHilbertDrivenDiscarding:
 class TestInitialIdeal:
     def test_monomial_ideal_fixed(self):
         gb = gb_of("ring: x,y,z ; ideal: x*y, y*z, z^2")
-        init = initial_ideal(gb)
-        assert {next(iter(g.terms)) for g in init.generators} == {(1, 1, 0), (0, 1, 1), (0, 0, 2)}
+        assert set(gb.leading_monomials()) == {(1, 1, 0), (0, 1, 1), (0, 0, 2)}
 
     def test_leading_term_of_binomial(self):
         gb = gb_of("ring: x,y ; ideal: x^2 + y^2")
-        init = initial_ideal(gb)
-        assert {next(iter(g.terms)) for g in init.generators} == {(2, 0)}
+        assert set(gb.leading_monomials()) == {(2, 0)}
 
     def test_cyclic_minors_initial_ideal(self):
         # degrevlex leading monomials: the degree-2 chain puts y^2 above xz,
         # so the initial ideal is (x^2, x*y, y^2); confirmed against the
         # dense Hilbert-function oracle below.
         gb = gb_of("ring: x,y,z ; ideal: x*z - y^2, x^2 - y*z, x*y - z^2")
-        init = initial_ideal(gb)
-        assert {next(iter(g.terms)) for g in init.generators} == {(2, 0, 0), (1, 1, 0), (0, 2, 0)}
+        assert set(gb.leading_monomials()) == {(2, 0, 0), (1, 1, 0), (0, 2, 0)}
         gens = parse_presentation(
             "ring: x,y,z ; ideal: x*z - y^2, x^2 - y*z, x*y - z^2"
         ).generators
@@ -471,6 +469,74 @@ class TestMinimalize:
         pres = parse_presentation("ring: x, y ; ideal: x^2, y^100000000")
         with pytest.raises(BudgetError, match="minimalize_presentation: degree 100000000 needs 99999999"):
             minimalize_presentation(pres)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_matches_the_substitution_oracle(self, data):
+        pres = data.draw(linear_eliminations())
+        assert minimalize_outcome(minimalize_presentation, pres) == (
+            minimalize_outcome(minimalize_presentation_oracle, pres)
+        )
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            # dependent forms eliminate every variable
+            ("ring: x,y,z ; ideal: x - y, 2*y + z, 3*x + z, 2*x - 2*y, x*y", ()),
+            # a constant generator survives the elimination and absorbs y^2
+            ("ring: x,y ; ideal: x - y, 2, x*y", ("y",)),
+            ("ring: x,y,z ; ideal: 2*z - y, y^2 - x*z, y + z, x^3", ("x",)),
+            ("ring: x,y ; ideal: x - y, x^2 + y", None),  # inhomogeneous
+            ("ring: x,y,z ; ideal: z - x, x^2, y^100000000", None),  # seed multiples budget
+        ],
+    )
+    def test_fixed_cases_match_the_substitution_oracle(self, text, names):
+        parsed = parse_presentation(text)  # scaled to rational coefficients
+        gens = [g * Fraction(1, i + 2) for i, g in enumerate(parsed.generators)]
+        pres = RingPresentation(parsed.variables, tuple(gens))
+        outcome = minimalize_outcome(minimalize_presentation, pres)
+        assert outcome == minimalize_outcome(minimalize_presentation_oracle, pres)
+        if names is None:
+            assert issubclass(outcome[0], CmtypeError)
+        else:
+            assert tuple(outcome[0]) == names
+
+
+def minimalize_outcome(minimalize, pres):
+    """The variables, the generators in order (with their leading terms and
+    the rendered text) and the flags of the result, or the error raised."""
+    try:
+        m = minimalize(pres)
+    except CmtypeError as exc:
+        return type(exc), str(exc)
+    leads = [g.leading_term() for g in m.generators]
+    return m.variables, m.generators, leads, render_presentation(m), m.minimalized, m.warnings
+
+
+@st.composite
+def linear_eliminations(draw):
+    """Homogeneous presentations in 1-6 variables: 1..n+1 linear forms with
+    rational coefficients plus dependent ones (rational combinations of
+    earlier forms), next to 0-4 forms of degrees 0-3 (constants included),
+    in any order."""
+    nvars = draw(st.integers(1, 6))
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+    def form(degree):
+        monomial = st.sampled_from(monomials_of_degree(nvars, degree))
+        monomials = draw(st.lists(monomial, min_size=1, max_size=4, unique=True))
+        return Polynomial(nvars, [(m, draw(coefficient)) for m in monomials])
+
+    linear = [form(1) for _ in range(draw(st.integers(1, nvars + 1)))]
+    for _ in range(draw(st.integers(0, 2))):
+        combination = Polynomial.zero(nvars)
+        for g in draw(st.lists(st.sampled_from(linear), min_size=1, max_size=3)):
+            combination = combination + g * draw(coefficient)
+        if combination:
+            linear.append(combination)
+    others = [form(draw(st.integers(0, 3))) for _ in range(draw(st.integers(0, 4)))]
+    gens = draw(st.permutations(linear + others))
+    return make_presentation([f"x{i}" for i in range(nvars)], gens)
 
 
 def _degrevlex_key(exps):

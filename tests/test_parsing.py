@@ -39,7 +39,7 @@ def test_single_quartic():
     pres = parse_presentation("ring: x,y ; ideal: x^3*y - x*y^3")
     assert len(pres.generators) == 1
     g = pres.generators[0]
-    assert g.homogeneous_degree() == 4
+    assert g.is_homogeneous() and g.degree() == 4
     assert g.coefficient((3, 1)) == 1 and g.coefficient((1, 3)) == -1
 
 

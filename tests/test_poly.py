@@ -10,6 +10,7 @@ from cmtype import InputError, Polynomial
 from cmtype.poly import (
     VariableSet,
     heap_key,
+    minimal_monomials,
     minors,
     monomial_key,
     monomial_mul,
@@ -108,19 +109,6 @@ class TestArithmetic:
 
 
 class TestStructuralOps:
-    def test_substitute(self):
-        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-        p = x**2 + x * y
-        assert p.substitute(0, -y) == y**2 - y**2  # (-y)^2 + (-y)*y == 0
-        assert p.substitute(0, -y).is_zero
-
-    def test_drop_variable(self):
-        p = P(3, ((1, 0, 2), 1))
-        dropped = p.drop_variable(1)
-        assert dropped == P(2, ((1, 2), 1))
-        with pytest.raises(InputError):
-            P(3, ((0, 1, 0), 1)).drop_variable(1)
-
     def test_permute_variables(self):
         p = P(3, ((2, 1, 0), 5))
         assert p.permute_variables((2, 0, 1)) == P(3, ((1, 0, 2), 5))
@@ -152,6 +140,23 @@ class TestVariableSet:
         assert vs.index("y_1") == 1
         with pytest.raises(InputError):
             vs.index("z")
+
+
+def test_minimal_monomials_match_a_divisibility_filter():
+    rng = random.Random(15)
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        monomials = [
+            tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(0, 8))
+        ]
+        expected = {
+            m
+            for m in monomials
+            if not any(d != m and all(a <= b for a, b in zip(d, m)) for d in monomials)
+        }
+        result = minimal_monomials(monomials)
+        assert len(result) == len(expected) and set(result) == expected
+        assert list(result) == sorted(result, key=monomial_key)
 
 
 def test_monomials_of_degree_counts():
