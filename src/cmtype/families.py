@@ -14,6 +14,7 @@ certificate applies to them.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
@@ -214,10 +215,10 @@ def _support_signatures(echelon: linalg.Echelon, nvars: int) -> list[tuple[int, 
 
 
 def _constrained_permutations(family_sigs, input_sigs, n: int):
-    """Permutations sigma (old -> new) respecting the variable signatures."""
-    from collections import defaultdict
-    from itertools import product
-
+    """Permutations sigma (old -> new) respecting the variable signatures,
+    lazily: the first signature's permutation varies slowest, as in the
+    itertools.product of the per-signature permutations, which would build
+    every permutation of every group before yielding the first sigma."""
     pools: dict = defaultdict(list)
     for idx, sig in enumerate(input_sigs):
         pools[sig].append(idx)
@@ -227,12 +228,19 @@ def _constrained_permutations(family_sigs, input_sigs, n: int):
     if {s: len(v) for s, v in pools.items()} != {s: len(v) for s, v in groups.items()}:
         return
     signatures = sorted(groups)
-    for assignment in product(*[permutations(pools[s]) for s in signatures]):
-        sigma = [0] * n
-        for sig, perm in zip(signatures, assignment):
-            for fam_idx, inp_idx in zip(groups[sig], perm):
+    sigma = [0] * n
+
+    def assign(s: int):
+        if s == len(signatures):
+            yield tuple(sigma)
+            return
+        slots = groups[signatures[s]]
+        for perm in permutations(pools[signatures[s]]):
+            for fam_idx, inp_idx in zip(slots, perm):
                 sigma[fam_idx] = inp_idx
-        yield tuple(sigma)
+            yield from assign(s + 1)
+
+    yield from assign(0)
 
 
 @dataclass(frozen=True)

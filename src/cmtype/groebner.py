@@ -160,9 +160,11 @@ def buchberger(
 
     Homogeneous input discards the pairs that provably reduce to zero
     (Traverso 1996).  ``prefix = (k, N)`` says the first k generators span J
-    with HS(S/J) = N(t)/(1-t)^n (default: J = 0).  With g_{k+1}..g_r of
-    degrees d_j, HS(S/I) >=_lex B = HS(S/J) * prod_j (1 - t^{d_j}) (Froeberg
-    1985), by induction: HS_j = (1 - t^{d_j}) HS_{j-1} + t^{d_j}
+    with HS(S/J) >=_lex N(t)/(1-t)^n (default: J = 0, where they are equal);
+    the argument below needs no more than this lex lower bound.  With
+    g_{k+1}..g_r of degrees d_j, HS(S/I) >=_lex B = N(t)/(1-t)^n *
+    prod_j (1 - t^{d_j}) (Froeberg 1985), by induction from HS(S/J) >=_lex
+    B_k: HS_j = (1 - t^{d_j}) HS_{j-1} + t^{d_j}
     HS((J_{j-1} : g_j)/J_{j-1}), where (1 - t^{d_j}) keeps the sign of the
     first nonzero coefficient of HS_{j-1} - B_{j-1} and the added term is
     >= 0.  Pops come in degree order and G lies in I, so in(G) has at least
@@ -353,34 +355,50 @@ def _minimal_homogeneous_generators(
     return kept
 
 
+def eliminate_linear_forms(
+    variables: VariableSet, forms: Sequence[Polynomial], generators: Sequence[Polynomial]
+) -> tuple[VariableSet, tuple[Polynomial, ...]]:
+    """Substitute linear forms away: S/(I + L) and S'/I' are the same graded
+    ring, for S' the polynomial ring in the variables left.
+
+    The forms go into one echelon, whose rows (distinct leading variables)
+    are a Groebner basis of the linear ideal L they span, so the normal form
+    of a generator modulo those rows is the one congruent polynomial free of
+    the pivot variables, which are then dropped in one projection of
+    exponent tuples.  Returns the remaining variables and the nonzero
+    projected normal forms, in the order of `generators`.
+    """
+    linear = linalg.Echelon(f.terms for f in forms)
+    if not linear.rows:
+        return variables, tuple(generators)
+    n = len(variables)
+    rows = [Polynomial(n, row) for row in linear.rows.values()]
+    keep = [i for i in range(n) if not any(lm[i] for lm in linear.rows)]
+    # dropping variables that no term uses keeps the degrevlex order of the terms
+    projected = tuple(
+        polynomial_from_descending(
+            len(keep), {tuple(m[i] for i in keep): c for m, c in h.terms.items()}
+        )
+        for g in generators
+        if (h := normal_form(g, rows))
+    )
+    return VariableSet(tuple(variables.names[i] for i in keep)), projected
+
+
 def minimalize_presentation(pres: RingPresentation) -> RingPresentation:
     """Minimal presentation of the same graded ring.
 
-    The linear generators of a homogeneous ideal span its linear part L.  In
-    one echelon their rows have distinct leading variables, so they are a
-    Groebner basis of L, and the normal form of every other generator modulo
-    L is the one congruent polynomial free of those pivot variables, which
-    are then dropped.  The remaining generators are pruned to a minimal
-    homogeneous generating set.  The variable count of the result is the
-    embedding dimension.
+    The linear generators are substituted away by
+    :func:`eliminate_linear_forms`, and the remaining generators are pruned
+    to a minimal homogeneous generating set.  The variable count of the
+    result is the embedding dimension.
     """
     if not pres.homogeneous:
         raise InhomogeneousError("minimalize_presentation requires a homogeneous ideal")
-    variables = pres.variables
-    gens = [g for g in pres.generators if g.degree() != 1]
-    linear = linalg.Echelon(g.terms for g in pres.generators if g.degree() == 1)
-    if linear.rows:
-        rows = [Polynomial(pres.nvars, row) for row in linear.rows.values()]
-        keep = [i for i in range(pres.nvars) if not any(lm[i] for lm in linear.rows)]
-        variables = VariableSet(tuple(variables.names[i] for i in keep))
-        # dropping variables that no term uses keeps the degrevlex order of the terms
-        gens = [
-            polynomial_from_descending(
-                len(keep), {tuple(m[i] for i in keep): c for m, c in h.terms.items()}
-            )
-            for g in gens
-            if (h := normal_form(g, rows))
-        ]
-
+    variables, gens = eliminate_linear_forms(
+        pres.variables,
+        [g for g in pres.generators if g.degree() == 1],
+        [g for g in pres.generators if g.degree() != 1],
+    )
     minimal = _minimal_homogeneous_generators(gens, len(variables))
     return RingPresentation(variables, tuple(minimal), minimalized=True, warnings=pres.warnings)

@@ -8,7 +8,9 @@ coprime shortcut of the numerator and the standard monomials of
 :mod:`cmtype.groebner`, the same ones its pair-discarding bound reads.
 Cohen-Macaulayness is decided by comparing the length of a verified artinian
 reduction with the multiplicity, and the Cohen-Macaulay type is the socle
-dimension of that reduction.
+dimension of that reduction.  Each trial basis of the reduction is computed
+in n - k variables, with the k linear forms substituted away, and the socle
+is read off the final one.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .groebner import (
     GroebnerBasis,
     _standard_monomials,
     buchberger,
+    eliminate_linear_forms,
     hilbert_coefficient,
     minimalize_presentation,
     normal_form,
@@ -260,8 +263,11 @@ def artinian_reduction(
 
     `minimal` is a minimal presentation and `gb`/`series` its reduced Groebner
     basis and Hilbert series, as :func:`analyze` computes them.  Returns the
-    reduction and the reduced basis of the artinian ideal: the basis of
-    I + (l_1..l_dim), or `gb` itself when the ring is already artinian.
+    reduction and the reduced basis of the artinian ring: that of I' in the
+    n - k variables left once :func:`eliminate_linear_forms` has substituted
+    away the forms l_1..l_dim of rank k, or `gb` itself when the ring is
+    already artinian.  S/(I + L) and S'/I' are the same graded ring, so the
+    h-vector, the length and the socle are those of S/(I + L).
 
     The forms are those of a sequential search: step k draws candidates from
     a deterministic generator, attempt j with integer coefficients in
@@ -278,15 +284,21 @@ def artinian_reduction(
     from the seed again; its trials share a memo keyed by the generator
     tuple, which holds the fast path's basis, so an ideal is never computed
     twice.  Either way the result is exact, not probabilistic.  Every trial
-    extends `minimal.generators`, so ``buchberger`` gets their series as prefix.
+    basis is computed in the variables its forms leave, from the projected
+    generators of I, with the ring's numerator as ``buchberger``'s prefix:
+    by Froeberg's inequality HS(S/(I + L)) >=_lex HS(S/I) (1-t)^k, which is
+    N(t)/(1-t)^(n-k), a lex lower bound for HS(S'/I').
     """
     bases = {minimal.generators: (gb, series)}
-    prefix = (len(minimal.generators), series.numerator)
+    numerator = series.numerator
 
     def basis_of(generators: tuple[Polynomial, ...]) -> tuple[GroebnerBasis, HilbertSeries]:
         if generators not in bases:
-            trial_pres = RingPresentation(minimal.variables, generators)
-            trial_gb = buchberger(trial_pres, budgets=budgets, prefix=prefix)
+            variables, projected = eliminate_linear_forms(
+                minimal.variables, generators[len(minimal.generators) :], minimal.generators
+            )
+            trial_pres = RingPresentation(variables, projected)
+            trial_gb = buchberger(trial_pres, budgets=budgets, prefix=(len(projected), numerator))
             bases[generators] = trial_gb, hilbert_series_from_gb(trial_gb)
         return bases[generators]
 
@@ -409,7 +421,8 @@ def analyze(
     """Minimalize `pres` and run the invariant pipeline on it, once.
 
     The only producer of :class:`Analysis`; the artinian reduction reuses
-    `gb` and `series` and hands back the basis of its final trial.
+    `gb` and `series` and hands back the basis of its final trial, over the
+    variables its forms leave, on which the socle is computed.
     """
     _require_homogeneous(pres)
     _require_proper(pres)

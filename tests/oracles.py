@@ -21,10 +21,12 @@ degree-2 rewrite oracle solves its three systems by rref on dense vectors
 over the degree-2 standard monomials.  The binary-form profile oracle is
 Yun's squarefree decomposition over Fraction coefficient lists, with its own
 univariate division.  The scroll and Veronese-cone oracles write out each
-2x2 minor as a difference of Polynomial products.  Apart from that, the
-paths under test and the oracle paths share only the Polynomial arithmetic:
-every rank and solve under test runs on the sparse ``linalg.Echelon``, and
-only the oracles call the dense ``rref``.
+2x2 minor as a difference of Polynomial products.  The constrained
+permutations oracle is the original ``itertools.product`` of every
+signature group's permutations, which builds them all up front.  Apart
+from that, the paths under test and the oracle paths share only the
+Polynomial arithmetic: every rank and solve under test runs on the sparse
+``linalg.Echelon``, and only the oracles call the dense ``rref``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import random
 from fractions import Fraction
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import add
 from typing import Iterator, Sequence
 
@@ -350,6 +352,28 @@ def support_signatures_oracle(mat, basis, nvars: int):
             crosses[live[0]] += 1
             crosses[live[1]] += 1
     return list(zip(squares, crosses))
+
+
+def constrained_permutations_oracle(family_sigs, input_sigs, n: int):
+    """Permutations sigma (old -> new) respecting the variable signatures."""
+    from collections import defaultdict
+    from itertools import product
+
+    pools: dict = defaultdict(list)
+    for idx, sig in enumerate(input_sigs):
+        pools[sig].append(idx)
+    groups: dict = defaultdict(list)
+    for idx, sig in enumerate(family_sigs):
+        groups[sig].append(idx)
+    if {s: len(v) for s, v in pools.items()} != {s: len(v) for s, v in groups.items()}:
+        return
+    signatures = sorted(groups)
+    for assignment in product(*[permutations(pools[s]) for s in signatures]):
+        sigma = [0] * n
+        for sig, perm in zip(signatures, assignment):
+            for fam_idx, inp_idx in zip(groups[sig], perm):
+                sigma[fam_idx] = inp_idx
+        yield tuple(sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from cmtype import (
 from cmtype import linalg
 from cmtype.families import (
     ScrollType,
+    _constrained_permutations,
     _permutation_candidates,
     _scroll_types_with_nvars,
     _support_signatures,
@@ -37,6 +39,7 @@ from cmtype.presentation import RingPresentation, render_presentation
 
 from oracles import (
     binary_form_profile_oracle,
+    constrained_permutations_oracle,
     degree2_rref_oracle,
     linear_change,
     random_invertible_matrix,
@@ -290,6 +293,33 @@ class TestMatchNamedFamily:
         assert set(minimalize_presentation(pres).generators) == set(pres.generators)
         tag = match_named_family(pres)
         assert (tag.kind, tag.param) == ("scroll", (1, 1, 1, 2))
+
+    def test_constrained_permutations_match_the_product_oracle(self):
+        # same sigmas in the same order, and none when the signature counts differ
+        rng = random.Random(16)
+        for _ in range(300):
+            n = rng.randint(0, 7)
+            input_sigs = [rng.choice([(0, 1), (0, 2), (1, 2)]) for _ in range(n)]
+            family_sigs = input_sigs[:]
+            rng.shuffle(family_sigs)
+            if n and rng.random() < 0.2:
+                family_sigs[0] = (1, 0)
+            args = (family_sigs, input_sigs, n)
+            assert list(_constrained_permutations(*args)) == list(
+                constrained_permutations_oracle(*args)
+            )
+
+    def test_first_permutation_is_drawn_lazily(self):
+        # the product of the groups' permutations would build all 9! of them first
+        sigs = [(0, 2)] * 9
+        tracemalloc.start()
+        try:
+            first = next(_constrained_permutations(sigs, sigs, 9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == tuple(range(9))
+        assert peak < 100_000
 
     def test_large_rings_skip_the_search(self):
         pres = scroll_ideal((4, 4))  # 10 variables

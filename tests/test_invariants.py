@@ -30,6 +30,7 @@ from oracles import (
     buchberger_oracle,
     hilbert_function_oracle,
     normal_form_oracle,
+    rank,
     rational_homogeneous_presentations,
     socle_dimension_oracle,
     standard_monomials,
@@ -222,10 +223,21 @@ class TestArtinianReduction:
             reduction, basis = artinian_reduction(minimal, gb, series, seed=seed)
             expected, expected_basis = artinian_reduction_oracle(minimal, gb, series, seed=seed)
             assert reduction == expected
-            assert (basis.variables, basis.elements) == (
-                expected_basis.variables,
-                expected_basis.elements,
-            )
+            assert_substitutes_the_oracle_basis(basis, expected_basis)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(rational_homogeneous_presentations(max_degree=3, max_generators=3))
+    def test_socle_of_the_substituted_basis_matches_the_oracle(self, pres):
+        # the socle, and with it cm_type, read in n - k variables is the
+        # socle of the oracle's artinian basis in all n
+        minimal = minimalize_presentation(pres)
+        gb = buchberger(minimal)
+        series = hilbert_series_from_gb(gb)
+        for seed in range(1, 6):
+            _, basis = artinian_reduction(minimal, gb, series, seed=seed)
+            _, expected_basis = artinian_reduction_oracle(minimal, gb, series, seed=seed)
+            socle = invariants._socle_dimension(invariants.Quotient(basis))
+            assert socle == socle_dimension_oracle(expected_basis)
 
     @pytest.mark.parametrize(
         "pres, fallback",
@@ -238,21 +250,30 @@ class TestArtinianReduction:
         minimal = minimalize_presentation(pres)
         gb = buchberger(minimal)
         series = hilbert_series_from_gb(gb)
-        prefixes = []
-        original = invariants.buchberger
+        units = monomials_of_degree(minimal.nvars, 1)
+        ranks, calls = [], []
+        eliminate, original = invariants.eliminate_linear_forms, invariants.buchberger
 
-        def recording(*args, **kwargs):
-            prefixes.append(kwargs["prefix"])
-            return original(*args, **kwargs)
+        def eliminating(variables, forms, generators):
+            ranks.append(rank([[f.coefficient(u) for u in units] for f in forms]))
+            return eliminate(variables, forms, generators)
 
+        def recording(trial, **kwargs):
+            calls.append((trial.nvars, len(trial.generators), kwargs["prefix"]))
+            return original(trial, **kwargs)
+
+        monkeypatch.setattr(invariants, "eliminate_linear_forms", eliminating)
         monkeypatch.setattr(invariants, "buchberger", recording)
         reduction, basis = artinian_reduction(minimal, gb, series, seed=1)
         monkeypatch.undo()
         expected, expected_basis = artinian_reduction_oracle(minimal, gb, series, seed=1)
         assert reduction == expected
-        assert basis.elements == expected_basis.elements
-        assert set(prefixes) == {(len(minimal.generators), series.numerator)}
-        assert (len(prefixes) > 1) == fallback
+        assert_substitutes_the_oracle_basis(basis, expected_basis)
+        assert len(ranks) == len(calls)
+        for r, (nvars, projected, prefix) in zip(ranks, calls):
+            assert nvars == minimal.nvars - r
+            assert prefix == (projected, series.numerator)
+        assert (len(calls) > 1) == fallback
 
     def test_one_basis_when_the_first_forms_are_parameters(self, monkeypatch):
         # scroll(2,3): dim 3, where the sequential search alone runs three trials
@@ -267,6 +288,24 @@ class TestArtinianReduction:
         bundle = analyze(scroll_ideal((2, 3)), seed=1)
         assert bundle.invariants.dim == 3 and len(bundle.reduction.lsop) == 3
         assert len(calls) == 2  # the ring's basis and that of I + (l_1, l_2, l_3)
+
+
+def assert_substitutes_the_oracle_basis(basis, oracle_basis):
+    """The oracle's reduced basis of I + L in all n variables is the reduced
+    echelon of L plus elements of degree >= 2 free of its leading variables.
+    Those leading variables are exactly the ones substituted away, and the
+    other elements, projected, are the returned basis."""
+    linear = [g for g in oracle_basis.elements if g.degree() == 1]
+    rest = [g for g in oracle_basis.elements if g.degree() != 1]
+    dropped = {g.leading_monomial().index(1) for g in linear}
+    keep = [i for i in range(oracle_basis.nvars) if i not in dropped]
+    assert basis.variables.names == tuple(oracle_basis.variables.names[i] for i in keep)
+    assert not any(m[i] for g in rest for m in g.terms for i in dropped)
+    projected = tuple(
+        Polynomial(len(keep), {tuple(m[i] for i in keep): c for m, c in g.terms.items()})
+        for g in rest
+    )
+    assert basis.elements == projected
 
 
 class TestCmAndType:
