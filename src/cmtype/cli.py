@@ -19,6 +19,14 @@ null ``singularity`` section and the reason in ``singularity_skipped``.
 The ``arrangement`` input file lists the individual lines as the ideal
 generators (one linear form each); the reduction is a linear form in the
 same two variables.
+
+Each report subcommand is a handler ``(ns, budgets) -> (source_text,
+sections)``, registered on its subparser as ``run``: ``source_text`` is what
+the input digest hashes and ``sections`` the report body, in output order.
+:func:`main` has one document path (build, finalize, render) for all of
+them; ``generate`` alone writes a presentation instead of a report.  The
+parser is built once, at import, so a process that calls :func:`main`
+repeatedly pays for it once.
 """
 
 from __future__ import annotations
@@ -81,6 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[common], help="graded invariants of a presentation")
     p.add_argument("file")
+    p.set_defaults(run=_run_analyze)
 
     p = sub.add_parser("classify", parents=[common], help="representation-type verdict")
     p.add_argument("file")
@@ -91,13 +100,16 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["reduced"],
         help="assert a hypothesis the tool cannot verify",
     )
+    p.set_defaults(run=_run_classify)
 
     p = sub.add_parser("semigroup", parents=[common], help="Drozd-Roiter lengths for <a1,a2,...>")
     p.add_argument("generators", help="comma-separated positive integers with gcd 1")
+    p.set_defaults(run=_run_semigroup)
 
     p = sub.add_parser("arrangement", parents=[common], help="Drozd-Roiter lengths for a line arrangement")
     p.add_argument("file", help="presentation file whose ideal lists the lines")
     p.add_argument("--reduction", required=True, help="linear form nonvanishing on every line")
+    p.set_defaults(run=_run_arrangement)
 
     p = sub.add_parser("generate", parents=[common], help="emit a canonical family presentation")
     p.add_argument("family")
@@ -105,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gb", parents=[common], help="reduced Groebner basis of the ideal")
     p.add_argument("file")
+    p.set_defaults(run=_run_gb)
 
     return parser
 
@@ -122,100 +135,80 @@ def _read_presentation(path: str, require_homogeneous: bool) -> tuple[str, RingP
     return text, pres
 
 
-def _emit(doc: dict, started: float, as_json: bool) -> int:
-    finalize_document(doc, (time.perf_counter() - started) * 1000.0)
-    sys.stdout.write(render_json(doc) if as_json else render_text(doc))
-    return 0
+def _run_analyze(ns: argparse.Namespace, budgets: Budgets) -> tuple[str, dict]:
+    text, pres = _read_presentation(ns.file, require_homogeneous=True)
+    bundle = analyze(pres, seed=ns.seed, budgets=budgets)
+    names = tuple(bundle.presentation.variables)
+    sections = {
+        "invariants": invariants_section(bundle.invariants),
+        "artinian_reduction": reduction_section(bundle.reduction, names),
+    }
+    # the invariants are done; a singular locus over budget degrades
+    # to a null section with the reason instead of discarding them
+    try:
+        sections["singularity"] = singularity_section(singular_locus(bundle, budgets=budgets))
+    except BudgetError as exc:
+        sections["singularity"] = None
+        sections["singularity_skipped"] = str(exc)
+    return text, sections
+
+
+def _run_classify(ns: argparse.Namespace, budgets: Budgets) -> tuple[str, dict]:
+    text, pres = _read_presentation(ns.file, require_homogeneous=True)
+    result = classify(pres, frozenset(ns.assume), seed=ns.seed, budgets=budgets)
+    return text, {"assumptions": sorted(ns.assume), **classification_sections(result)}
+
+
+def _run_semigroup(ns: argparse.Namespace, budgets: Budgets) -> tuple[str, dict]:
+    try:
+        gens = [int(part) for part in ns.generators.split(",") if part.strip()]
+    except ValueError:
+        raise InputError("semigroup generators must be integers") from None
+    semigroup = semigroup_closure(gens)
+    sections = {
+        "generators": list(semigroup.generators),
+        "frobenius": semigroup.frobenius,
+        "report": dr_section(semigroup_dr(semigroup)),
+    }
+    return "semigroup:" + ",".join(str(g) for g in semigroup.generators), sections
+
+
+def _run_arrangement(ns: argparse.Namespace, budgets: Budgets) -> tuple[str, dict]:
+    text, pres = _read_presentation(ns.file, require_homogeneous=False)
+    arrangement = line_arrangement(pres.generators, parse_polynomial(ns.reduction, pres.variables))
+    names = tuple(pres.variables)
+    sections = {
+        "lines": [render_polynomial(l, names) for l in arrangement.lines],
+        "reduction": render_polynomial(arrangement.reduction, names),
+        "report": dr_section(arrangement_dr(arrangement)),
+    }
+    return text + "\nreduction:" + ns.reduction, sections
+
+
+def _run_gb(ns: argparse.Namespace, budgets: Budgets) -> tuple[str, dict]:
+    text, pres = _read_presentation(ns.file, require_homogeneous=False)
+    basis = buchberger(pres, budgets=budgets)
+    names = tuple(pres.variables)
+    return text, {"order": basis.order, "basis": [render_polynomial(g, names) for g in basis.elements]}
+
+
+PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = PARSER.parse_args(argv)
     started = time.perf_counter()
     budgets = Budgets(pairs=ns.budget_pairs, degree=ns.budget_degree)
 
     try:
-        if ns.subcommand == "analyze":
-            text, pres = _read_presentation(ns.file, require_homogeneous=True)
-            bundle = analyze(pres, seed=ns.seed, budgets=budgets)
-            names = tuple(bundle.presentation.variables)
-            sections = {
-                "invariants": invariants_section(bundle.invariants),
-                "artinian_reduction": reduction_section(bundle.reduction, names),
-            }
-            # the invariants are done; a singular locus over budget degrades
-            # to a null section with the reason instead of discarding them
-            try:
-                sections["singularity"] = singularity_section(singular_locus(bundle, budgets=budgets))
-            except BudgetError as exc:
-                sections["singularity"] = None
-                sections["singularity_skipped"] = str(exc)
-            doc = build_document("analyze", digest_text(text), sections)
-            return _emit(doc, started, ns.json)
-
-        if ns.subcommand == "classify":
-            text, pres = _read_presentation(ns.file, require_homogeneous=True)
-            result = classify(pres, frozenset(ns.assume), seed=ns.seed, budgets=budgets)
-            sections = {"assumptions": sorted(ns.assume)}
-            sections.update(classification_sections(result))
-            doc = build_document("classify", digest_text(text), sections)
-            return _emit(doc, started, ns.json)
-
-        if ns.subcommand == "semigroup":
-            try:
-                gens = [int(part) for part in ns.generators.split(",") if part.strip()]
-            except ValueError:
-                raise InputError("semigroup generators must be integers") from None
-            semigroup = semigroup_closure(gens)
-            result = semigroup_dr(semigroup)
-            doc = build_document(
-                "semigroup",
-                digest_text("semigroup:" + ",".join(str(g) for g in semigroup.generators)),
-                {
-                    "generators": list(semigroup.generators),
-                    "frobenius": semigroup.frobenius,
-                    "report": dr_section(result),
-                },
-            )
-            return _emit(doc, started, ns.json)
-
-        if ns.subcommand == "arrangement":
-            text, pres = _read_presentation(ns.file, require_homogeneous=False)
-            reduction = parse_polynomial(ns.reduction, pres.variables)
-            arrangement = line_arrangement(pres.generators, reduction)
-            result = arrangement_dr(arrangement)
-            names = tuple(pres.variables)
-            doc = build_document(
-                "arrangement",
-                digest_text(text + "\nreduction:" + ns.reduction),
-                {
-                    "lines": [render_polynomial(l, names) for l in arrangement.lines],
-                    "reduction": render_polynomial(arrangement.reduction, names),
-                    "report": dr_section(result),
-                },
-            )
-            return _emit(doc, started, ns.json)
-
-        if ns.subcommand == "generate":
-            pres = catalog_presentation(ns.family, ns.args)
-            sys.stdout.write(render_presentation(pres))
+        if ns.subcommand == "generate":  # a presentation, not a report
+            sys.stdout.write(render_presentation(catalog_presentation(ns.family, ns.args)))
             return 0
-
-        if ns.subcommand == "gb":
-            text, pres = _read_presentation(ns.file, require_homogeneous=False)
-            basis = buchberger(pres, budgets=budgets)
-            names = tuple(pres.variables)
-            doc = build_document(
-                "gb",
-                digest_text(text),
-                {
-                    "order": basis.order,
-                    "basis": [render_polynomial(g, names) for g in basis.elements],
-                },
-            )
-            return _emit(doc, started, ns.json)
-
-        raise InputError(f"unknown subcommand {ns.subcommand!r}")
+        source_text, sections = ns.run(ns, budgets)
+        doc = build_document(ns.subcommand, digest_text(source_text), sections)
+        finalize_document(doc, (time.perf_counter() - started) * 1000.0)
+        sys.stdout.write(render_json(doc) if ns.json else render_text(doc))
+        return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -195,19 +195,19 @@ class Quotient:
 
     def __init__(self, gb: GroebnerBasis):
         self.gb = gb
+        self._leads = gb.leading_monomials()
         self._bases: list[list[Monomial]] = []  # degrees 0, 1, ...
         self._forms: dict[Monomial, dict] = {}
 
     def basis(self, d: int) -> list[Monomial]:
-        leads, n = self.gb.leading_monomials(), self.gb.nvars
         while len(self._bases) <= d:
             previous = self._bases[-1] if self._bases else []
-            self._bases.append(_standard_monomials(previous, leads, n, len(self._bases)))
+            self._bases.append(_standard_monomials(previous, self._leads, self.gb.nvars, len(self._bases)))
         return self._bases[d] if d >= 0 else []
 
     def form(self, m: Monomial) -> dict:
         if m not in self._forms:
-            if any(monomial_divides(lead, m) for lead in self.gb.leading_monomials()):
+            if any(monomial_divides(lead, m) for lead in self._leads):
                 terms = normal_form(Polynomial(self.gb.nvars, [(m, 1)]), self.gb).terms
                 self._forms[m] = {
                     t: c.numerator if c.denominator == 1 else c for t, c in terms.items()
@@ -281,33 +281,32 @@ def artinian_reduction(
     ideal theorem), so if that quotient has dimension 0, every prefix dropped
     it by exactly one: the sequential search would have accepted the same
     forms and ended at the same ideal.  Otherwise the sequential search runs
-    from the seed again; its trials share a memo keyed by the generator
-    tuple, which holds the fast path's basis, so an ideal is never computed
-    twice.  Either way the result is exact, not probabilistic.  Every trial
-    basis is computed in the variables its forms leave, from the projected
+    from the seed again; its trials share a memo keyed by the forms, which
+    holds the fast path's basis, so an ideal is never computed twice.
+    Either way the result is exact, not probabilistic.  Every trial basis
+    is computed in the variables its forms leave, from the projected
     generators of I, with the ring's numerator as ``buchberger``'s prefix:
     by Froeberg's inequality HS(S/(I + L)) >=_lex HS(S/I) (1-t)^k, which is
     N(t)/(1-t)^(n-k), a lex lower bound for HS(S'/I').
     """
-    bases = {minimal.generators: (gb, series)}
+    bases = {(): (gb, series)}
     numerator = series.numerator
 
-    def basis_of(generators: tuple[Polynomial, ...]) -> tuple[GroebnerBasis, HilbertSeries]:
-        if generators not in bases:
-            variables, projected = eliminate_linear_forms(
-                minimal.variables, generators[len(minimal.generators) :], minimal.generators
-            )
+    def basis_of(forms: tuple[Polynomial, ...]) -> tuple[GroebnerBasis, HilbertSeries]:
+        if forms not in bases:
+            variables, projected = eliminate_linear_forms(minimal.variables, forms, minimal.generators)
             trial_pres = RingPresentation(variables, projected)
             trial_gb = buchberger(trial_pres, budgets=budgets, prefix=(len(projected), numerator))
-            bases[generators] = trial_gb, hilbert_series_from_gb(trial_gb)
-        return bases[generators]
+            bases[forms] = trial_gb, hilbert_series_from_gb(trial_gb)
+        return bases[forms]
 
     rng = random.Random(seed)
     forms = tuple(next(_candidates(rng, minimal.nvars), None) for _ in range(series.dim))
-    if None not in forms and basis_of(minimal.generators + forms)[1].dim == 0:
-        gb, series = basis_of(minimal.generators + forms)
-    else:
-        forms, gb, series = _sequential_search(minimal, gb, series, seed, basis_of)
+    if None in forms or basis_of(forms)[1].dim != 0:
+        forms = _sequential_search(minimal, series.dim, seed, basis_of)
+    gb, series = basis_of(forms)
+    if series.dim != 0:
+        raise InputError("artinian reduction failed to reach dimension zero")
     reduction = ArtinianReduction(
         lsop=forms,
         standard_monomial_counts=series.hvector,
@@ -327,33 +326,24 @@ def _candidates(rng: random.Random, nvars: int):
             yield Polynomial(nvars, [(m, c) for m, c in zip(_unit_vectors(nvars), coeffs) if c])
 
 
-def _sequential_search(
-    minimal: RingPresentation, gb: GroebnerBasis, series: HilbertSeries, seed: int, basis_of
-) -> tuple[tuple[Polynomial, ...], GroebnerBasis, HilbertSeries]:
+def _sequential_search(minimal: RingPresentation, dim: int, seed: int, basis_of) -> tuple[Polynomial, ...]:
     """Accept, step by step, the first candidate that drops the dimension by one."""
     rng = random.Random(seed)
     names = tuple(minimal.variables)
-    current = minimal.generators
     chosen: list[Polynomial] = []
     attempted: list[str] = []
-    for _ in range(series.dim):
+    for step in range(dim):
         for form in _candidates(rng, minimal.nvars):
             attempted.append(render_polynomial(form, names))
-            trial = current + (form,)
-            trial_gb, trial_series = basis_of(trial)
-            if trial_series.dim == series.dim - 1:
-                current, gb, series = trial, trial_gb, trial_series
+            if basis_of((*chosen, form))[1].dim == dim - step - 1:
                 chosen.append(form)
                 break
         else:
             raise LsopSearchError(
-                f"no linear parameter found after 20 attempts (dim {series.dim})",
+                f"no linear parameter found after 20 attempts (dim {dim - step})",
                 tuple(attempted),
             )
-
-    if series.dim != 0:
-        raise InputError("artinian reduction failed to reach dimension zero")
-    return tuple(chosen), gb, series
+    return tuple(chosen)
 
 
 def _unit_vectors(nvars: int) -> list[Monomial]:

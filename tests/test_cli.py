@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmtype import groebner
-from cmtype.cli import main
+from cmtype.cli import PARSER, main
 from cmtype.families import _scroll_types_with_nvars
 from cmtype.presentation import render_presentation
 
@@ -202,6 +202,44 @@ class TestGbCommand:
         doc = run_json(capsys, "gb", path)
         assert doc["order"] == "degrevlex"
         assert sorted(doc["basis"]) == ["x*y - z^2", "x^2 - y*z", "y^2 - x*z"]
+
+
+class TestSharedParser:
+    """The parser is built once, at import: one call's flags must not leak
+    into the next call's namespace."""
+
+    def test_no_state_carries_between_calls(self, capsys, tmp_path):
+        path = write(tmp_path, "r.ring", "ring: x, y\nideal: x*y\n")
+        assert run_json(capsys, "classify", path, "--assume", "reduced")["assumptions"] == ["reduced"]
+        assert run_json(capsys, "classify", path)["assumptions"] == []
+        assert run_json(capsys, "analyze", path, "--seed", "5")["artinian_reduction"]["seed"] == 5
+        assert run_json(capsys, "analyze", path)["artinian_reduction"]["seed"] == 1
+        code, out, err = run_cli(capsys, "classify", path, "--json")
+        assert code == 0 and json.loads(out)["command"] == "classify"
+        code, out, err = run_cli(capsys, "classify", path)
+        assert code == 0 and out.startswith("tool_version: ")
+        assert PARSER.parse_args(["classify", path]).assume == []
+
+    @pytest.mark.parametrize(
+        "subcommand, positionals",
+        [
+            ("analyze", ["file"]),
+            ("classify", ["file"]),
+            ("semigroup", ["generators"]),
+            ("arrangement", ["file"]),
+            ("generate", ["family", "args"]),
+            ("gb", ["file"]),
+        ],
+    )
+    def test_help_names_the_positional_arguments(self, capsys, subcommand, positionals):
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: cmtype {subcommand} ")
+        listed = out.split("positional arguments:\n", 1)[1].split("\n\n", 1)[0]
+        # one line per argument, its help text wrapped onto deeper-indented lines
+        assert [line.split()[0] for line in listed.splitlines() if not line.startswith("   ")] == positionals
 
 
 class TestDeterminismAndExitCodes:
