@@ -147,9 +147,8 @@ def _rewrite_from_bundle(
             )
         solution = [-left.get((-1, j), Fraction(0)) for j in range(len(basis_order))]
         # certify the rewrite: the residual must vanish in the quotient
-        linear = Polynomial.zero(n)
-        for coeff, idx in zip(solution, basis_order):
-            linear = linear + Polynomial.variable(n, idx) * coeff
+        units = (tuple(int(i == idx) for i in range(n)) for idx in basis_order)
+        linear = Polynomial(n, zip(units, solution))
         residual = normal_form(product - x * linear, bundle.gb)
         if not residual.is_zero:
             raise InputError("rewrite residual did not normal-form to zero")

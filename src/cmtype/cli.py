@@ -129,6 +129,8 @@ def _read_presentation(path: str, require_homogeneous: bool) -> tuple[str, RingP
             text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     pres = parse_presentation(text, require_homogeneous=require_homogeneous)
     for warning in pres.warnings:
         print(f"warning: {warning}", file=sys.stderr)

@@ -31,15 +31,9 @@ class BudgetError(CmtypeError):
 
 
 class LsopSearchError(BudgetError):
-    """No linear system of parameters was found within the retry schedule.
-
-    Carries the rendered candidate forms that were attempted, so a degenerate
-    input (or a too-small coefficient pool) can be diagnosed.
-    """
-
-    def __init__(self, message: str, attempted: tuple[str, ...]):
-        super().__init__(message)
-        self.attempted = attempted
+    """No linear system of parameters was found within the retry schedule:
+    some step of ``artinian_reduction`` spent its 20 candidate forms, and the
+    message names that stage, the attempts and the dimension left."""
 
 
 @dataclass(frozen=True)

@@ -113,9 +113,7 @@ def sum_of_squares(rank: int, nvars: int) -> RingPresentation:
     if not 1 <= rank <= nvars:
         raise InputError("quadric rank must be between 1 and the variable count")
     names = [f"x{i}" for i in range(nvars)]
-    form = Polynomial.zero(nvars)
-    for i in range(rank):
-        form = form + Polynomial.variable(nvars, i) ** 2
+    form = Polynomial(nvars, [(tuple(2 * (j == i) for j in range(nvars)), 1) for i in range(rank)])
     return make_presentation(names, [form])
 
 

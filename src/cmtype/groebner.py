@@ -34,6 +34,7 @@ from .poly import (
     Polynomial,
     VariableSet,
     _raw,
+    add_scaled,
     heap_key,
     integer_multiple,
     minimal_monomials,
@@ -75,14 +76,7 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     qf, qg = tuple(map(sub, lcm, mf)), tuple(map(sub, lcm, mg))
     d = math.gcd(cf, cg)
     a, b = cg // d, cf // d
-    terms = {tuple(map(add, m, qf)): a * c for m, c in tail_f}
-    for m, c in tail_g:
-        m = tuple(map(add, m, qg))
-        if v := terms.get(m, 0) - b * c:
-            terms[m] = v
-        else:
-            del terms[m]
-    return _raw(f.nvars, terms)
+    return _raw(f.nvars, add_scaled(add_scaled({}, tail_f, a, qf), tail_g, -b, qg))
 
 
 def normal_form(p: Polynomial, basis) -> Polynomial:
@@ -128,6 +122,7 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
             for t in work:
                 work[t] *= a
             scale /= a
+        # inline, not add_scaled: a monomial new to work goes onto the heap
         for t, d in tail:
             t = tuple(map(add, t, q))
             v = work.get(t)
@@ -146,7 +141,7 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
 
 
 def buchberger(
-    pres: RingPresentation, *, budgets: Budgets = DEFAULT_BUDGETS, prefix=(0, (1,))
+    pres: RingPresentation, *, budgets: Budgets = DEFAULT_BUDGETS, numerator: Sequence[int] | None = None
 ) -> GroebnerBasis:
     """Reduced degrevlex Groebner basis of the ideal; it depends on the ideal
     only, not on how its generators are listed or scaled.
@@ -159,12 +154,11 @@ def buchberger(
     lcms; pruned pairs stay in the heap and are skipped when popped.
 
     Homogeneous input discards the pairs that provably reduce to zero
-    (Traverso 1996).  ``prefix = (k, N)`` says the first k generators span J
-    with HS(S/J) >=_lex N(t)/(1-t)^n (default: J = 0, where they are equal);
-    the argument below needs no more than this lex lower bound.  With
-    g_{k+1}..g_r of degrees d_j, HS(S/I) >=_lex B = N(t)/(1-t)^n *
-    prod_j (1 - t^{d_j}) (Froeberg 1985), by induction from HS(S/J) >=_lex
-    B_k: HS_j = (1 - t^{d_j}) HS_{j-1} + t^{d_j}
+    (Traverso 1996), reading a lex lower bound B = N(t)/(1-t)^n on HS(S/I).
+    A given ``numerator`` is N, which the caller vouches for.  By default N
+    is prod_j (1 - t^{d_j}) over the generators g_1..g_r of degrees d_j
+    (Froeberg 1985), by induction from J_0 = 0, where the bound is equal:
+    with J_j = (g_1..g_j), HS_j = (1 - t^{d_j}) HS_{j-1} + t^{d_j}
     HS((J_{j-1} : g_j)/J_{j-1}), where (1 - t^{d_j}) keeps the sign of the
     first nonzero coefficient of HS_{j-1} - B_{j-1} and the added term is
     >= 0.  Pops come in degree order and G lies in I, so in(G) has at least
@@ -174,9 +168,9 @@ def buchberger(
     remaining pair of degree d reduces to zero.  Each new element of degree d
     takes one standard monomial away, so a degree is counted once.  The rule
     stops at the first completed degree that misses B, or where B < 0.
-    B(d) is ``hilbert_coefficient`` of the numerator N(t) * prod_j (1 - t^{d_j})
-    truncated at ``budgets.degree``, as a pair above that degree raises
-    first, or at ``MAX_BOUND_DEGREE``, where the rule stops.
+    B(d) is ``hilbert_coefficient`` of N truncated at ``budgets.degree``, as
+    a pair above that degree raises first, or at ``MAX_BOUND_DEGREE``, where
+    the rule stops.
     Discarded pairs count against ``budgets.pairs``, and the reduced basis
     is unique, so the result does not change.
     """
@@ -210,8 +204,10 @@ def buchberger(
     for f in gens:
         update(f)
 
-    k, numerator = prefix
-    degrees = [g.degree() for g in gens[k:]]
+    if numerator is None:
+        numerator, degrees = (1,), [g.degree() for g in gens]
+    else:
+        degrees = []
     top = min(budgets.degree, MAX_BOUND_DEGREE)
     bound = numerator_product(numerator, degrees, top) if pres.homogeneous else None
     # the last degree counted, its standard monomials then, and their excess over B now

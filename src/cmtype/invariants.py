@@ -43,13 +43,14 @@ from .groebner import (
 from .poly import (
     Monomial,
     Polynomial,
+    add_scaled,
     minimal_monomials,
     monomial_degree,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
 )
-from .presentation import RingPresentation, render_polynomial
+from .presentation import RingPresentation
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +220,8 @@ class Quotient:
     def image(self, terms: dict) -> dict:
         out: dict = {}
         for m, c in terms.items():
-            for t, x in self.form(m).items():
-                out[t] = out.get(t, 0) + c * x
-        return {t: c for t, c in out.items() if c}
+            add_scaled(out, self.form(m), c)
+        return out
 
     def kernel_dim(self, d: int, monomials: Sequence[Monomial]) -> int:
         """dim_k of the kernel of R_d -> R_{d+1}^k, b |-> (b*m)_m, for k
@@ -285,7 +285,7 @@ def artinian_reduction(
     holds the fast path's basis, so an ideal is never computed twice.
     Either way the result is exact, not probabilistic.  Every trial basis
     is computed in the variables its forms leave, from the projected
-    generators of I, with the ring's numerator as ``buchberger``'s prefix:
+    generators of I, with the ring's numerator as ``buchberger``'s bound:
     by Froeberg's inequality HS(S/(I + L)) >=_lex HS(S/I) (1-t)^k, which is
     N(t)/(1-t)^(n-k), a lex lower bound for HS(S'/I').
     """
@@ -296,7 +296,7 @@ def artinian_reduction(
         if forms not in bases:
             variables, projected = eliminate_linear_forms(minimal.variables, forms, minimal.generators)
             trial_pres = RingPresentation(variables, projected)
-            trial_gb = buchberger(trial_pres, budgets=budgets, prefix=(len(projected), numerator))
+            trial_gb = buchberger(trial_pres, budgets=budgets, numerator=numerator)
             bases[forms] = trial_gb, hilbert_series_from_gb(trial_gb)
         return bases[forms]
 
@@ -329,19 +329,15 @@ def _candidates(rng: random.Random, nvars: int):
 def _sequential_search(minimal: RingPresentation, dim: int, seed: int, basis_of) -> tuple[Polynomial, ...]:
     """Accept, step by step, the first candidate that drops the dimension by one."""
     rng = random.Random(seed)
-    names = tuple(minimal.variables)
     chosen: list[Polynomial] = []
-    attempted: list[str] = []
     for step in range(dim):
         for form in _candidates(rng, minimal.nvars):
-            attempted.append(render_polynomial(form, names))
             if basis_of((*chosen, form))[1].dim == dim - step - 1:
                 chosen.append(form)
                 break
         else:
             raise LsopSearchError(
-                f"no linear parameter found after 20 attempts (dim {dim - step})",
-                tuple(attempted),
+                f"artinian_reduction: no linear parameter found after 20 attempts (dim {dim - step})"
             )
     return tuple(chosen)
 

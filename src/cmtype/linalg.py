@@ -12,6 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .poly import add_scaled
+
+
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form (copy) and the list of pivot columns."""
     mat = [[Fraction(x) for x in row] for row in rows]
@@ -66,13 +69,7 @@ class Echelon:
         empty exactly when vec lies in the span of the rows."""
         v = dict(vec)
         while v and (row := self.rows.get(pivot := max(v))) is not None:
-            f = v[pivot]
-            for k, x in row.items():
-                c = v.get(k, 0) - f * x
-                if c:
-                    v[k] = c
-                else:
-                    del v[k]
+            add_scaled(v, row, -v[pivot])
         return v
 
     def add(self, vec: dict) -> bool:

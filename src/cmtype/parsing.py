@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InhomogeneousError, ParseError
-from .poly import Polynomial, VariableSet, monomial_mul, unit_monomial
+from .poly import Polynomial, VariableSet, add_scaled, unit_monomial
 from .presentation import RingPresentation
 
 _TOKEN_RE = re.compile(
@@ -147,12 +147,7 @@ class _PolyParser:
         while self.stream.at_op("+") or self.stream.at_op("-"):
             tok = self.stream.next()
             term = self.parse_term()
-            sign = 1 if tok.value == "+" else -1
-            for m, c in term.items():
-                if v := result.get(m, 0) + sign * c:
-                    result[m] = v
-                else:
-                    del result[m]
+            add_scaled(result, term, 1 if tok.value == "+" else -1)
             self.checked(result, term, tok)
         return result
 
@@ -185,13 +180,8 @@ class _PolyParser:
             message = f"expanding the input needs more than {MAX_TERM_PRODUCTS} term products"
             raise ParseError(message, tok.line, tok.column)
         out: dict = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = monomial_mul(m1, m2)
-                if v := out.get(m, 0) + c1 * c2:
-                    out[m] = v
-                else:
-                    del out[m]
+        for m, c in a.items():
+            add_scaled(out, b, c, m)
         return self.checked(out, out, tok)
 
     def checked(self, terms: dict, monomials, tok: Token) -> dict:

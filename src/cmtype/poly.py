@@ -7,7 +7,11 @@ integer multiples (:func:`integer_multiple`, :meth:`Polynomial.reducer`)
 whose rational scale is tracked exactly, so every remainder is again a
 Fraction polynomial.  A monomial is a plain exponent tuple, one entry per
 variable, and the position of a variable in its :class:`VariableSet` fixes
-its significance in degrevlex (earlier = more significant).  :func:`minors`
+its significance in degrevlex (earlier = more significant).
+:func:`add_scaled` is the one sparse accumulate: every sum of term maps in
+the package, from polynomial arithmetic to the parser, the S-polynomial,
+quotient images and echelon residuals, goes through it, except the two
+innermost loops of division and of :func:`minors`.  :func:`minors`
 is the one determinant routine: the Jacobian minors of the singular locus,
 expanded modulo the ideal as exterior products of their rows, and the 2x2
 minors of the determinantal families both come from it.
@@ -253,20 +257,17 @@ class Polynomial:
         if self.nvars != other.nvars:
             raise InputError("polynomials are over different variable sets")
 
-    def __add__(self, other) -> "Polynomial":
+    def _plus(self, other, c: int) -> "Polynomial":
+        """self + c * other, for a Polynomial or rational constant other."""
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.nvars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        data = dict(self.terms)
-        for m, c in other.terms.items():
-            s = data.get(m, Fraction(0)) + c
-            if s:
-                data[m] = s
-            else:
-                data.pop(m, None)
-        return _raw(self.nvars, data)
+        return _raw(self.nvars, add_scaled(dict(self.terms), other.terms, c))
+
+    def __add__(self, other) -> "Polynomial":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -274,11 +275,7 @@ class Polynomial:
         return _raw(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.nvars, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
@@ -293,14 +290,8 @@ class Polynomial:
             return NotImplemented
         self._check_compatible(other)
         data: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                s = data.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    data[m] = s
-                else:
-                    data.pop(m, None)
+        for m, c in self.terms.items():
+            add_scaled(data, other.terms, c, m)
         return _raw(self.nvars, data)
 
     __rmul__ = __mul__
@@ -415,6 +406,22 @@ def polynomial_from_descending(nvars: int, data: dict) -> Polynomial:
     return p
 
 
+def add_scaled(out: dict, terms, c=1, shift: Monomial | None = None) -> dict:
+    """``out += c * x^shift * terms`` in place, deleting every key whose
+    coefficient cancels; returns ``out``.  ``terms`` is a term map or the
+    ``(monomial, coefficient)`` pairs of a :meth:`Polynomial.reducer` tail.
+    ``c`` and the coefficients of ``terms`` are nonzero, so only a key that
+    ``out`` already holds can cancel."""
+    for m, x in terms.items() if isinstance(terms, dict) else terms:
+        if shift is not None:
+            m = tuple(map(add, m, shift))
+        if v := out.get(m, 0) + c * x:
+            out[m] = v
+        else:
+            del out[m]
+    return out
+
+
 def integer_multiple(terms: dict) -> tuple[Fraction, dict[Monomial, int]]:
     """``(scale, ints)`` with ``terms == scale * ints``, where ``ints`` has
     integer coefficients without common factor: the primitive integer multiple."""
@@ -459,11 +466,7 @@ def minors(
                     continue
                 out = result[(j,)] = {}
                 for m, c in entry.items():
-                    for t, x in form(m).items():
-                        if v := out.get(t, 0) + c * x:
-                            out[t] = v
-                        else:
-                            del out[t]
+                    add_scaled(out, form(m), c)
             return result
         rest = rows[1:]
         if rest not in below:
@@ -488,6 +491,7 @@ def minors(
                         if reduced is None:
                             reduced = products[pair] = form(monomial_mul(m1, m2))
                         c = c1 * c2
+                        # inline, not add_scaled: the innermost loop of a singular locus
                         for t, x in reduced.items():
                             if v := out.get(t, 0) + c * x:
                                 out[t] = v

@@ -680,7 +680,6 @@ def artinian_reduction_oracle(
         else:
             raise LsopSearchError(
                 f"no linear parameter found after 20 attempts (dim {series.dim})",
-                tuple(attempted),
             )
 
     if series.dim != 0:

@@ -273,6 +273,19 @@ class TestDeterminismAndExitCodes:
         code, out, err = run_cli(capsys, "analyze", "/nonexistent/path.ring")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [("analyze",), ("classify",), ("gb",), ("arrangement", "--reduction", "x + y")]
+    )
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path, argv):
+        # UnicodeDecodeError is a ValueError, which an OSError handler lets through
+        data = b"ring: x, y\nideal: x*y\xff\n"
+        path = tmp_path / "latin1.ring"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert f"cannot read {path}: not UTF-8 (invalid start byte at byte {data.index(0xFF)})" in err
+        assert "Traceback" not in err
+
     def test_budget_exit_3(self, capsys, tmp_path):
         path = write(
             tmp_path, "tc.ring", "ring: x, y, z\nideal: x*z - y^2, x^2 - y*z, x*y - z^2\n"

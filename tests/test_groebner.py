@@ -325,8 +325,9 @@ class TestHilbertDrivenDiscarding:
     @given(st.data())
     def test_lex_bound_holds_and_bases_match_the_oracle(self, data):
         # r > n, duplicate, scaled and combined generators and linear forms
-        # all come from generator_sets; the series of the first k generators
-        # is the prefix, as the artinian reduction passes the ring's own
+        # all come from generator_sets; the bound composes the series of the
+        # first k generators with the Froeberg factors of the rest, as the
+        # artinian reduction passes the ring's own series for its generators
         nvars, gens = data.draw(generator_sets())
         k = data.draw(st.integers(0, len(gens)))
         names = [f"x{i}" for i in range(nvars)]
@@ -341,7 +342,8 @@ class TestHilbertDrivenDiscarding:
         assert series >= bound  # list order is the lex order
         pres = make_presentation(names, gens)
         expected = buchberger_oracle(pres).elements
-        assert buchberger(pres, prefix=(k, numerator)).elements == expected
+        composed = groebner.numerator_product(numerator, degrees, len(numerator) + sum(degrees))
+        assert buchberger(pres, numerator=composed).elements == expected
 
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(st.data())
@@ -359,7 +361,7 @@ class TestHilbertDrivenDiscarding:
         for i, c in enumerate(tail):
             numerator[d + i] -= c
             numerator[d + i + 1] += 2 * c
-        assert buchberger(pres, prefix=(len(gens), numerator)).elements == expected
+        assert buchberger(pres, numerator=numerator).elements == expected
 
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(st.data())

@@ -1,14 +1,17 @@
 """Polynomial arithmetic, the degrevlex term order, and their contracts."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmtype import InputError, Polynomial
 from cmtype.poly import (
     VariableSet,
+    add_scaled,
     heap_key,
     minimal_monomials,
     minors,
@@ -106,6 +109,40 @@ class TestArithmetic:
         x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         assert (x + y) ** 2 == x**2 + 2 * x * y + y**2
         assert (x + y) ** 0 == Polynomial.one(2)
+
+
+class TestAddScaled:
+    def test_a_cancelled_key_is_removed(self):
+        out = {xy: 2, z2: Fraction(1, 2)}
+        assert add_scaled(out, {xy: 1, yz: 3}, -2) is out
+        assert out == {z2: Fraction(1, 2), yz: -6}
+
+    def test_shift_multiplies_by_the_monomial(self):
+        assert add_scaled({}, {xy: 3, z2: 1}, 2, (0, 0, 1)) == {(1, 1, 1): 6, (0, 0, 3): 2}
+
+    def test_reducer_tail_pairs(self):
+        # 2x^2 - 4yz + 6z^2 divides as x^2 - 2yz + 3z^2; y * tail cancels y^2 z
+        lm, lc, tail = P(3, (x2, 2), (yz, -4), (z2, 6)).reducer()
+        assert (lm, lc, tail) == (x2, 1, ((yz, -2), (z2, 3)))
+        assert add_scaled({(0, 2, 1): 2}, tail, 1, (0, 1, 0)) == {(0, 1, 2): 3}
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_matches_a_counter_sum(self, data):
+        monomials = st.tuples(st.integers(0, 2), st.integers(0, 2))
+        coefficients = st.one_of(
+            st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3)
+        ).filter(bool)
+        out = data.draw(st.dictionaries(monomials, coefficients))
+        terms = data.draw(st.dictionaries(monomials, coefficients))
+        c = data.draw(coefficients)
+        shift = data.draw(st.none() | monomials)
+        expected = Counter(out)
+        for m, x in terms.items():
+            expected[m if shift is None else monomial_mul(m, shift)] += c * x
+        if data.draw(st.booleans()):
+            terms = tuple(terms.items())  # the pairs of a reducer tail
+        assert add_scaled(dict(out), terms, c, shift) == {m: v for m, v in expected.items() if v}
 
 
 class TestStructuralOps:

@@ -1,11 +1,13 @@
 """Static checks on the library source."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "cmtype"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "cmtype"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -26,3 +28,38 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported_names(tree) - used == set()
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """The module's top-level functions, classes and assigned names, dunders aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
+@functools.cache
+def referenced_names() -> frozenset[str]:
+    """Every name read, attribute taken or import alias under src, tests, demos and bench."""
+    names = set()
+    for folder in ("src", "tests", "demos", "bench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rpartition(".")[2])
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_top_level_name_is_referenced(path):
+    # a helper, class or constant that a refactor leaves behind, read nowhere
+    assert defined_names(ast.parse(path.read_text())) - referenced_names() == set()
