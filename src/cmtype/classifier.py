@@ -64,16 +64,18 @@ class ObstructionData:
     f_columns: dict[int, tuple[Fraction, Fraction, Fraction]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ClassificationReport:
-    verdict: Verdict
+    """A verdict with its evidence; the field order is the report's key order."""
+
     invariants: RingInvariants | None
     singularity: SingularityReport | None
-    justification: tuple[Justification, ...]
-    assumptions_used: tuple[str, ...]
     family: FamilyTag | None = None
     obstruction: ObstructionData | None = None
+    verdict: Verdict
     reason: str | None = None
+    justification: tuple[Justification, ...]
+    assumptions_used: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +343,9 @@ def _classify_dim1(ctx: _Context) -> ClassificationReport:
 
     if len(h) >= 3:
         return ctx.report(Verdict.UNCOUNTABLE, "dim1-possible-h")
-    # h = (1) or (1,1) cannot occur for a non-hypersurface CM curve; stay honest
-    return ctx.report(
-        Verdict.OPEN_UNKNOWN, "dim1-possible-h", reason="unexpected h-vector shape"
-    )
+    # h = (1) would make the ring regular; h = (1,1) would make I a height-1
+    # unmixed ideal of k[x,y], which is principal, so R would be a hypersurface
+    raise InputError(f"classify: impossible h-vector {h} for a non-hypersurface CM curve")
 
 
 def _classify_dim_ge2(ctx: _Context) -> ClassificationReport:

@@ -22,8 +22,9 @@ same two variables.
 
 Each report subcommand is a handler ``(ns, budgets) -> (source_text,
 sections)``, registered on its subparser as ``run``: ``source_text`` is what
-the input digest hashes and ``sections`` the report body, in output order.
-:func:`main` has one document path (build, finalize, render) for all of
+the input digest hashes and ``sections`` the report body, in output order,
+each section a result object written out by ``report.plain``.  :func:`main`
+has one document step (``report.finalize_document``, then render) for all of
 them; ``generate`` alone writes a presentation instead of a report.  The
 parser is built once, at import, so a process that calls :func:`main`
 repeatedly pays for it once.
@@ -42,19 +43,8 @@ from .families import catalog_presentation
 from .groebner import buchberger
 from .invariants import analyze
 from .parsing import parse_polynomial, parse_presentation
-from .presentation import RingPresentation, render_polynomial, render_presentation
-from .report import (
-    build_document,
-    classification_sections,
-    digest_text,
-    dr_section,
-    finalize_document,
-    invariants_section,
-    reduction_section,
-    render_json,
-    render_text,
-    singularity_section,
-)
+from .presentation import RingPresentation, render_presentation
+from .report import finalize_document, plain, render_json, render_text
 from .singularity import singular_locus
 
 
@@ -142,13 +132,13 @@ def _run_analyze(ns: argparse.Namespace, budgets: Budgets) -> tuple[str, dict]:
     bundle = analyze(pres, seed=ns.seed, budgets=budgets)
     names = tuple(bundle.presentation.variables)
     sections = {
-        "invariants": invariants_section(bundle.invariants),
-        "artinian_reduction": reduction_section(bundle.reduction, names),
+        "invariants": plain(bundle.invariants),
+        "artinian_reduction": plain(bundle.reduction, names),
     }
     # the invariants are done; a singular locus over budget degrades
     # to a null section with the reason instead of discarding them
     try:
-        sections["singularity"] = singularity_section(singular_locus(bundle, budgets=budgets))
+        sections["singularity"] = plain(singular_locus(bundle, budgets=budgets))
     except BudgetError as exc:
         sections["singularity"] = None
         sections["singularity_skipped"] = str(exc)
@@ -158,7 +148,7 @@ def _run_analyze(ns: argparse.Namespace, budgets: Budgets) -> tuple[str, dict]:
 def _run_classify(ns: argparse.Namespace, budgets: Budgets) -> tuple[str, dict]:
     text, pres = _read_presentation(ns.file, require_homogeneous=True)
     result = classify(pres, frozenset(ns.assume), seed=ns.seed, budgets=budgets)
-    return text, {"assumptions": sorted(ns.assume), **classification_sections(result)}
+    return text, {"assumptions": sorted(ns.assume), **plain(result)}
 
 
 def _run_semigroup(ns: argparse.Namespace, budgets: Budgets) -> tuple[str, dict]:
@@ -168,9 +158,9 @@ def _run_semigroup(ns: argparse.Namespace, budgets: Budgets) -> tuple[str, dict]
         raise InputError("semigroup generators must be integers") from None
     semigroup = semigroup_closure(gens)
     sections = {
-        "generators": list(semigroup.generators),
+        "generators": plain(semigroup.generators),
         "frobenius": semigroup.frobenius,
-        "report": dr_section(semigroup_dr(semigroup)),
+        "report": plain(semigroup_dr(semigroup)),
     }
     return "semigroup:" + ",".join(str(g) for g in semigroup.generators), sections
 
@@ -179,11 +169,7 @@ def _run_arrangement(ns: argparse.Namespace, budgets: Budgets) -> tuple[str, dic
     text, pres = _read_presentation(ns.file, require_homogeneous=False)
     arrangement = line_arrangement(pres.generators, parse_polynomial(ns.reduction, pres.variables))
     names = tuple(pres.variables)
-    sections = {
-        "lines": [render_polynomial(l, names) for l in arrangement.lines],
-        "reduction": render_polynomial(arrangement.reduction, names),
-        "report": dr_section(arrangement_dr(arrangement)),
-    }
+    sections = {**plain(arrangement, names), "report": plain(arrangement_dr(arrangement))}
     return text + "\nreduction:" + ns.reduction, sections
 
 
@@ -191,7 +177,7 @@ def _run_gb(ns: argparse.Namespace, budgets: Budgets) -> tuple[str, dict]:
     text, pres = _read_presentation(ns.file, require_homogeneous=False)
     basis = buchberger(pres, budgets=budgets)
     names = tuple(pres.variables)
-    return text, {"order": basis.order, "basis": [render_polynomial(g, names) for g in basis.elements]}
+    return text, {"order": basis.order, "basis": plain(basis.elements, names)}
 
 
 PARSER = build_parser()
@@ -207,8 +193,9 @@ def main(argv=None) -> int:
             sys.stdout.write(render_presentation(catalog_presentation(ns.family, ns.args)))
             return 0
         source_text, sections = ns.run(ns, budgets)
-        doc = build_document(ns.subcommand, digest_text(source_text), sections)
-        finalize_document(doc, (time.perf_counter() - started) * 1000.0)
+        doc = finalize_document(
+            ns.subcommand, source_text, sections, (time.perf_counter() - started) * 1000.0
+        )
         sys.stdout.write(render_json(doc) if ns.json else render_text(doc))
         return 0
     except InputError as exc:

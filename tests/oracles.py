@@ -80,7 +80,7 @@ from cmtype.poly import (
     monomial_mul,
     monomials_of_degree,
 )
-from cmtype.presentation import RingPresentation, render_polynomial
+from cmtype.presentation import RingPresentation
 from cmtype.singularity import SingularityReport
 
 
@@ -657,11 +657,9 @@ def artinian_reduction_oracle(
     """
     nvars = minimal.nvars
     rng = random.Random(seed)
-    names = tuple(minimal.variables)
 
     current = list(minimal.generators)
     chosen: list[Polynomial] = []
-    attempted: list[str] = []
     for _ in range(series.dim):
         for attempt in range(20):
             bound = 1 + attempt
@@ -669,7 +667,6 @@ def artinian_reduction_oracle(
             if not any(coeffs):
                 continue
             form = Polynomial(nvars, [(m, c) for m, c in zip(_unit_vectors(nvars), coeffs) if c])
-            attempted.append(render_polynomial(form, names))
             trial = current + [form]
             trial_gb = buchberger(RingPresentation(minimal.variables, tuple(trial)), budgets=budgets)
             trial_series = hilbert_series_from_gb(trial_gb)

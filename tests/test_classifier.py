@@ -1,5 +1,6 @@
 """Verdict rules, citations, rewrite certificates, and report determinism."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -126,6 +127,19 @@ class TestDimensionOneNonHypersurfaces:
         report = classify_text("ring: x,y,z ; ideal: x^2, x*y, y^3")
         assert report.verdict is Verdict.UNCOUNTABLE
         assert "Cor 3.5" in citations_of(report)
+
+    @pytest.mark.parametrize("hvector", [(1,), (1, 1)])
+    def test_impossible_curve_hvector_raises(self, monkeypatch, hvector):
+        # a non-hypersurface CM curve has h_1 >= 2: h = (1) is a regular ring and
+        # h = (1,1) a principal ideal, so no input reaches this guard unforged
+        pres = parse_presentation("ring: x, y, z ; ideal: x*y, y*z, z^2")
+        bundle = analyze(pres)
+        forged = dataclasses.replace(
+            bundle, invariants=dataclasses.replace(bundle.invariants, hvector=hvector)
+        )
+        monkeypatch.setattr(classifier_module, "analyze", lambda *args, **kwargs: forged)
+        with pytest.raises(InputError, match=r"^classify: "):
+            classify(pres)
 
 
 class TestDimensionTwoAndUp:

@@ -465,6 +465,73 @@ class TestDeterminismAndExitCodes:
             assert "warning: generator 1 is zero" in err
 
 
+HEADER = ["tool_version", "command", "input_digest"]
+FOOTER = ["canonical_digest", "timings"]
+CLASSIFY_KEYS = [
+    "assumptions", "invariants", "singularity", "family", "obstruction", "verdict", "reason",
+    "justification", "assumptions_used",
+]
+
+
+class TestPinnedDigests:
+    """Report shapes that bench/pins.json never reaches, pinned by their
+    canonical digest and top-level key order: an obstruction with rational
+    entries, a null invariants section, a skipped singular locus, the two
+    Drozd-Roiter commands and a rational Groebner basis."""
+
+    @pytest.mark.parametrize(
+        "argv, text, keys, digest",
+        [
+            (
+                ("classify",),
+                "ring: x, u, v, w\nideal: u*v, u*w, v*w, 2*u^2 - x*u, 3*v^2 - x*v, w^2 - x*w\n",
+                CLASSIFY_KEYS,
+                "sha256:eb609f12e93a3120f72ac08f540f0390c5b16a63d5dff12755c8c22c064730d6",
+            ),
+            (
+                ("classify", "--budget-pairs", "0"),
+                "ring: x, y, z\nideal: x*y, y*z, z^2\n",
+                CLASSIFY_KEYS,
+                "sha256:7e837af2c1703007abb021f314c3db22971e83b81e1f048ccb42c0b44188a02d",
+            ),
+            (
+                ("analyze",),
+                ("generate", "scroll", "1,1,1,2"),
+                ["invariants", "artinian_reduction", "singularity", "singularity_skipped"],
+                "sha256:8cb39e9f13f6a02d5757ffeadca9560aaa62e51ef4964dc4d6ec068bb8e2cd80",
+            ),
+            (
+                ("semigroup", "3,7"),
+                None,
+                ["generators", "frobenius", "report"],
+                "sha256:53e1137bfcfa8261300232e09a2ea6de86267fb5985558c18e669adbf2e4d0f5",
+            ),
+            (
+                ("arrangement", "--reduction", "x + 3*y"),
+                "ring: x, y\nideal: x, y, x + y\n",
+                ["lines", "reduction", "report"],
+                "sha256:2ba2227e0eafbfba56010ac4344be0fcc84755a159fbc0879eebfdfcf056a6cd",
+            ),
+            (
+                ("gb",),
+                "ring: x, y, z\nideal: 1/2*x^2 - 3/4*y*z, x*y\n",
+                ["order", "basis"],
+                "sha256:769e39e961b632268b50d8f27c6a69436379ad677d7c64ece2ff6dfdd5e3dba8",
+            ),
+        ],
+        ids=["obstruction", "null-invariants", "singularity-skipped", "semigroup", "arrangement", "rational-gb"],
+    )
+    def test_digest_and_key_order(self, capsys, tmp_path, argv, text, keys, digest):
+        if isinstance(text, tuple):
+            code, text, err = run_cli(capsys, *text)
+            assert code == 0, err
+        if text is not None:
+            argv = (argv[0], write(tmp_path, "pinned.ring", text), *argv[1:])
+        doc = run_json(capsys, *argv)
+        assert list(doc) == HEADER + keys + FOOTER
+        assert doc["canonical_digest"] == digest
+
+
 # Text fragments for the fuzzed CLI: presentation keywords, names (known and
 # unknown), operators, numbers and a few characters the tokenizer rejects.
 FRAGMENTS = (
