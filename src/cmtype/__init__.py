@@ -8,9 +8,9 @@ classifies its graded Cohen-Macaulay representation type with citations.
 
 __version__ = "0.1.0"
 
+from .citations import Justification
 from .classifier import (
     ClassificationReport,
-    Justification,
     ObstructionData,
     Verdict,
     classify,

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import linalg
-from .citations import CITATIONS
+from .citations import CITATIONS, Justification
 from .errors import BudgetError, Budgets, DEFAULT_BUDGETS, InputError
 from .families import FamilyTag, binary_form_profile, match_named_family, quadric_rank
 from .invariants import Analysis, RingInvariants, analyze
@@ -31,19 +31,6 @@ class Verdict(str, Enum):
     UNCOUNTABLE = "uncountable"
     OPEN_UNKNOWN = "open_unknown"
     OUT_OF_SCOPE = "out_of_scope"
-
-
-@dataclass(frozen=True)
-class Justification:
-    rule: str
-    citation: str
-    quote: str
-
-
-def _justify(rules: tuple[str, ...]) -> tuple[Justification, ...]:
-    return tuple(
-        Justification(rule, CITATIONS[rule].label, CITATIONS[rule].quote) for rule in rules
-    )
 
 
 @dataclass(frozen=True)
@@ -69,13 +56,13 @@ class ClassificationReport:
     """A verdict with its evidence; the field order is the report's key order."""
 
     invariants: RingInvariants | None
-    singularity: SingularityReport | None
+    singularity: SingularityReport | None = None
     family: FamilyTag | None = None
     obstruction: ObstructionData | None = None
     verdict: Verdict
     reason: str | None = None
     justification: tuple[Justification, ...]
-    assumptions_used: tuple[str, ...]
+    assumptions_used: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -210,37 +197,16 @@ def _best_effort_obstruction(bundle: Analysis) -> ObstructionData | None:
 # the classifier
 
 
-class _Context:
-    """Mutable scratch state shared by the rule handlers of one classify run."""
-
-    def __init__(self, bundle: Analysis, assumptions: frozenset[str], budgets: Budgets):
-        self.bundle = bundle
-        self.assumptions = assumptions
-        self.budgets = budgets
-        self.used: list[str] = []
-        self.singularity: SingularityReport | None = None
-        self.family: FamilyTag | None = None
-        self.obstruction: ObstructionData | None = None
-
-    def get_singularity(self) -> SingularityReport:
-        if self.singularity is None:
-            self.singularity = singular_locus(self.bundle, budgets=self.budgets)
-        return self.singularity
-
-    def report(
-        self, verdict: Verdict, *rules: str, reason: str | None = None
-    ) -> ClassificationReport:
-        inv = self.bundle.invariants
-        return ClassificationReport(
-            verdict=verdict,
-            invariants=inv,
-            singularity=self.singularity,
-            justification=_justify(rules),
-            assumptions_used=tuple(dict.fromkeys(self.used)),
-            family=self.family,
-            obstruction=self.obstruction,
-            reason=reason,
-        )
+def _report(
+    invariants: RingInvariants | None, verdict: Verdict, *rules: str, **evidence
+) -> ClassificationReport:
+    """The verdict with the citation of each rule it rests on and the evidence it read."""
+    return ClassificationReport(
+        invariants=invariants,
+        verdict=verdict,
+        justification=tuple(CITATIONS[rule] for rule in rules),
+        **evidence,
+    )
 
 
 def classify(
@@ -253,150 +219,139 @@ def classify(
     """Classify the graded Cohen-Macaulay representation type of R = S/I.
 
     Budget exhaustion is reported, not raised: the verdict degrades to
-    out_of_scope with the budget failure as the reason.
+    out_of_scope with the budget failure as the reason.  The invariants stay
+    in the report when analyze finished and only the decision ran out of
+    budget.
     """
+    bundle = None
     try:
         bundle = analyze(pres, seed=seed, budgets=budgets)
+        inv = bundle.invariants
+        if inv.is_regular:
+            return _report(inv, Verdict.FINITE, "regular-ring")
+
+        if not inv.is_cm:
+            reason = "the ring is not Cohen-Macaulay"
+            return _report(inv, Verdict.OUT_OF_SCOPE, "non-cm-input", reason=reason)
+
+        if inv.dim == 0:
+            if inv.is_hypersurface:
+                return _report(inv, Verdict.FINITE, "dim0-hypersurface")
+            return _report(inv, Verdict.UNCOUNTABLE, "dim0-hypersurface", "dim0-obstruction")
+
+        if inv.dim == 1:
+            return _classify_dim1(bundle, frozenset(assumptions))
+        return _classify_dim_ge2(bundle, budgets)
     except BudgetError as exc:
-        return ClassificationReport(
-            verdict=Verdict.OUT_OF_SCOPE,
-            invariants=None,
-            singularity=None,
-            justification=_justify(("budget-exceeded",)),
-            assumptions_used=(),
-            reason=str(exc),
-        )
-    ctx = _Context(bundle, frozenset(assumptions), budgets)
+        inv = None if bundle is None else bundle.invariants
+        return _report(inv, Verdict.OUT_OF_SCOPE, "budget-exceeded", reason=str(exc))
+
+
+# Cor 3.4: a one-dimensional hypersurface by the root profile of its binary
+# form (tuple of root multiplicities); every profile not listed is uncountable.
+_BINARY_FORMS: dict[tuple[int, ...], tuple[Verdict, tuple[str, ...]]] = {
+    (1, 1): (Verdict.FINITE, ("dim1-two-lines", "dim1-hypersurface-list")),
+    (1, 1, 1): (Verdict.FINITE, ("dim1-three-lines", "dim1-hypersurface-list")),
+    (2,): (
+        Verdict.COUNTABLE_INFINITE,
+        ("dim1-a-infinity", "hypersurface-countable-iff", "completion-transfer"),
+    ),
+    (2, 1): (
+        Verdict.COUNTABLE_INFINITE,
+        ("dim1-d-infinity", "hypersurface-countable-iff", "completion-transfer"),
+    ),
+}
+_OTHER_BINARY_FORMS = (
+    Verdict.UNCOUNTABLE, ("dim1-hypersurface-list", "hypersurface-countable-iff")
+)
+
+# §5 list: a quadric hypersurface by its corank, embdim - rank; A_1 has corank
+# 0, A_infinity corank 1, and every larger corank is uncountable.
+_QUADRICS: dict[int, tuple[Verdict, tuple[str, ...]]] = {
+    0: (Verdict.FINITE, ("quadric-a1", "gorenstein-minmult")),
+    1: (
+        Verdict.COUNTABLE_INFINITE,
+        ("quadric-a-infinity", "hypersurface-countable-iff", "completion-transfer"),
+    ),
+}
+_OTHER_QUADRICS = (Verdict.UNCOUNTABLE, ("hypersurface-countable-iff", "quadric-a1"))
+
+
+def _classify_dim1(bundle: Analysis, assumptions: frozenset[str]) -> ClassificationReport:
     inv = bundle.invariants
 
-    if inv.is_regular:
-        return ctx.report(Verdict.FINITE, "regular-ring")
-
-    if not inv.is_cm:
-        return ctx.report(
-            Verdict.OUT_OF_SCOPE, "non-cm-input", reason="the ring is not Cohen-Macaulay"
-        )
-
-    if inv.dim == 0:
-        if inv.is_hypersurface:
-            return ctx.report(Verdict.FINITE, "dim0-hypersurface")
-        return ctx.report(Verdict.UNCOUNTABLE, "dim0-hypersurface", "dim0-obstruction")
-
-    try:
-        if inv.dim == 1:
-            return _classify_dim1(ctx)
-        return _classify_dim_ge2(ctx)
-    except BudgetError as exc:
-        return ctx.report(Verdict.OUT_OF_SCOPE, "budget-exceeded", reason=str(exc))
-
-
-def _classify_dim1(ctx: _Context) -> ClassificationReport:
-    inv = ctx.bundle.invariants
-
     if inv.is_hypersurface:
-        form = ctx.bundle.presentation.generators[0]
-        profile = binary_form_profile(form)
-        ctx.family = FamilyTag("binary_form", param=profile)
-        if profile == (1, 1):
-            return ctx.report(Verdict.FINITE, "dim1-two-lines", "dim1-hypersurface-list")
-        if profile == (1, 1, 1):
-            return ctx.report(Verdict.FINITE, "dim1-three-lines", "dim1-hypersurface-list")
-        if profile == (2,):
-            return ctx.report(
-                Verdict.COUNTABLE_INFINITE,
-                "dim1-a-infinity",
-                "hypersurface-countable-iff",
-                "completion-transfer",
-            )
-        if profile == (2, 1):
-            return ctx.report(
-                Verdict.COUNTABLE_INFINITE,
-                "dim1-d-infinity",
-                "hypersurface-countable-iff",
-                "completion-transfer",
-            )
-        return ctx.report(
-            Verdict.UNCOUNTABLE, "dim1-hypersurface-list", "hypersurface-countable-iff"
-        )
+        profile = binary_form_profile(bundle.presentation.generators[0])
+        verdict, rules = _BINARY_FORMS.get(profile, _OTHER_BINARY_FORMS)
+        return _report(inv, verdict, *rules, family=FamilyTag("binary_form", param=profile))
 
     h = inv.hvector
     if len(h) == 2 and h[1] >= 3:
-        ctx.obstruction = _best_effort_obstruction(ctx.bundle)
-        return ctx.report(Verdict.UNCOUNTABLE, "dim1-h13")
+        obstruction = _best_effort_obstruction(bundle)
+        return _report(inv, Verdict.UNCOUNTABLE, "dim1-h13", obstruction=obstruction)
 
     if len(h) == 2 and h[1] == 2:
-        ctx.family = match_named_family(ctx.bundle.presentation)
-        if ctx.family.kind == "gw12":
-            return ctx.report(
-                Verdict.COUNTABLE_INFINITE, "dim1-gw12", "completion-transfer"
+        family = match_named_family(bundle.presentation)
+        if family.kind == "gw12":
+            return _report(
+                inv, Verdict.COUNTABLE_INFINITE, "dim1-gw12", "completion-transfer", family=family
             )
-        if ctx.family.kind == "graded12":
-            return ctx.report(Verdict.FINITE, "dim1-graded12")
-        if "reduced" in ctx.assumptions:
-            ctx.used.append("reduced_asserted")
-        return ctx.report(
+        if family.kind == "graded12":
+            return _report(inv, Verdict.FINITE, "dim1-graded12", family=family)
+        return _report(
+            inv,
             Verdict.OPEN_UNKNOWN,
             "dim1-12-open",
             "dr-unsupported",
+            family=family,
             reason="dr_unsupported",
+            assumptions_used=("reduced_asserted",) if "reduced" in assumptions else (),
         )
 
     if len(h) >= 3:
-        return ctx.report(Verdict.UNCOUNTABLE, "dim1-possible-h")
+        return _report(inv, Verdict.UNCOUNTABLE, "dim1-possible-h")
     # h = (1) would make the ring regular; h = (1,1) would make I a height-1
     # unmixed ideal of k[x,y], which is principal, so R would be a hypersurface
     raise InputError(f"classify: impossible h-vector {h} for a non-hypersurface CM curve")
 
 
-def _classify_dim_ge2(ctx: _Context) -> ClassificationReport:
-    inv = ctx.bundle.invariants
+def _classify_dim_ge2(bundle: Analysis, budgets: Budgets) -> ClassificationReport:
+    inv = bundle.invariants
 
     if inv.is_gorenstein:
-        if inv.is_hypersurface:
-            form = ctx.bundle.presentation.generators[0]
-            if form.degree() == 2:
-                rank = quadric_rank(form)
-                n = inv.embdim
-                ctx.family = FamilyTag("quadric", param=(rank, n))
-                if rank == n:
-                    return ctx.report(Verdict.FINITE, "quadric-a1", "gorenstein-minmult")
-                if rank == n - 1:
-                    return ctx.report(
-                        Verdict.COUNTABLE_INFINITE,
-                        "quadric-a-infinity",
-                        "hypersurface-countable-iff",
-                        "completion-transfer",
-                    )
-                return ctx.report(
-                    Verdict.UNCOUNTABLE, "hypersurface-countable-iff", "quadric-a1"
-                )
-            return ctx.report(Verdict.UNCOUNTABLE, "hypersurface-countable-iff")
-        return ctx.report(Verdict.OPEN_UNKNOWN, "gorenstein-open")
+        if not inv.is_hypersurface:
+            return _report(inv, Verdict.OPEN_UNKNOWN, "gorenstein-open")
+        form = bundle.presentation.generators[0]
+        if form.degree() != 2:
+            return _report(inv, Verdict.UNCOUNTABLE, "hypersurface-countable-iff")
+        rank = quadric_rank(form)
+        verdict, rules = _QUADRICS.get(inv.embdim - rank, _OTHER_QUADRICS)
+        family = FamilyTag("quadric", param=(rank, inv.embdim))
+        return _report(inv, verdict, *rules, family=family)
 
     # non-Gorenstein, dim >= 2
     if not inv.is_min_mult:
         if inv.dim >= 3:
-            return ctx.report(Verdict.UNCOUNTABLE, "dim3-domain-minmult")
-        sing = ctx.get_singularity()
-        ctx.used.append("equidimensional_assumed")
+            return _report(inv, Verdict.UNCOUNTABLE, "dim3-domain-minmult")
+        sing = singular_locus(bundle, budgets=budgets)
+        evidence = {"singularity": sing, "assumptions_used": ("equidimensional_assumed",)}
         if sing.isolated:
-            return ctx.report(Verdict.UNCOUNTABLE, "dim2-isolated-minmult")
-        return ctx.report(Verdict.OPEN_UNKNOWN, "dim2-nonisolated-open")
+            return _report(inv, Verdict.UNCOUNTABLE, "dim2-isolated-minmult", **evidence)
+        return _report(inv, Verdict.OPEN_UNKNOWN, "dim2-nonisolated-open", **evidence)
 
-    ctx.family = match_named_family(ctx.bundle.presentation)
-    tag = ctx.family
+    tag = match_named_family(bundle.presentation)
     if tag.kind == "scroll":
         if len(tag.param) == 1:
-            return ctx.report(Verdict.FINITE, "scroll-2dim-finite")
+            return _report(inv, Verdict.FINITE, "scroll-2dim-finite", family=tag)
         if tag.param == (1, 2):
-            return ctx.report(Verdict.FINITE, "dim3-special-finite")
-        return ctx.report(Verdict.UNCOUNTABLE, "scroll-uncountable")
+            return _report(inv, Verdict.FINITE, "dim3-special-finite", family=tag)
+        return _report(inv, Verdict.UNCOUNTABLE, "scroll-uncountable", family=tag)
     if tag.kind == "veronese_cone":
         if tag.param == 5:
-            return ctx.report(Verdict.FINITE, "dim3-special-finite")
+            return _report(inv, Verdict.FINITE, "dim3-special-finite", family=tag)
         if tag.param == 6:
-            return ctx.report(Verdict.OPEN_UNKNOWN, "veronese-cone-open")
-        return ctx.report(Verdict.UNCOUNTABLE, "veronese-cone-big-singular")
-    return ctx.report(
-        Verdict.OPEN_UNKNOWN, "family-unmatched", reason="no_catalog_match"
+            return _report(inv, Verdict.OPEN_UNKNOWN, "veronese-cone-open", family=tag)
+        return _report(inv, Verdict.UNCOUNTABLE, "veronese-cone-big-singular", family=tag)
+    return _report(
+        inv, Verdict.OPEN_UNKNOWN, "family-unmatched", family=tag, reason="no_catalog_match"
     )

@@ -33,9 +33,9 @@ from .poly import Polynomial
 class NumericalSemigroup:
     """Additively closed subset of the naturals with finite complement.
 
-    The membership table covers 0 .. 2*(frobenius + max generator) + 1;
-    beyond the Frobenius number every integer is a member, so the table
-    window never cuts off information.
+    The membership table covers 0 .. a1*amax + 1 (least and greatest
+    generators), past Schur's bound (a1 - 1)(amax - 1) - 1 on the Frobenius
+    number; every larger integer is a member, so the window loses nothing.
     """
 
     generators: tuple[int, ...]
@@ -51,9 +51,8 @@ class NumericalSemigroup:
         return s > self.frobenius
 
 
-# Cap on the membership sieve, sized a1*amax + 1 before the Frobenius number
-# is known (the final table is at most twice that): 1000000,1000001 would
-# need 10^12 entries.
+# Cap on the membership sieve, sized a1*amax + 1: 1000000,1000001 would need
+# 10^12 entries.
 MAX_SIEVE_ENTRIES = 1_000_000
 
 
@@ -61,7 +60,7 @@ def semigroup_closure(gens: Sequence[int]) -> NumericalSemigroup:
     """Close the generators under addition; sieve membership and Frobenius.
 
     Zero generators are dropped; a negative one raises InputError.  Raises
-    BudgetError when the first sieve would exceed MAX_SIEVE_ENTRIES.
+    BudgetError when the sieve would exceed MAX_SIEVE_ENTRIES.
     """
     for g in gens:
         if int(g) < 0:
@@ -76,31 +75,23 @@ def semigroup_closure(gens: Sequence[int]) -> NumericalSemigroup:
         raise InputError(f"generators have gcd {g}; the semigroup ring is not of the supported form")
 
     a1, amax = cleaned[0], cleaned[-1]
-    rough_bound = a1 * amax + 1
-    if rough_bound > MAX_SIEVE_ENTRIES:
+    limit = a1 * amax + 1
+    if limit > MAX_SIEVE_ENTRIES:
         raise BudgetError(
-            f"semigroup_closure: the sieve needs {rough_bound} entries (cap {MAX_SIEVE_ENTRIES})"
+            f"semigroup_closure: the sieve needs {limit} entries (cap {MAX_SIEVE_ENTRIES})"
         )
-
-    def sieve(limit: int) -> list[bool]:
-        table = [False] * (limit + 1)
-        table[0] = True
-        for s in range(1, limit + 1):
-            for a in cleaned:
-                if s >= a and table[s - a]:
-                    table[s] = True
-                    break
-        return table
-
-    rough = sieve(rough_bound)
-    non_members = [s for s, ok in enumerate(rough) if not ok]
-    frobenius = max(non_members) if non_members else -1
-    limit = max(2 * (frobenius + amax) + 1, 1)
-    table = sieve(limit) if limit != rough_bound else rough
+    table = [False] * (limit + 1)
+    table[0] = True
+    for s in range(1, limit + 1):
+        for a in cleaned:
+            if s >= a and table[s - a]:
+                table[s] = True
+                break
+    non_members = [s for s, ok in enumerate(table) if not ok]
     return NumericalSemigroup(
         generators=tuple(cleaned),
         membership=tuple(table),
-        frobenius=frobenius,
+        frobenius=max(non_members, default=-1),
         multiplicity=a1,
     )
 

@@ -49,10 +49,6 @@ class ScrollType:
     def nvars(self) -> int:
         return sum(self.a) + len(self.a)
 
-    @property
-    def dim(self) -> int:
-        return len(self.a) + 1  # k + 2
-
 
 def _determinantal(
     names: Sequence[str], index_matrix: Sequence[Sequence[int]]

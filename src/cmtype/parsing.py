@@ -117,9 +117,9 @@ class _Stream:
 MAX_NESTING = 100
 # Term products spent expanding one input, counted before each product or
 # squaring (polynomials with a and b terms cost a*b): (x+y+z)^100 needs 1.9
-# million.  Digits of an integer literal and of the numerator and denominator
-# of every coefficient built: 3^200000 has 95,425, beyond what int() and str()
-# convert by default.
+# million.  Digits of an integer literal, of the numerator and denominator of
+# every coefficient built and of every term's degree: 3^200000 has 95,425,
+# beyond what int() and str() convert by default.
 MAX_TERM_PRODUCTS = 50_000
 MAX_DIGITS = 1_000
 _DIGIT_LIMIT = 10**MAX_DIGITS
@@ -185,10 +185,14 @@ class _PolyParser:
         return self.checked(out, out, tok)
 
     def checked(self, terms: dict, monomials, tok: Token) -> dict:
-        """terms, once its coefficients at `monomials` are within MAX_DIGITS."""
-        for c in map(terms.get, monomials):
+        """terms, once its coefficients and degrees at `monomials` are within MAX_DIGITS."""
+        for m in monomials:
+            c = terms.get(m)
             if c and max(abs(c.numerator), c.denominator) >= _DIGIT_LIMIT:
                 message = f"a coefficient has more than {MAX_DIGITS} digits"
+                raise ParseError(message, tok.line, tok.column)
+            if c and sum(m) >= _DIGIT_LIMIT:
+                message = f"a term has a degree of more than {MAX_DIGITS} digits"
                 raise ParseError(message, tok.line, tok.column)
         return terms
 

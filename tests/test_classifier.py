@@ -1,5 +1,6 @@
 """Verdict rules, citations, rewrite certificates, and report determinism."""
 
+import ast
 import dataclasses
 import itertools
 import random
@@ -295,6 +296,16 @@ class TestScopeAndBudgets:
         assert report.verdict is Verdict.OUT_OF_SCOPE
         assert report.reason and "budget" in report.reason
 
+    def test_budget_exhausted_in_the_decision_keeps_the_invariants(self):
+        # analyze finishes; the singular locus the dim-2 rule needs does not
+        pres = parse_presentation("ring: x,y,z,u ; ideal: x^2, x*y, y^3")
+        report = classify(pres, budgets=Budgets(minors=1))
+        assert report.verdict is Verdict.OUT_OF_SCOPE
+        assert report.invariants == analyze(pres).invariants
+        assert (report.singularity, report.assumptions_used) == (None, ())
+        assert [j.rule for j in report.justification] == ["budget-exceeded"]
+        assert report.reason.startswith("singular_locus: ")
+
     def test_regular_rings_are_finite(self):
         report = classify_text("ring: x,y,z ; ideal:")
         assert report.verdict is Verdict.FINITE
@@ -386,6 +397,17 @@ class TestReports:
             report = classify_text(text)
             for j in report.justification:
                 assert j.quote in table_quotes
+
+    def test_every_citation_is_named_by_the_classifier(self):
+        # a CITATIONS key that no string literal of classifier.py names is a
+        # citation no verdict can carry
+        tree = ast.parse(Path(classifier_module.__file__).read_text(encoding="utf-8"))
+        literals = {
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        assert sorted(set(CITATIONS) - literals) == []
 
     def test_justification_present_except_out_of_scope(self):
         finite = classify_text("ring: x,y ; ideal: x*y")

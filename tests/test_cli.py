@@ -421,6 +421,19 @@ class TestDeterminismAndExitCodes:
         assert code == 2
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("subcommand", ["gb", "analyze", "classify"])
+    def test_term_degree_past_the_digit_cap_exits_2(self, capsys, tmp_path, subcommand):
+        # (x^E)^E for a 1,000-digit E has a 2,000-digit degree; unchecked, the
+        # nested powers ended in a ValueError traceback from str() of the
+        # exponent (gb) or of the degree in a budget message (analyze, classify)
+        exponent = "9" * 1000
+        ideal = "(" * 4 + f"x^{exponent}" + f")^{exponent}" * 4
+        path = write(tmp_path, "degree.ring", f"ring: x\nideal: {ideal}\n")
+        code, out, err = run_cli(capsys, subcommand, path)
+        assert code == 2
+        assert "a term has a degree of more than 1000 digits (line 2, column 1015)" in err
+        assert "Traceback" not in err
+
     def test_oversized_basis_coefficient_exits_3(self, capsys, tmp_path):
         # every input coefficient has 999 digits, within parsing.MAX_DIGITS, but
         # the reduced basis grows past Python's 4,300-digit str() limit; this
@@ -474,10 +487,13 @@ CLASSIFY_KEYS = [
 
 
 class TestPinnedDigests:
-    """Report shapes that bench/pins.json never reaches, pinned by their
-    canonical digest and top-level key order: an obstruction with rational
-    entries, a null invariants section, a skipped singular locus, the two
-    Drozd-Roiter commands and a rational Groebner basis."""
+    """Report shapes and classify rules that bench/pins.json never reaches,
+    pinned by their canonical digest and top-level key order: an obstruction
+    with rational entries, a null invariants section, a skipped singular
+    locus, the two Drozd-Roiter commands, a rational Groebner basis, and one
+    ring for each classify rule outside the catalog (regular, non-CM,
+    Artinian, the Cor 3.4 binary forms, h = (1,2) with and without an
+    assumption, Gorenstein, dimension >= 2 and the family fallbacks)."""
 
     @pytest.mark.parametrize(
         "argv, text, keys, digest",
@@ -518,8 +534,111 @@ class TestPinnedDigests:
                 ["order", "basis"],
                 "sha256:769e39e961b632268b50d8f27c6a69436379ad677d7c64ece2ff6dfdd5e3dba8",
             ),
+            (
+                ("classify",),
+                "ring: x, y\nideal:\n",
+                CLASSIFY_KEYS,
+                "sha256:8f928605a67d7be322268b6bbfe8fab041504cf0a11a91a39425975090dadfa7",
+            ),
+            (
+                ("classify",),
+                "ring: x, y\nideal: x^2, x*y\n",
+                CLASSIFY_KEYS,
+                "sha256:c3556fbf1a0f1c7b64e139c8e5ac1b950f0ff1361b5e9d8a1e090742b84da565",
+            ),
+            (
+                ("classify",),
+                "ring: x\nideal: x^4\n",
+                CLASSIFY_KEYS,
+                "sha256:312d51b9b129949c310223ac851d8d4e786a655d7b9fa266f09cd65bae2361d6",
+            ),
+            (
+                ("classify",),
+                "ring: x, y\nideal: x^2, x*y, y^2\n",
+                CLASSIFY_KEYS,
+                "sha256:78f402e1a5648189b78a4711f30d18a1a147170ee57d8a1766500f5c706539d1",
+            ),
+            (
+                ("classify",),
+                "ring: x, y\nideal: x*y\n",
+                CLASSIFY_KEYS,
+                "sha256:d90e815cc82b6667565e62deb94b02aed76ed93dd48107590d9ce7d0ab2d5c1b",
+            ),
+            (
+                ("classify",),
+                "ring: x, y\nideal: x^2*y + x*y^2\n",
+                CLASSIFY_KEYS,
+                "sha256:42f3479394d0ad5a421181b2f5d921d511abc3e9043aa75d4a33dee4fc9107f8",
+            ),
+            (
+                ("classify",),
+                "ring: x, y\nideal: y^2\n",
+                CLASSIFY_KEYS,
+                "sha256:d627083958886b1d3bc4b6fea37f8c1f6e1ce521ba4a6433c1a3896e08f61491",
+            ),
+            (
+                ("classify",),
+                "ring: x, y, z\nideal: x*y, x*z, y*z\n",
+                CLASSIFY_KEYS,
+                "sha256:fee5372aafc0d24d84a0fbf99bb751997fd26834f40392be334f7f11671fdc2c",
+            ),
+            (
+                ("classify", "--assume", "reduced"),
+                "ring: x, y, z\nideal: x*y, x*z, y*z\n",
+                CLASSIFY_KEYS,
+                "sha256:a48dffc9cd72d0a826bc34d318df33054600cadbee32575e88a23ae3caf4f932",
+            ),
+            (
+                ("classify",),
+                "ring: x, y, z\nideal: x^2 - y*z, y^2 - x*z\n",
+                CLASSIFY_KEYS,
+                "sha256:89094b600518f7b0893c527380f50dfde0bfec6f9503f435a5a1594579ee32e6",
+            ),
+            (
+                ("classify",),
+                "ring: x, y, z\nideal: x^3 + y^3 + z^3\n",
+                CLASSIFY_KEYS,
+                "sha256:3eb2a64399f47bf82a6b7ef6031ca6177e34f6c0a68f366f2002d6468dd2742a",
+            ),
+            (
+                ("classify",),
+                "ring: x, y, z, w\nideal: x^2 + y^2, z^2 + w^2\n",
+                CLASSIFY_KEYS,
+                "sha256:cc4224e8edd48e46cd37af336e1628f6376e876151353e8313dca86e81948fc6",
+            ),
+            (
+                ("classify",),
+                "ring: x, y, z, u, v\nideal: x^2, x*y, y^3\n",
+                CLASSIFY_KEYS,
+                "sha256:215f55f5186e39e15a7633458de74b2a83598e39ad194d4b7556afd751ac5c64",
+            ),
+            (
+                ("classify",),
+                "ring: x, y, z, u\nideal: x^2, x*y, y^3\n",
+                CLASSIFY_KEYS,
+                "sha256:dc464f01446463f4ea19d62722319e8f18390524cc6d7d95ab7dc133e446b9aa",
+            ),
+            (
+                ("classify",),
+                ("generate", "veronese_cone", "7"),
+                CLASSIFY_KEYS,
+                "sha256:144df1b4f415f979bf834c12fdbbf1e7f035013f766105ed2d879a67e3e6b958",
+            ),
+            (
+                ("classify",),
+                "ring: a, b, c, d\nideal: a*c - (a + b)^2, a*d - (a + b)*c, (a + b)*d - c^2\n",
+                CLASSIFY_KEYS,
+                "sha256:c3beb6c81c043d64a3de2d3002e322311d86df4dfc1ce3bc69e18cdc01d0c478",
+            ),
         ],
-        ids=["obstruction", "null-invariants", "singularity-skipped", "semigroup", "arrangement", "rational-gb"],
+        ids=[
+            "obstruction", "null-invariants", "singularity-skipped", "semigroup", "arrangement",
+            "rational-gb", "regular", "non-cm", "dim0-hypersurface",
+            "dim0-obstruction", "two-lines", "three-lines", "a-infinity",
+            "h12-open", "h12-open-reduced", "h121-curve", "cubic-surface",
+            "gorenstein-ci", "dim3-not-minmult", "dim2-nonisolated",
+            "veronese-cone-7", "unmatched-scroll",
+        ],
     )
     def test_digest_and_key_order(self, capsys, tmp_path, argv, text, keys, digest):
         if isinstance(text, tuple):

@@ -103,6 +103,10 @@ def test_expansion_and_digit_caps():
         parse_polynomial(f"{literal}*x*{literal}", xy)
     with pytest.raises(ParseError, match=r"a coefficient has more than 1000 digits"):
         parse_polynomial(f"1/{literal}*x + 1/{literal[:-1]}8*x", xy)
+    # a term's degree is capped like a coefficient: 10^1000 - 1 is the largest
+    assert parse_polynomial(f"x^{literal}", xy).degree() == int(literal)
+    with pytest.raises(ParseError, match=r"a term has a degree of more than 1000 digits"):
+        parse_polynomial(f"x^{literal}*y", xy)
 
 
 @pytest.mark.parametrize(
