@@ -134,7 +134,7 @@ def _rewrite_from_bundle(
                 "degree-2 rewrite inconsistent: a product is not in x*m "
                 "(m^2 = x*m fails for this x)"
             )
-        solution = [-left.get((-1, j), Fraction(0)) for j in range(len(basis_order))]
+        solution = [-Fraction(left.get((-1, j), 0)) for j in range(len(basis_order))]
         # certify the rewrite: the residual must vanish in the quotient
         units = (tuple(int(i == idx) for i in range(n)) for idx in basis_order)
         linear = Polynomial(n, zip(units, solution))

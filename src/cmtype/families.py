@@ -136,16 +136,16 @@ def quadric_rank(f: Polynomial) -> int:
     """Rank of the symmetric matrix of a quadratic form, by exact elimination."""
     if f.is_zero or not f.is_homogeneous() or f.degree() != 2:
         raise InputError("quadric_rank requires a nonzero homogeneous quadratic form")
+    # twice the symmetric matrix of the primitive integer multiple: same rank, all ints
     rows: list[dict] = [{} for _ in range(f.nvars)]
-    for m, c in f.terms.items():
+    for m, c in f.ints.items():
         support = [i for i, e in enumerate(m) if e]
         if len(support) == 1:
             i = support[0]
-            rows[i][i] = c
+            rows[i][i] = 2 * c
         else:
             i, j = support
-            rows[i][j] = c / 2
-            rows[j][i] = c / 2
+            rows[i][j] = rows[j][i] = c
     return len(linalg.Echelon(rows).rows)
 
 
@@ -322,16 +322,16 @@ def match_named_family(pres: RingPresentation) -> FamilyTag:
     if any(g.degree() != 2 for g in gens):
         return FamilyTag("none")  # every permutation-matched family is quadric-generated
 
-    input_echelon = linalg.Echelon(g.terms for g in gens)
+    input_echelon = linalg.Echelon(g.ints for g in gens)
     input_sigs = _support_signatures(input_echelon, n)
     for tag, family in _permutation_candidates(n, len(input_echelon.rows)):
         # catalog generators are quadrics; only their span is read
-        family_echelon = linalg.Echelon(g.terms for g in family.generators)
+        family_echelon = linalg.Echelon(g.ints for g in family.generators)
         fam_sigs = _support_signatures(family_echelon, n)
         for sigma in _constrained_permutations(fam_sigs, input_sigs, n):
             permuted = (g.permute_variables(sigma) for g in family.generators)
             # the family's quadric count is the input's rank, so containment is equality
-            if not any(input_echelon.residual(pg.terms) for pg in permuted):
+            if not any(input_echelon.residual(pg.ints) for pg in permuted):
                 return FamilyTag(tag.kind, param=tag.param, certificate=tuple(sigma))
     return FamilyTag("none")
 

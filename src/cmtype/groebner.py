@@ -23,7 +23,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, le, sub
 from typing import ClassVar, Sequence
 
@@ -33,10 +32,9 @@ from .poly import (
     Monomial,
     Polynomial,
     VariableSet,
-    _raw,
     add_scaled,
+    from_ints,
     heap_key,
-    integer_multiple,
     minimal_monomials,
     monomial_degree,
     monomial_divides,
@@ -44,7 +42,6 @@ from .poly import (
     monomial_key,
     monomial_mul,
     monomials_of_degree,
-    polynomial_from_descending,
 )
 from .presentation import RingPresentation
 
@@ -63,20 +60,19 @@ class GroebnerBasis:
         return len(self.variables)
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(g.leading_monomial() for g in self.elements)
+        return tuple(g.lead for g in self.elements)
 
 
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial of f and g up to a nonzero rational factor, which is all
-    division and ``.monic()`` need: (cg/d)*x^qf*tail_f - (cf/d)*x^qg*tail_g
-    from the two integer reducers, d = gcd(cf, cg), lcm = x^qf*lm_f = x^qg*lm_g."""
-    mf, cf, tail_f = f.reducer()
-    mg, cg, tail_g = g.reducer()
-    lcm = monomial_lcm(mf, mg)
-    qf, qg = tuple(map(sub, lcm, mf)), tuple(map(sub, lcm, mg))
+    division and ``.monic()`` need: (cg/d)*x^qf*ints_f - (cf/d)*x^qg*ints_g
+    over the two primitive integer maps, whose leading coefficients cf and cg
+    cancel, d = gcd(cf, cg), lcm = x^qf*lead_f = x^qg*lead_g."""
+    lcm = monomial_lcm(f.lead, g.lead)
+    qf, qg = tuple(map(sub, lcm, f.lead)), tuple(map(sub, lcm, g.lead))
+    cf, cg = f.ints[f.lead], g.ints[g.lead]
     d = math.gcd(cf, cg)
-    a, b = cg // d, cf // d
-    return _raw(f.nvars, add_scaled(add_scaled({}, tail_f, a, qf), tail_g, -b, qg))
+    return from_ints(f.nvars, add_scaled(add_scaled({}, f.ints, cg // d, qf), g.ints, -cf // d, qg))
 
 
 def normal_form(p: Polynomial, basis) -> Polynomial:
@@ -85,35 +81,36 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
     normal form; in particular it is zero exactly for ideal members.
 
     The leading remaining term is always divided by the first basis element
-    whose leading monomial divides it.  The division runs in one dict of
-    integers: ``work`` starts as the primitive integer multiple of p, each
-    step cancels the leading term against the primitive integer multiple of
-    the divisor, and the rational ``scale`` with ``p == scale * work + (ideal
-    multiples) + remainder`` absorbs every multiplier and removed content.
-    Remainder terms leave as ``scale * c``, so the result is exactly the
-    rational remainder of dividing p itself.
+    whose leading monomial divides it.  The division runs in integers:
+    ``work`` starts as ``p.ints``, each step subtracts a multiple of the
+    divisor's ``ints`` that cancels the leading term, and terms no leading
+    monomial divides move to ``remainder``.  Both maps share one frame: a
+    step that multiplies ``work`` by an integer multiplies ``remainder``
+    too, their common content is removed, and the rational ``scale`` with
+    ``p == scale * (work + remainder) + (ideal multiples)`` absorbs both, so
+    ``scale * remainder`` is exactly the remainder of dividing p itself.
     """
     elements = basis.elements if isinstance(basis, GroebnerBasis) else basis
-    elements = tuple(g for g in elements if not g.is_zero)
+    elements = tuple(g for g in elements if g)
     if not elements:
         return p
     if any(g.nvars != p.nvars for g in elements):
         raise InputError("polynomials are over different variable sets")
-    reducers = [g.reducer() for g in elements]
-    scale, work = integer_multiple(p.terms)
+    divisors = [(g.lead, g.ints[g.lead], g.ints) for g in elements]
+    scale, work = p.scale, dict(p.ints)
     heap = [(heap_key(m), m) for m in work]
     heapq.heapify(heap)
-    remainder: dict[Monomial, Fraction] = {}
+    remainder: dict[Monomial, int] = {}
     while heap:
         m = heapq.heappop(heap)[1]
-        c = work.pop(m, 0)
-        if not c:  # stale: the monomial cancelled after it was pushed
+        c = work.get(m)
+        if c is None:  # stale: the monomial cancelled after it was pushed
             continue
-        for lm, lc, tail in reducers:
+        for lm, lc, ints in divisors:
             if all(map(le, lm, m)):
                 break
         else:
-            remainder[m] = scale * c
+            remainder[m] = work.pop(m)
             continue
         q = tuple(map(sub, m, lm))
         g = math.gcd(c, lc)
@@ -121,9 +118,11 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
         if a != 1:
             for t in work:
                 work[t] *= a
+            for t in remainder:
+                remainder[t] *= a
             scale /= a
-        # inline, not add_scaled: a monomial new to work goes onto the heap
-        for t, d in tail:
+        # inline, not add_scaled: a monomial new to work goes onto the heap; m itself cancels
+        for t, d in ints.items():
             t = tuple(map(add, t, q))
             v = work.get(t)
             if v is None:
@@ -133,11 +132,13 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
                 work[t] = v
             else:
                 del work[t]
-        if a != 1 and (content := math.gcd(*work.values())) > 1:
+        if a != 1 and (content := math.gcd(*work.values(), *remainder.values())) > 1:
             for t in work:
                 work[t] //= content
+            for t in remainder:
+                remainder[t] //= content
             scale *= content
-    return polynomial_from_descending(p.nvars, remainder)
+    return from_ints(p.nvars, remainder, scale, next(iter(remainder), None))
 
 
 def buchberger(
@@ -183,7 +184,7 @@ def buchberger(
 
     def update(f: Polynomial):
         # Gebauer-Moeller pair pruning (product + chain criteria).
-        mf = f.leading_monomial()
+        mf = f.lead
         t = len(basis)
         new_lcms = [monomial_lcm(lead, mf) for lead in leads]
         for (i, j), lcm in list(lcms.items()):
@@ -293,15 +294,15 @@ def _standard_monomials(previous, leads, nvars: int, degree: int) -> list[Monomi
 def _interreduce(elements: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     """Minimalize (drop divisible leading terms) and tail-reduce; canonical sort."""
     minimal: list[Polynomial] = []
-    for g in sorted(elements, key=lambda g: monomial_key(g.leading_monomial())):
-        lm = g.leading_monomial()
-        if not any(monomial_divides(h.leading_monomial(), lm) for h in minimal):
+    for g in sorted(elements, key=lambda g: monomial_key(g.lead)):
+        lm = g.lead
+        if not any(monomial_divides(h.lead, lm) for h in minimal):
             minimal.append(g)
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
         reduced.append(normal_form(g, others).monic())
-    reduced.sort(key=lambda g: monomial_key(g.leading_monomial()), reverse=True)
+    reduced.sort(key=lambda g: monomial_key(g.lead), reverse=True)
     return tuple(reduced)
 
 
@@ -345,8 +346,8 @@ def _minimal_homogeneous_generators(
                         f"of a degree-{h.degree()} generator (cap {MAX_SEED_MULTIPLES})"
                     )
                 for m in monomials_of_degree(nvars, shift):
-                    echelon.add(h.mul_term(m, 1).terms)
-        if echelon.add(g.terms):
+                    echelon.add(h.mul_term(m, 1).ints)
+        if echelon.add(g.ints):
             kept.append(g)
     return kept
 
@@ -364,21 +365,20 @@ def eliminate_linear_forms(
     exponent tuples.  Returns the remaining variables and the nonzero
     projected normal forms, in the order of `generators`.
     """
-    linear = linalg.Echelon(f.terms for f in forms)
+    linear = linalg.Echelon(f.ints for f in forms)
     if not linear.rows:
         return variables, tuple(generators)
     n = len(variables)
     rows = [Polynomial(n, row) for row in linear.rows.values()]
     keep = [i for i in range(n) if not any(lm[i] for lm in linear.rows)]
     # dropping variables that no term uses keeps the degrevlex order of the terms
-    projected = tuple(
-        polynomial_from_descending(
-            len(keep), {tuple(m[i] for i in keep): c for m, c in h.terms.items()}
-        )
-        for g in generators
-        if (h := normal_form(g, rows))
-    )
-    return VariableSet(tuple(variables.names[i] for i in keep)), projected
+    projected = []
+    for g in generators:
+        if h := normal_form(g, rows):
+            ints = {tuple(m[i] for i in keep): c for m, c in h.ints.items()}
+            lead = tuple(h.lead[i] for i in keep)
+            projected.append(from_ints(len(keep), ints, h.scale, lead, primitive=True))
+    return VariableSet(tuple(variables.names[i] for i in keep)), tuple(projected)
 
 
 def minimalize_presentation(pres: RingPresentation) -> RingPresentation:

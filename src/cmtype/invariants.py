@@ -19,7 +19,7 @@ import functools
 import random
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import (
@@ -44,6 +44,7 @@ from .poly import (
     Monomial,
     Polynomial,
     add_scaled,
+    from_ints,
     minimal_monomials,
     monomial_degree,
     monomial_divides,
@@ -184,10 +185,11 @@ class Quotient:
     monomial m as a term map over those monomials, and ``image(terms)`` the
     normal form of any term map, by linearity.  A monomial no leading
     monomial divides is standard, its own normal form, and is answered
-    without division.  Integral form coefficients are stored as int (every
-    form of a toric ideal has coefficient 1), so the Jacobian minors that
+    without division.  A form is the ``terms`` view of the normal form: int
+    coefficients when its scale is integral, as for every form of a toric
+    ideal (coefficient 1), so the Jacobian minors that
     :func:`cmtype.poly.minors` expands through ``form`` and the images of
-    monomial products are computed in integers.  ``basis`` and ``form``
+    monomial products are then computed in integers.  ``basis`` and ``form``
     memoize, so callers that reduce many polynomials sharing monomials
     divide each monomial once.  ``form`` looks ``normal_form`` up in this
     module at every call, so a rebinding of ``invariants.normal_form`` (a
@@ -198,7 +200,7 @@ class Quotient:
         self.gb = gb
         self._leads = gb.leading_monomials()
         self._bases: list[list[Monomial]] = []  # degrees 0, 1, ...
-        self._forms: dict[Monomial, dict] = {}
+        self._forms: dict[Monomial, Mapping] = {}
 
     def basis(self, d: int) -> list[Monomial]:
         while len(self._bases) <= d:
@@ -206,13 +208,11 @@ class Quotient:
             self._bases.append(_standard_monomials(previous, self._leads, self.gb.nvars, len(self._bases)))
         return self._bases[d] if d >= 0 else []
 
-    def form(self, m: Monomial) -> dict:
+    def form(self, m: Monomial) -> Mapping:
         if m not in self._forms:
             if any(monomial_divides(lead, m) for lead in self._leads):
-                terms = normal_form(Polynomial(self.gb.nvars, [(m, 1)]), self.gb).terms
-                self._forms[m] = {
-                    t: c.numerator if c.denominator == 1 else c for t, c in terms.items()
-                }
+                monomial = from_ints(self.gb.nvars, {m: 1}, lead=m, primitive=True)
+                self._forms[m] = normal_form(monomial, self.gb).terms
             else:  # a standard monomial is its own normal form
                 self._forms[m] = {m: 1}
         return self._forms[m]

@@ -1,11 +1,11 @@
 """Exact multivariate polynomial arithmetic under the degrevlex term order.
 
 Coefficients are exact, ``fractions.Fraction`` or ``int``, never ``float``;
-nothing in the library ever rounds.  The constructor stores Fractions; the
-S-polynomial keeps ints.  Division by a basis runs internally on primitive
-integer multiples (:func:`integer_multiple`, :meth:`Polynomial.reducer`)
-whose rational scale is tracked exactly, so every remainder is again a
-Fraction polynomial.  A monomial is a plain exponent tuple, one entry per
+nothing in the library ever rounds.  A :class:`Polynomial` is stored as one
+rational scale times a primitive integer map, normalized by
+:func:`from_ints`; the division, the S-polynomial, the quotient forms and
+the Jacobian read the integer map directly, and the coefficient type is
+decided here alone.  A monomial is a plain exponent tuple, one entry per
 variable, and the position of a variable in its :class:`VariableSet` fixes
 its significance in degrevlex (earlier = more significant).
 :func:`add_scaled` is the one sparse accumulate: every sum of term maps in
@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from operator import add, le
-from typing import Callable, Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
 
@@ -140,39 +141,42 @@ class VariableSet:
 # polynomials
 
 
-def _coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _rational(value) -> int | Fraction:
+    """The value itself, once checked to be an exact rational."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise InputError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
 class Polynomial:
-    """Immutable sparse polynomial over the rationals.
+    """Immutable sparse polynomial over the rationals, stored as ``scale * ints``.
 
-    Stored as a map from exponent tuple to nonzero exact coefficient, a
-    Fraction or an int, never a float; two equal polynomials therefore have
-    equal term maps.  The degrevlex leading term and the reducer data are
-    memoized in the slots ``_lead`` and ``_reducer``, set on first use.
+    ``ints`` maps exponent tuples to integers without common factor, and its
+    coefficient at ``lead``, the degrevlex leading monomial, is positive;
+    ``scale`` is a nonzero Fraction.  The zero polynomial has ``ints == {}``,
+    scale 1 and lead None.  The form is canonical, so equal polynomials have
+    equal ``(nvars, scale, ints)``.  ``terms`` is the read-only map
+    ``{monomial: scale * c}``, built on first use: its coefficients are ints
+    when the scale is integral and Fractions otherwise, never floats.
+    Every polynomial is built by :func:`from_ints`; the constructor checks
+    a term map or a list of ``(monomial, coefficient)`` pairs first.
     """
 
-    __slots__ = ("nvars", "terms", "_lead", "_reducer")
+    __slots__ = ("nvars", "ints", "scale", "lead", "_terms")
 
-    def __init__(self, nvars: int, terms: dict | Iterable[tuple] = ()):
-        data: dict[Monomial, Fraction] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for m, c in items:
+    def __new__(cls, nvars: int, terms: Mapping | Iterable[tuple] = ()):
+        data: dict[Monomial, int | Fraction] = {}
+        for m, c in terms.items() if isinstance(terms, Mapping) else terms:
             m = tuple(m)
             if len(m) != nvars or any(e < 0 for e in m):
                 raise InputError(f"bad exponent tuple {m} for {nvars} variables")
-            c = _coeff(c) + data.get(m, Fraction(0))
-            if c:
+            if c := data.get(m, 0) + _rational(c):
                 data[m] = c
             else:
                 data.pop(m, None)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", data)
+        denominator = math.lcm(*(c.denominator for c in data.values()))
+        ints = {m: c.numerator * (denominator // c.denominator) for m, c in data.items()}
+        return from_ints(nvars, ints, Fraction(1, denominator))
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -200,55 +204,34 @@ class Polynomial:
     # -- basic queries -----------------------------------------------------
 
     @property
+    def terms(self) -> Mapping[Monomial, int | Fraction]:
+        try:
+            return self._terms
+        except AttributeError:
+            s = self.scale if self.scale.denominator > 1 else self.scale.numerator
+            view = self.ints if s == 1 else {m: s * c for m, c in self.ints.items()}
+            object.__setattr__(self, "_terms", MappingProxyType(view))
+            return self._terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.ints)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(monomial_degree(m) for m in self.terms)
+        return -1 if self.lead is None else sum(self.lead)
 
     def is_homogeneous(self) -> bool:
-        degrees = {monomial_degree(m) for m in self.terms}
+        degrees = {monomial_degree(m) for m in self.ints}
         return len(degrees) <= 1
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(tuple(m), Fraction(0))
+    def coefficient(self, m: Monomial) -> int | Fraction:
+        return self.terms.get(tuple(m), 0)
 
-    def leading_term(self) -> tuple[Monomial, Fraction]:
-        try:
-            return self._lead
-        except AttributeError:
-            if not self.terms:
-                raise InputError("zero polynomial has no leading term") from None
-        m = max(self.terms, key=monomial_key)
-        object.__setattr__(self, "_lead", (m, self.terms[m]))
-        return self._lead
-
-    def reducer(self) -> tuple[Monomial, int, tuple]:
-        """``(lm, lc, tail)`` of the primitive integer multiple of self whose
-        lead coefficient ``lc`` is positive; ``tail`` lists the other terms as
-        ``(monomial, int)`` pairs.  The form in which division divides by self."""
-        try:
-            return self._reducer
-        except AttributeError:
-            pass
-        lm = self.leading_term()[0]
-        ints = integer_multiple(self.terms)[1]
-        sign = 1 if ints[lm] > 0 else -1
-        lc = sign * ints.pop(lm)
-        tail = tuple((m, sign * c) for m, c in ints.items())
-        object.__setattr__(self, "_reducer", (lm, lc, tail))
-        return self._reducer
-
-    def leading_monomial(self) -> Monomial:
-        return self.leading_term()[0]
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda t: monomial_key(t[0]), reverse=True)
 
     # -- arithmetic ---------------------------------------------------------
@@ -264,7 +247,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        return _raw(self.nvars, add_scaled(dict(self.terms), other.terms, c))
+        # self + c * other = self.scale / d * (d * self.ints + n * other.ints)
+        # for n / d = c * other.scale / self.scale in lowest terms
+        ratio = c * other.scale / self.scale
+        d = ratio.denominator
+        ints = add_scaled({m: d * v for m, v in self.ints.items()}, other.ints, ratio.numerator)
+        return from_ints(self.nvars, ints, self.scale / d)
 
     def __add__(self, other) -> "Polynomial":
         return self._plus(other, 1)
@@ -272,7 +260,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return _raw(self.nvars, {m: -c for m, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other) -> "Polynomial":
         return self._plus(other, -1)
@@ -282,17 +270,20 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            if not c:
+            if not other:
                 return Polynomial.zero(self.nvars)
-            return _raw(self.nvars, {m: v * c for m, v in self.terms.items()})
+            return from_ints(self.nvars, self.ints, self.scale * other, self.lead, primitive=True)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        data: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            add_scaled(data, other.terms, c, m)
-        return _raw(self.nvars, data)
+        if not (self and other):
+            return Polynomial.zero(self.nvars)
+        # Gauss's lemma: the product of primitive maps is primitive, led by the product of leads
+        data: dict[Monomial, int] = {}
+        for m, c in self.ints.items():
+            add_scaled(data, other.ints, c, m)
+        lead = monomial_mul(self.lead, other.lead)
+        return from_ints(self.nvars, data, self.scale * other.scale, lead, primitive=True)
 
     __rmul__ = __mul__
 
@@ -311,49 +302,48 @@ class Polynomial:
 
     def mul_term(self, m: Monomial, c) -> "Polynomial":
         """Multiply by the single term c * x^m."""
-        c = _coeff(c)
-        if not c:
+        c = _rational(c)
+        if not (c and self):
             return Polynomial.zero(self.nvars)
-        return _raw(self.nvars, {monomial_mul(t, m): v * c for t, v in self.terms.items()})
+        data = {monomial_mul(t, m): v for t, v in self.ints.items()}
+        lead = monomial_mul(self.lead, m)
+        return from_ints(self.nvars, data, self.scale * c, lead, primitive=True)
 
     def monic(self) -> "Polynomial":
-        if not self.terms:
+        if not self or self.scale * self.ints[self.lead] == 1:
             return self
-        m, lc = self.leading_term()
-        if lc == 1:
-            return self
-        out = self * (Fraction(1) / lc)
-        object.__setattr__(out, "_lead", (m, Fraction(1)))
-        return out
+        scale = Fraction(1, self.ints[self.lead])
+        return from_ints(self.nvars, self.ints, scale, self.lead, primitive=True)
 
     # -- structural operations ----------------------------------------------
 
     def extend(self, extra: int) -> "Polynomial":
         """Append `extra` fresh variables (exponent 0 everywhere)."""
         pad = (0,) * extra
-        return _raw(self.nvars + extra, {m + pad: c for m, c in self.terms.items()})
+        data = {m + pad: c for m, c in self.ints.items()}
+        return from_ints(self.nvars + extra, data, self.scale, primitive=True)
 
     def permute_variables(self, sigma: Sequence[int]) -> "Polynomial":
         """Relabel variables: old variable i becomes new variable sigma[i]."""
         if sorted(sigma) != list(range(self.nvars)):
             raise InputError("sigma must be a permutation of the variable indices")
         data = {}
-        for m, c in self.terms.items():
+        for m, c in self.ints.items():
             exps = [0] * self.nvars
             for i, e in enumerate(m):
                 exps[sigma[i]] = e
             data[tuple(exps)] = c
-        return _raw(self.nvars, data)
+        return from_ints(self.nvars, data, self.scale, primitive=True)
 
     def derivative(self, i: int) -> "Polynomial":
-        data: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
+        data: dict[Monomial, int] = {}
+        for m, c in self.ints.items():
             if m[i] == 0:
                 continue
             exps = list(m)
             exps[i] -= 1
             data[tuple(exps)] = c * m[i]
-        return _raw(self.nvars, data)
+        return from_ints(self.nvars, data, self.scale)
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
         if len(values) != self.nvars:
@@ -376,43 +366,58 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self.scale == other.scale and self.ints == other.ints
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.scale, frozenset(self.ints.items())))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self.terms:
+        if not self.ints:
             return "Polynomial(0)"
         parts = [f"{c}*x^{m}" for m, c in self.sorted_terms()]
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
-def _raw(nvars: int, data: dict) -> Polynomial:
-    """Internal constructor for already-clean term maps."""
+def from_ints(
+    nvars: int,
+    ints: dict,
+    scale: Fraction = Fraction(1),
+    lead: Monomial | None = None,
+    primitive: bool = False,
+) -> Polynomial:
+    """The polynomial ``scale * ints``, for a term map of nonzero ints and a
+    nonzero Fraction: the one normalizer every polynomial is built by.  The
+    content of ``ints``, signed to leave a positive coefficient at the
+    leading monomial, moves into the scale; ``ints`` is kept, not copied,
+    when nothing divides out.  ``lead`` is the leading monomial when the
+    caller knows it; ``primitive`` vouches that ``ints`` has no common
+    factor (a product of primitive maps, a shift, a projection), so only the
+    sign is fixed."""
+    if ints:
+        if lead is None:
+            lead = min(ints, key=heap_key)
+        content = 1 if primitive else math.gcd(*ints.values())
+        if ints[lead] < 0:
+            content = -content
+        if content != 1:
+            ints = {m: c // content for m, c in ints.items()}
+            scale = scale * content
+    else:
+        scale = Fraction(1)
     p = object.__new__(Polynomial)
     object.__setattr__(p, "nvars", nvars)
-    object.__setattr__(p, "terms", data)
+    object.__setattr__(p, "ints", ints)
+    object.__setattr__(p, "scale", scale)
+    object.__setattr__(p, "lead", lead)
     return p
 
 
-def polynomial_from_descending(nvars: int, data: dict) -> Polynomial:
-    """Polynomial from a clean term map whose first key is its leading
-    monomial, which is remembered."""
-    p = _raw(nvars, data)
-    if data:
-        m = next(iter(data))
-        object.__setattr__(p, "_lead", (m, data[m]))
-    return p
-
-
-def add_scaled(out: dict, terms, c=1, shift: Monomial | None = None) -> dict:
+def add_scaled(out: dict, terms: Mapping, c=1, shift: Monomial | None = None) -> dict:
     """``out += c * x^shift * terms`` in place, deleting every key whose
-    coefficient cancels; returns ``out``.  ``terms`` is a term map or the
-    ``(monomial, coefficient)`` pairs of a :meth:`Polynomial.reducer` tail.
-    ``c`` and the coefficients of ``terms`` are nonzero, so only a key that
-    ``out`` already holds can cancel."""
-    for m, x in terms.items() if isinstance(terms, dict) else terms:
+    coefficient cancels; returns ``out``.  ``c`` and the coefficients of
+    ``terms`` are nonzero, so only a key that ``out`` already holds can
+    cancel."""
+    for m, x in terms.items():
         if shift is not None:
             m = tuple(map(add, m, shift))
         if v := out.get(m, 0) + c * x:
@@ -420,17 +425,6 @@ def add_scaled(out: dict, terms, c=1, shift: Monomial | None = None) -> dict:
         else:
             del out[m]
     return out
-
-
-def integer_multiple(terms: dict) -> tuple[Fraction, dict[Monomial, int]]:
-    """``(scale, ints)`` with ``terms == scale * ints``, where ``ints`` has
-    integer coefficients without common factor: the primitive integer multiple."""
-    denominator = math.lcm(*(c.denominator for c in terms.values()))
-    ints = {m: c.numerator * (denominator // c.denominator) for m, c in terms.items()}
-    content = math.gcd(*ints.values())
-    if content > 1:
-        ints = {m: c // content for m, c in ints.items()}
-    return Fraction(content, denominator), ints
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ minimal presentation to the ideal and measures the dimension of the quotient.
 Equidimensionality is assumed, not checked; the report says so explicitly and
 consumers must surface that assumption whenever a verdict depends on it.
 
-The Jacobian rows are those of the generators' primitive integer multiples,
-so every minor is a nonzero constant times the rational one and I + minors
-is unchanged; :func:`cmtype.poly.minors` expands them over integer term maps
+The Jacobian rows are the integer derivatives of the generators' primitive
+integer maps, ``g * (1 / g.scale)``, so every minor is a nonzero constant
+times the rational one and I + minors is unchanged;
+:func:`cmtype.poly.minors` expands them over integer term maps
 as exterior products of the rows, replacing every monomial product by its
 normal form from the analysis's quotient view, so each minor comes out
 reduced modulo I.  The minors enter one sparse echelon; I plus the echelon
@@ -31,7 +32,7 @@ from . import linalg
 from .errors import BudgetError, Budgets, DEFAULT_BUDGETS
 from .groebner import buchberger
 from .invariants import Analysis, hilbert_series_from_gb
-from .poly import Polynomial, integer_multiple, minors, monomial_degree
+from .poly import Polynomial, minors, monomial_degree
 from .presentation import RingPresentation
 
 
@@ -64,12 +65,9 @@ def singular_locus(bundle: Analysis, *, budgets: Budgets = DEFAULT_BUDGETS) -> S
     codim = nvars - bundle.series.dim
 
     # Scaling a row by a nonzero constant scales its minors alike, which
-    # leaves I + minors unchanged: differentiate primitive integer multiples.
-    primitive = [g * (1 / integer_multiple(g.terms)[0]) for g in gens]
-    jacobian = [
-        [{m: c.numerator for m, c in g.derivative(j).terms.items()} for j in range(nvars)]
-        for g in primitive
-    ]
+    # leaves I + minors unchanged: differentiate the primitive integer maps.
+    primitive = [g * (1 / g.scale) for g in gens]
+    jacobian = [[g.derivative(j).terms for j in range(nvars)] for g in primitive]
     count = math.comb(len(gens), codim) * math.comb(nvars, codim)
     if count > budgets.minors:
         raise BudgetError(

@@ -72,7 +72,7 @@ from cmtype.linalg import rank, rref
 from cmtype.poly import (
     Monomial,
     VariableSet,
-    _raw,
+    from_ints,
     monomial_degree,
     monomial_divides,
     monomial_key,
@@ -82,6 +82,10 @@ from cmtype.poly import (
 )
 from cmtype.presentation import RingPresentation
 from cmtype.singularity import SingularityReport
+
+
+def leading_term(p: Polynomial) -> tuple[Monomial, int | Fraction]:
+    return p.lead, p.terms[p.lead]
 
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial | None:
@@ -293,11 +297,11 @@ def _substitute(p: Polynomial, i: int, replacement: Polynomial) -> Polynomial:
 def _drop_variable(p: Polynomial, i: int) -> Polynomial:
     """Remove an unused variable (every exponent at position i must be 0)."""
     data = {}
-    for m, c in p.terms.items():
+    for m, c in p.ints.items():
         if m[i] != 0:
             raise InputError(f"variable {i} still occurs; cannot drop it")
         data[m[:i] + m[i + 1 :]] = c
-    return _raw(p.nvars - 1, data)
+    return from_ints(p.nvars - 1, data, p.scale)
 
 
 def minimalize_presentation_oracle(pres: RingPresentation) -> RingPresentation:
@@ -314,10 +318,10 @@ def minimalize_presentation_oracle(pres: RingPresentation) -> RingPresentation:
         linear = next((g for g in gens if g.degree() == 1), None)
         if linear is None:
             break
-        lm, lc = linear.leading_term()
+        lm, lc = leading_term(linear)
         i = lm.index(1)
         # x_i = x_i - linear/lc has no x_i left; substitute it everywhere.
-        replacement = Polynomial.variable(len(variables), i) - linear * (1 / lc)
+        replacement = Polynomial.variable(len(variables), i) - linear * Fraction(1, lc)
         gens = [_substitute(g, i, replacement) for g in gens if g is not linear]
         gens = [_drop_variable(g, i) for g in gens]
         variables = VariableSet(variables.names[:i] + variables.names[i + 1 :])
@@ -388,15 +392,15 @@ def normal_form_oracle(p: Polynomial, basis) -> Polynomial:
     elements = tuple(g for g in elements if not g.is_zero)
     if not elements:
         return p
-    leads = [g.leading_term() for g in elements]
+    leads = [leading_term(g) for g in elements]
     remainder: dict[Monomial, Fraction] = {}
     work = p
     while work:
-        m, c = work.leading_term()
+        m, c = leading_term(work)
         for g, (lm, lc) in zip(elements, leads):
             q = monomial_div(m, lm)
             if q is not None:
-                work = work - g.mul_term(q, c / lc)
+                work = work - g.mul_term(q, Fraction(c, lc))
                 break
         else:
             remainder[m] = c
@@ -412,10 +416,12 @@ def normal_form_oracle(p: Polynomial, basis) -> Polynomial:
 
 def spoly_oracle(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial of f and g."""
-    mf, cf = f.leading_term()
-    mg, cg = g.leading_term()
+    mf, cf = leading_term(f)
+    mg, cg = leading_term(g)
     lcm = monomial_lcm(mf, mg)
-    return f.mul_term(monomial_div(lcm, mf), 1 / cf) - g.mul_term(monomial_div(lcm, mg), 1 / cg)
+    return f.mul_term(monomial_div(lcm, mf), Fraction(1, cf)) - g.mul_term(
+        monomial_div(lcm, mg), Fraction(1, cg)
+    )
 
 
 def buchberger_oracle(pres, *, budgets: Budgets = DEFAULT_BUDGETS) -> GroebnerBasis:
@@ -429,7 +435,7 @@ def buchberger_oracle(pres, *, budgets: Budgets = DEFAULT_BUDGETS) -> GroebnerBa
 
     def update(f: Polynomial):
         # Gebauer-Moeller pair pruning (product + chain criteria).
-        mf = f.leading_monomial()
+        mf = f.lead
         t = len(basis)
         kept = {
             (i, j)
@@ -890,7 +896,7 @@ def binary_form_profile_oracle(f: Polynomial) -> tuple[int, ...]:
     d = f.degree()
     u = [Fraction(0)] * (d + 1)
     for m, c in f.terms.items():
-        u[m[0]] = c
+        u[m[0]] = Fraction(c)
     u = _utrim(u)
     profile: list[int] = []
     infinity_mult = d - _udeg(u)

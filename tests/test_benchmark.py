@@ -41,7 +41,7 @@ def test_traced_pass_matches_every_pin():
     # the artinian reduction's trial bases came to be computed in n - k
     # variables, with the linear forms substituted away, where the ring's
     # numerator over (1-t)^(n-k) bounds every degree.  A degree-by-degree
-    # batched engine (ROADMAP item 4) re-baselines these counts on purpose.
+    # batched engine (ROADMAP item 3b) re-baselines these counts on purpose.
     division_work = {
         "classify-catalog": (593, 235),
         "analyze-catalog": (1_062, 380),

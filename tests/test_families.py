@@ -24,6 +24,7 @@ from cmtype import (
     parse_presentation,
     quadric_rank,
     scroll_ideal,
+    spoly,
     veronese_cone_ideal,
 )
 from cmtype import linalg
@@ -148,6 +149,17 @@ class TestQuadricRank:
     def test_rejects_non_quadrics(self):
         with pytest.raises(InputError):
             quadric_rank(X**3)
+
+    def test_exact_on_large_integer_coefficients(self):
+        # y^2 + 2C*yz + (C^2 + 1)*z^2 has discriminant -4, so rank 2; halving
+        # the int 2C as a float loses the 1 of C = 2^60 + 1 and reads rank 1
+        C = 2**60 + 1
+        x, y, z = (Polynomial.variable(3, i) for i in range(3))
+        s = spoly(x + y, x * y - 2 * C * y * z - (C**2 + 1) * z**2)
+        text = f"ring: x,y,z ; ideal: y^2 + {2 * C}*y*z + {C**2 + 1}*z^2"
+        parsed = parse_presentation(text).generators[0]
+        assert s == parsed
+        assert quadric_rank(s) == quadric_rank(parsed) == 2
 
 
 class TestBinaryFormProfile:

@@ -49,15 +49,16 @@ def gb_of(text):
 
 def divisions(run, *modules):
     """Run ``run()`` with each module's ``normal_form`` recording every
-    division: its input as the primitive integer multiple that division
-    starts from (the engine's integer S-polynomial is a positive multiple of
-    the oracle's rational one), and whether the remainder is zero."""
+    division: its input's primitive integer map ``ints``, which division
+    starts from and which two polynomials equal up to a rational factor
+    share (the engine's S-polynomial and the oracle's), and whether the
+    remainder is zero."""
     log = []
     nf = groebner.normal_form
 
     def recorded_normal_form(p, *args, **kwargs):
         remainder = nf(p, *args, **kwargs)
-        log.append((poly.integer_multiple(p.terms)[1], remainder.is_zero))
+        log.append((p.ints, remainder.is_zero))
         return remainder
 
     with pytest.MonkeyPatch.context() as mp:
@@ -130,8 +131,8 @@ class TestSpoly:
         assert all(type(c) is int for c in s.terms.values())
         assert s.terms.keys() == expected.terms.keys()
         if expected:
-            m, c = expected.leading_term()
-            assert s * (c / s.terms[m]) == expected
+            m, c = expected.lead, expected.terms[expected.lead]
+            assert s * Fraction(c, s.terms[m]) == expected
         assert normal_form(s, basis).monic() == normal_form(expected, basis).monic()
 
 
@@ -145,7 +146,7 @@ class TestBuchberger:
         gb = gb_of("ring: x,y ; ideal: 3*x^2 - 3*y^2")
         assert len(gb.elements) == 1
         g = gb.elements[0]
-        assert g.leading_term()[1] == 1
+        assert g.terms[g.lead] == 1
 
     def test_cyclic_minors_already_a_basis(self):
         pres = parse_presentation("ring: x,y,z ; ideal: x*z - y^2, x^2 - y*z, x*y - z^2")
@@ -201,7 +202,7 @@ class TestBuchberger:
             for g in sympy.groebner(forms, *symbols, order="grevlex", domain="QQ").polys:
                 terms = [(m, Fraction(int(c.p), int(c.q))) for m, c in g.terms()]
                 theirs.append(Polynomial(nvars, terms).monic())
-            theirs.sort(key=lambda g: _degrevlex_key(g.leading_monomial()), reverse=True)
+            theirs.sort(key=lambda g: _degrevlex_key(g.lead), reverse=True)
             ours = buchberger(make_presentation([f"x{i}" for i in range(nvars)], gens))
             assert ours.elements == tuple(theirs), gens
 
@@ -511,7 +512,7 @@ def minimalize_outcome(minimalize, pres):
         m = minimalize(pres)
     except CmtypeError as exc:
         return type(exc), str(exc)
-    leads = [g.leading_term() for g in m.generators]
+    leads = [g.lead for g in m.generators]
     return m.variables, m.generators, leads, render_presentation(m), m.minimalized, m.warnings
 
 

@@ -298,7 +298,7 @@ def assert_substitutes_the_oracle_basis(basis, oracle_basis):
     other elements, projected, are the returned basis."""
     linear = [g for g in oracle_basis.elements if g.degree() == 1]
     rest = [g for g in oracle_basis.elements if g.degree() != 1]
-    dropped = {g.leading_monomial().index(1) for g in linear}
+    dropped = {g.lead.index(1) for g in linear}
     keep = [i for i in range(oracle_basis.nvars) if i not in dropped]
     assert basis.variables.names == tuple(oracle_basis.variables.names[i] for i in keep)
     assert not any(m[i] for g in rest for m in g.terms for i in dropped)

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, the degrevlex term order, and their contracts."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -97,8 +98,7 @@ class TestArithmetic:
             assert p * (q + r) == p * q + p * r
             assert (p + q) + r == p + (q + r)
             for poly in (p * q, p + q, p - q):
-                assert all(isinstance(c, Fraction) for c in poly.terms.values())
-                assert all(c != 0 for c in poly.terms.values())
+                assert_canonical(poly)
 
     def test_canonical_equality(self):
         a = P(2, ((1, 0), 1), ((0, 1), 1))
@@ -120,12 +120,6 @@ class TestAddScaled:
     def test_shift_multiplies_by_the_monomial(self):
         assert add_scaled({}, {xy: 3, z2: 1}, 2, (0, 0, 1)) == {(1, 1, 1): 6, (0, 0, 3): 2}
 
-    def test_reducer_tail_pairs(self):
-        # 2x^2 - 4yz + 6z^2 divides as x^2 - 2yz + 3z^2; y * tail cancels y^2 z
-        lm, lc, tail = P(3, (x2, 2), (yz, -4), (z2, 6)).reducer()
-        assert (lm, lc, tail) == (x2, 1, ((yz, -2), (z2, 3)))
-        assert add_scaled({(0, 2, 1): 2}, tail, 1, (0, 1, 0)) == {(0, 1, 2): 3}
-
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(st.data())
     def test_matches_a_counter_sum(self, data):
@@ -140,9 +134,108 @@ class TestAddScaled:
         expected = Counter(out)
         for m, x in terms.items():
             expected[m if shift is None else monomial_mul(m, shift)] += c * x
-        if data.draw(st.booleans()):
-            terms = tuple(terms.items())  # the pairs of a reducer tail
         assert add_scaled(dict(out), terms, c, shift) == {m: v for m, v in expected.items() if v}
+
+
+def assert_canonical(p: Polynomial):
+    """The stored form: ``scale * ints`` with ``ints`` primitive and positive at
+    the degrevlex lead; ``terms`` its nonzero int or Fraction coefficients."""
+    assert type(p.scale) is Fraction and p.scale != 0
+    if not p.ints:
+        assert (p.scale, p.lead) == (1, None) and not p.terms
+        return
+    assert all(type(c) is int and c for c in p.ints.values())
+    assert math.gcd(*p.ints.values()) == 1
+    assert p.lead == max(p.ints, key=monomial_key) and p.ints[p.lead] > 0
+    assert p.terms == {m: p.scale * c for m, c in p.ints.items()}
+    coefficient = int if p.scale.denominator == 1 else Fraction
+    assert all(type(c) is coefficient and c for c in p.terms.values())
+
+
+def reference(p: Polynomial) -> Counter:
+    return Counter({m: Fraction(c) for m, c in p.terms.items()})
+
+
+def nonzero(counter: Counter) -> dict:
+    return {m: c for m, c in counter.items() if c}
+
+
+NVARS = 3
+monomials3 = st.tuples(*[st.integers(0, 2)] * NVARS)
+rationals = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-4, max_value=4, max_denominator=6)
+).filter(bool)
+polynomials = st.dictionaries(monomials3, rationals, max_size=5).map(lambda d: Polynomial(NVARS, d))
+derandomized = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+
+
+class TestRepresentation:
+    def test_content_and_sign_move_into_the_scale(self):
+        p = P(3, (x2, 2), (yz, -4), (z2, 6))
+        assert (p.lead, p.ints, p.scale) == (x2, {x2: 1, yz: -2, z2: 3}, 2)
+        q = P(3, (yz, Fraction(1, 2)), (x2, Fraction(-3, 4)))
+        assert (q.lead, q.ints, q.scale) == (x2, {x2: 3, yz: -2}, Fraction(-1, 4))
+        assert q.terms == {x2: Fraction(-3, 4), yz: Fraction(1, 2)}
+        zero = P(3, (x2, 1), (x2, -1))
+        assert (zero.ints, zero.scale, zero.lead, zero.degree()) == ({}, 1, None, -1)
+
+    def test_terms_is_read_only(self):
+        with pytest.raises(TypeError):
+            P(3, (x2, 2)).terms[x2] = 3
+
+    @derandomized
+    @given(polynomials, polynomials, rationals, monomials3)
+    def test_operations_match_a_counter_of_fractions(self, p, q, c, m):
+        a, b = reference(p), reference(q)
+        product = Counter()
+        for s, x in a.items():
+            for t, y in b.items():
+                product[monomial_mul(s, t)] += x * y
+        expected = [
+            (p + q, Counter({k: a[k] + b[k] for k in {*a, *b}})),
+            (p - q, Counter({k: a[k] - b[k] for k in {*a, *b}})),
+            (p * q, product),
+            (p.mul_term(m, c), Counter({monomial_mul(t, m): x * c for t, x in a.items()})),
+            (p * c, Counter({t: x * c for t, x in a.items()})),
+        ]
+        for result, counter in expected:
+            assert_canonical(result)
+            assert result.terms == nonzero(counter)
+        for i in range(NVARS):
+            derivative = p.derivative(i)
+            assert_canonical(derivative)
+            assert derivative.terms == {
+                t[:i] + (t[i] - 1,) + t[i + 1 :]: x * t[i] for t, x in a.items() if t[i]
+            }
+        sigma = (2, 0, 1)
+        permuted = p.permute_variables(sigma)
+        assert_canonical(permuted)
+        assert permuted.terms == {(t[1], t[2], t[0]): x for t, x in a.items()}
+        monic = p.monic()
+        assert_canonical(monic)
+        if p:
+            lead_coefficient = a[p.lead]
+            assert monic.terms == {t: x / lead_coefficient for t, x in a.items()}
+
+    @derandomized
+    @given(polynomials, polynomials, rationals)
+    def test_equal_polynomials_share_scale_ints_and_hash(self, p, q, c):
+        for same in (p + q - q, (p * c) * Fraction(1, c), P(NVARS, *reversed(p.terms.items()))):
+            assert same == p and (same.scale, same.ints) == (p.scale, p.ints)
+            assert hash(same) == hash(p)
+
+    @derandomized
+    @given(polynomials, polynomials)
+    def test_a_product_keeps_gauss_lemma(self, p, q):
+        product = p * q
+        if p and q:
+            # leads multiply and the product of primitive maps is primitive
+            assert product.lead == monomial_mul(p.lead, q.lead)
+            assert product.ints[product.lead] == p.ints[p.lead] * q.ints[q.lead]
+            assert math.gcd(*product.ints.values()) == 1
+            assert product.scale == p.scale * q.scale
+        else:
+            assert not product
 
 
 class TestStructuralOps:
@@ -197,8 +290,6 @@ def test_minimal_monomials_match_a_divisibility_filter():
 
 
 def test_monomials_of_degree_counts():
-    import math
-
     for n in range(1, 4):
         for d in range(5):
             assert len(monomials_of_degree(n, d)) == math.comb(n - 1 + d, d)

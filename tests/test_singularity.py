@@ -14,7 +14,7 @@ from cmtype import (
 )
 from cmtype import invariants, linalg, singularity
 from cmtype.families import sum_of_squares
-from cmtype.poly import integer_multiple, minors
+from cmtype.poly import minors
 
 from oracles import laplace_minors, rational_homogeneous_presentations, singular_locus_oracle
 
@@ -107,11 +107,8 @@ def test_minors_in_the_quotient_are_the_reduced_laplace_minors(pres, size):
     # minor, expanded with every monomial product reduced, is the normal
     # form of the plain minor
     nvars = pres.nvars
-    primitive = [g * (1 / integer_multiple(g.terms)[0]) for g in pres.generators]
-    jacobian = [
-        [{m: c.numerator for m, c in g.derivative(j).terms.items()} for j in range(nvars)]
-        for g in primitive
-    ]
+    primitive = [g * (1 / g.scale) for g in pres.generators]
+    jacobian = [[g.derivative(j).terms for j in range(nvars)] for g in primitive]
     quotient = invariants.Quotient(buchberger(pres))
     expected = [quotient.image(det) for det in laplace_minors(jacobian, size)]
     assert list(minors(jacobian, size, quotient.form)) == expected

@@ -63,3 +63,18 @@ def referenced_names() -> frozenset[str]:
 def test_every_top_level_name_is_referenced(path):
     # a helper, class or constant that a refactor leaves behind, read nowhere
     assert defined_names(ast.parse(path.read_text())) - referenced_names() == set()
+
+
+@pytest.mark.parametrize("name", ["groebner.py", "invariants.py", "singularity.py", "families.py"])
+def test_coefficient_representation_stays_in_poly(name):
+    # int or Fraction is decided behind Polynomial: these modules read the
+    # primitive integer map and the scale, never a coefficient's denominator
+    tree = ast.parse((SOURCE / name).read_text())
+    imports = {
+        node.module if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "fractions" not in imports and "denominator" not in attributes
