@@ -8,11 +8,10 @@ checked against its source.  Scope notes (entries whose label starts with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Justification:
+class Justification(NamedTuple):
     rule: str
     citation: str
     quote: str

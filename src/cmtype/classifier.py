@@ -10,9 +10,9 @@ stable invariants (h-vector, quadric rank, root profile, singular dimension).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .citations import CITATIONS, Justification
@@ -33,8 +33,7 @@ class Verdict(str, Enum):
     OUT_OF_SCOPE = "out_of_scope"
 
 
-@dataclass(frozen=True)
-class ObstructionData:
+class ObstructionData(NamedTuple):
     """Degree-2 rewrite data: u^2, uv, v^2 each equal to x * (linear form).
 
     `basis` lists variable indices in the order (x, u, v, rest...); `matrix`
@@ -51,18 +50,17 @@ class ObstructionData:
     f_columns: dict[int, tuple[Fraction, Fraction, Fraction]]
 
 
-@dataclass(frozen=True, kw_only=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """A verdict with its evidence; the field order is the report's key order."""
 
     invariants: RingInvariants | None
-    singularity: SingularityReport | None = None
-    family: FamilyTag | None = None
-    obstruction: ObstructionData | None = None
+    singularity: SingularityReport | None
+    family: FamilyTag | None
+    obstruction: ObstructionData | None
     verdict: Verdict
-    reason: str | None = None
+    reason: str | None
     justification: tuple[Justification, ...]
-    assumptions_used: tuple[str, ...] = ()
+    assumptions_used: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +144,7 @@ def _rewrite_from_bundle(
     f_columns = {
         j: (rows[0][j], rows[1][j], rows[2][j]) for j in range(3, len(basis_order))
     }
-    return ObstructionData(
-        x_index=x_index,
-        u_index=u_index,
-        v_index=v_index,
-        basis=tuple(basis_order),
-        matrix=tuple(rows),
-        f_columns=f_columns,
-    )
+    return ObstructionData(x_index, u_index, v_index, tuple(basis_order), tuple(rows), f_columns)
 
 
 def rewrite_in_xm(
@@ -198,14 +189,19 @@ def _best_effort_obstruction(bundle: Analysis) -> ObstructionData | None:
 
 
 def _report(
-    invariants: RingInvariants | None, verdict: Verdict, *rules: str, **evidence
+    invariants: RingInvariants | None,
+    verdict: Verdict,
+    *rules: str,
+    singularity: SingularityReport | None = None,
+    family: FamilyTag | None = None,
+    obstruction: ObstructionData | None = None,
+    reason: str | None = None,
+    assumptions_used: tuple[str, ...] = (),
 ) -> ClassificationReport:
     """The verdict with the citation of each rule it rests on and the evidence it read."""
+    justification = tuple(CITATIONS[rule] for rule in rules)
     return ClassificationReport(
-        invariants=invariants,
-        verdict=verdict,
-        justification=tuple(CITATIONS[rule] for rule in rules),
-        **evidence,
+        invariants, singularity, family, obstruction, verdict, reason, justification, assumptions_used
     )
 
 

@@ -18,8 +18,7 @@ undecided rather than guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BudgetError, InputError
 from .poly import Polynomial
@@ -29,8 +28,7 @@ from .poly import Polynomial
 # numerical semigroups
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+class NumericalSemigroup(NamedTuple):
     """Additively closed subset of the naturals with finite complement.
 
     The membership table covers 0 .. a1*amax + 1 (least and greatest
@@ -96,8 +94,7 @@ def semigroup_closure(gens: Sequence[int]) -> NumericalSemigroup:
     )
 
 
-@dataclass(frozen=True)
-class DrozdRoiterReport:
+class DrozdRoiterReport(NamedTuple):
     """e(R), lambda(closure of m^2 / x m), and the two bounds they must obey."""
 
     e: int
@@ -134,8 +131,7 @@ def semigroup_dr(sg: NumericalSemigroup) -> DrozdRoiterReport:
 # line arrangements in two variables
 
 
-@dataclass(frozen=True)
-class LineArrangement:
+class LineArrangement(NamedTuple):
     """Pairwise non-proportional linear forms plus a verified minimal reduction.
 
     Each line a*x + b*y is parametrized by t -> (b*t, -a*t); the arrangement

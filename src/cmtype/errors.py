@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class CmtypeError(Exception):
@@ -36,8 +36,7 @@ class LsopSearchError(BudgetError):
     message names that stage, the attempts and the dimension left."""
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(NamedTuple):
     """Caps for the potentially explosive computations.
 
     pairs:  maximum number of S-pairs processed in one Buchberger run

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import BudgetError, InputError
@@ -31,19 +30,20 @@ from .presentation import RingPresentation, make_presentation
 # generators
 
 
-@dataclass(frozen=True)
-class ScrollType:
+class ScrollType(NamedTuple("ScrollType", [("a", tuple[int, ...])])):
     """Nondecreasing block sizes a_0 <= ... <= a_k with at least one positive."""
 
-    a: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
 
-    def __post_init__(self):
-        if not self.a or any(x < 0 for x in self.a):
+    def __new__(cls, a: tuple[int, ...]):
+        if not a or any(x < 0 for x in a):
             raise InputError("scroll type must be a nonempty tuple of naturals")
-        if list(self.a) != sorted(self.a):
+        if list(a) != sorted(a):
             raise InputError("scroll type must be sorted ascending")
-        if not any(self.a):
+        if not any(a):
             raise InputError("scroll type needs at least one positive entry")
+        return super().__new__(cls, a)
 
     @property
     def nvars(self) -> int:
@@ -237,8 +237,7 @@ def _constrained_permutations(family_sigs, input_sigs, n: int):
     yield from assign(0)
 
 
-@dataclass(frozen=True)
-class FamilyTag:
+class FamilyTag(NamedTuple):
     """Result of catalog matching.
 
     For permutation-matched kinds the certificate is the variable relabeling

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from operator import add, le, sub
-from typing import ClassVar, Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import BudgetError, Budgets, DEFAULT_BUDGETS, InhomogeneousError, InputError
@@ -46,14 +45,13 @@ from .poly import (
 from .presentation import RingPresentation
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(NamedTuple):
     """A reduced degrevlex Groebner basis: monic elements in canonical
     (descending) order."""
 
     variables: VariableSet
     elements: tuple[Polynomial, ...]
-    order: ClassVar[str] = "degrevlex"
+    order = "degrevlex"  # unannotated: a class attribute, not a field
 
     @property
     def nvars(self) -> int:

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .errors import (
@@ -121,8 +120,7 @@ def hilbert_numerator(monomials: Sequence[Monomial], nvars: int) -> list[int]:
 # Hilbert series and deflation
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(NamedTuple):
     """N(t)/(1-t)^nvars together with its exact deflation data."""
 
     numerator: tuple[int, ...]
@@ -241,8 +239,7 @@ class Quotient:
 # artinian reductions
 
 
-@dataclass(frozen=True)
-class ArtinianReduction:
+class ArtinianReduction(NamedTuple):
     """A verified linear system of parameters and the resulting quotient data."""
 
     lsop: tuple[Polynomial, ...]
@@ -366,8 +363,7 @@ def _socle_dimension(quotient: Quotient) -> int:
 # the assembled invariants
 
 
-@dataclass(frozen=True)
-class RingInvariants:
+class RingInvariants(NamedTuple):
     dim: int
     embdim: int
     hvector: tuple[int, ...]
@@ -380,8 +376,7 @@ class RingInvariants:
     is_regular: bool
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     """Everything the pipeline computes about one ring, built only by :func:`analyze`.
 
     Consumers (the singular locus, the classifier, the CLI) read it instead of

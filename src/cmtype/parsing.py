@@ -21,8 +21,8 @@ any inhomogeneous generator is rejected outright.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InhomogeneousError, ParseError
 from .poly import Polynomial, VariableSet, add_scaled, unit_monomial
@@ -40,8 +40,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "number" | "ident" | "op" | "end"
     value: str
     line: int
@@ -252,15 +251,14 @@ def parse_presentation(text: str, require_homogeneous: bool = False) -> RingPres
         tok = stream.peek()
         if tok.kind != "ident":
             raise ParseError("expected a variable name", tok.line, tok.column)
+        if tok.value in names:
+            raise ParseError(f"duplicate variable name {tok.value!r}", tok.line, tok.column)
         stream.next()
         names.append(tok.value)
         if stream.at_op(","):
             stream.next()
             continue
         break
-    if len(set(names)) != len(names):
-        tok = stream.peek()
-        raise ParseError("duplicate variable name", tok.line, tok.column)
     variables = VariableSet(tuple(names))
 
     if stream.at_op(";"):

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from operator import add, le
@@ -105,9 +104,8 @@ def minimal_monomials(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
 # variables
 
 
-@dataclass(frozen=True)
 class VariableSet:
-    """Ordered, distinct variable names.
+    """Ordered, distinct variable names; immutable.
 
     Declaration order is significant: it fixes degrevlex significance
     and the rendering order.  Presentations always have at least one
@@ -115,14 +113,30 @@ class VariableSet:
     eliminates every variable (the residue field).
     """
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
+    def __init__(self, names: tuple[str, ...]):
+        if len(set(names)) != len(names):
             raise InputError("variable names must be distinct")
-        for name in self.names:
+        for name in names:
             if not _IDENT_RE.match(name):
                 raise InputError(f"invalid variable name {name!r}")
+        object.__setattr__(self, "names", names)
+
+    def __setattr__(self, *a):  # pragma: no cover - immutability guard
+        raise AttributeError("VariableSet is immutable")
+
+    def __reduce__(self):  # unpickle through the constructor, not __setattr__
+        return VariableSet, (self.names,)
+
+    def __eq__(self, other) -> bool:
+        return self.names == other.names if isinstance(other, VariableSet) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.names)
+
+    def __repr__(self) -> str:
+        return f"VariableSet({self.names!r})"
 
     def __len__(self) -> int:
         return len(self.names)

@@ -2,30 +2,43 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import BudgetError, InputError
 from .poly import Polynomial, VariableSet
 
 
-@dataclass(frozen=True)
-class RingPresentation:
-    """R = S/I for S = k[variables] and I generated by nonzero `generators`;
-    `minimalized` marks a minimal presentation.  Ideals without a ring in
-    view, such as a Jacobian ideal, use the same type."""
-
+class _PresentationFields(NamedTuple):
     variables: VariableSet
     generators: tuple[Polynomial, ...]
     minimalized: bool = False
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    warnings: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        n = len(self.variables)
+
+class RingPresentation(_PresentationFields):
+    """R = S/I for S = k[variables] and I generated by nonzero `generators`;
+    `minimalized` marks a minimal presentation.  Ideals without a ring in
+    view, such as a Jacobian ideal, use the same type.  Equality and the
+    hash ignore `warnings`."""
+
+    __slots__ = ()
+    __ne__ = object.__ne__  # the negation of __eq__; tuple's own compares every field
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for g in self.generators:
-            if g.nvars != n:
+            if g.nvars != len(self.variables):
                 raise InputError("generator over the wrong variable set")
             if g.is_zero:
                 raise InputError("zero generator in ideal presentation")
+        return self
+
+    def __eq__(self, other):
+        return self[:3] == other[:3] if isinstance(other, RingPresentation) else NotImplemented
+
+    def __hash__(self):
+        return hash(self[:3])
 
     @property
     def nvars(self) -> int:

@@ -10,7 +10,6 @@ all digest-covered content.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from enum import Enum
@@ -32,18 +31,18 @@ FIELD_KEYS = {
 def plain(value: Any, names=()) -> Any:
     """The JSON-ready form of a result object.
 
-    A dataclass becomes the dict of its fields, in declaration order; a tuple
-    or list becomes a list; a dict becomes a dict with `str` keys in sorted
-    key order; an `Enum` becomes its value; a `Fraction` becomes an `int` or
-    ``"p/q"``; a `Polynomial` is rendered over the variable `names`.  Anything
-    else passes through unchanged.
+    A record (a NamedTuple) becomes the dict of its fields, in declaration
+    order; any other tuple, and a list, becomes a list; a dict becomes a
+    dict with `str` keys in sorted key order; an `Enum` becomes its value; a
+    `Fraction` becomes an `int` or ``"p/q"``; a `Polynomial` is rendered
+    over the variable `names`.  Anything else passes through unchanged.
     """
-    if dataclasses.is_dataclass(value):
+    if hasattr(value, "_fields"):
         fields = {}
-        for field in dataclasses.fields(value):
-            key = FIELD_KEYS.get(field.name, field.name)
+        for field, item in zip(value._fields, value):
+            key = FIELD_KEYS.get(field, field)
             if key is not None:
-                fields[key] = plain(getattr(value, field.name), names)
+                fields[key] = plain(item, names)
         return fields
     if isinstance(value, (tuple, list)):
         return [plain(item, names) for item in value]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .errors import BudgetError, Budgets, DEFAULT_BUDGETS
@@ -36,8 +36,7 @@ from .poly import Polynomial, minors, monomial_degree
 from .presentation import RingPresentation
 
 
-@dataclass(frozen=True)
-class SingularityReport:
+class SingularityReport(NamedTuple):
     codim: int
     jacobian_ideal: RingPresentation
     singular_dim: int  # -1 for regular rings
@@ -89,9 +88,4 @@ def singular_locus(bundle: Analysis, *, budgets: Budgets = DEFAULT_BUDGETS) -> S
         singular_dim = hilbert_series_from_gb(buchberger(jacobian_ideal, budgets=budgets)).dim
     else:  # every minor lies in I, so the singular locus is all of V(I)
         singular_dim = bundle.series.dim
-    return SingularityReport(
-        codim=codim,
-        jacobian_ideal=jacobian_ideal,
-        singular_dim=singular_dim,
-        isolated=singular_dim <= 0,
-    )
+    return SingularityReport(codim, jacobian_ideal, singular_dim, isolated=singular_dim <= 0)

@@ -1,7 +1,6 @@
 """Verdict rules, citations, rewrite certificates, and report determinism."""
 
 import ast
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -135,9 +134,7 @@ class TestDimensionOneNonHypersurfaces:
         # h = (1,1) a principal ideal, so no input reaches this guard unforged
         pres = parse_presentation("ring: x, y, z ; ideal: x*y, y*z, z^2")
         bundle = analyze(pres)
-        forged = dataclasses.replace(
-            bundle, invariants=dataclasses.replace(bundle.invariants, hvector=hvector)
-        )
+        forged = bundle._replace(invariants=bundle.invariants._replace(hvector=hvector))
         monkeypatch.setattr(classifier_module, "analyze", lambda *args, **kwargs: forged)
         with pytest.raises(InputError, match=r"^classify: "):
             classify(pres)

@@ -10,10 +10,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmtype import groebner
+from cmtype import DEFAULT_BUDGETS, groebner
 from cmtype.cli import PARSER, main
-from cmtype.families import _scroll_types_with_nvars
+from cmtype.families import FamilyTag, _scroll_types_with_nvars
 from cmtype.presentation import render_presentation
+from cmtype.report import plain
 
 from oracles import rational_homogeneous_presentations
 
@@ -476,6 +477,14 @@ class TestDeterminismAndExitCodes:
             code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
             assert code == 0, err
             assert "warning: generator 1 is zero" in err
+
+
+def test_plain_writes_a_record_as_a_dict_in_field_order():
+    # a record is never a list; its keys keep the declaration order
+    budgets = [("pairs", 50000), ("degree", 40), ("minors", 20000)]
+    assert list(plain(DEFAULT_BUDGETS).items()) == budgets
+    tag = [("kind", "scroll"), ("param", [1, 2]), ("certificate", None), ("attempted", True)]
+    assert list(plain(FamilyTag("scroll", param=(1, 2))).items()) == tag
 
 
 HEADER = ["tool_version", "command", "input_digest"]

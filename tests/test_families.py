@@ -104,6 +104,8 @@ class TestScrollIdeal:
             ScrollType((2, 1))
         with pytest.raises(InputError):
             ScrollType((0, 0))
+        with pytest.raises(InputError):
+            ScrollType((1, 2))._replace(a=(2, 1))
 
 
 class TestVeroneseCone:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cmtype import (
     BudgetError,
     InhomogeneousError,
+    InputError,
     ParseError,
     Polynomial,
     parse_polynomial,
@@ -18,6 +19,7 @@ from cmtype import (
     render_presentation,
 )
 from cmtype.poly import VariableSet
+from cmtype.presentation import RingPresentation
 
 from oracles import random_homogeneous_polynomial
 
@@ -131,6 +133,19 @@ def test_zero_generator_dropped_with_warning():
     pres = parse_presentation("ring: x ; ideal: x - x, x^2")
     assert len(pres.generators) == 1
     assert any("zero" in w for w in pres.warnings)
+    # the warnings are no part of the ring: equality and the hash ignore them
+    same = parse_presentation("ring: x ; ideal: x^2")
+    assert pres == same and not pres != same and hash(pres) == hash(same)
+    assert pres != RingPresentation(same.variables, same.generators, minimalized=True)
+
+
+@pytest.mark.parametrize("generator", [Polynomial.variable(3, 0), Polynomial.zero(2)])
+def test_presentation_rejects_bad_generators(generator):
+    xy = VariableSet(("x", "y"))
+    with pytest.raises(InputError):
+        RingPresentation(xy, (generator,))
+    with pytest.raises(InputError):  # a copy is checked as a new one is
+        RingPresentation(xy, ())._replace(generators=(generator,))
 
 
 def test_homogeneous_flag_rejects_mixed_degrees():
@@ -141,8 +156,11 @@ def test_homogeneous_flag_rejects_mixed_degrees():
 
 
 def test_duplicate_variable_rejected():
-    with pytest.raises(ParseError):
-        parse_presentation("ring: x, x ; ideal:")
+    # located at the repeated name, not at the token after the list
+    for text, line, column in [("ring: x, x ; ideal:", 1, 10), ("ring: x,x\nideal:", 1, 9)]:
+        with pytest.raises(ParseError, match="duplicate variable name 'x'") as err:
+            parse_presentation(text)
+        assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_parse_render_round_trip_on_canonical_forms():

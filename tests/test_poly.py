@@ -1,6 +1,7 @@
 """Polynomial arithmetic, the degrevlex term order, and their contracts."""
 
 import math
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -270,6 +271,15 @@ class TestVariableSet:
         assert vs.index("y_1") == 1
         with pytest.raises(InputError):
             vs.index("z")
+
+    def test_value_semantics(self):
+        vs = VariableSet(("x", "y"))
+        assert tuple(vs) == ("x", "y") and len(vs) == 2
+        assert vs == VariableSet(("x", "y")) and hash(vs) == hash(VariableSet(("x", "y")))
+        assert vs != VariableSet(("y", "x")) and vs != ("x", "y")
+        assert pickle.loads(pickle.dumps(vs)) == vs
+        with pytest.raises(AttributeError):
+            vs.names = ("z",)
 
 
 def test_minimal_monomials_match_a_divisibility_filter():

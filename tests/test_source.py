@@ -2,6 +2,9 @@
 
 import ast
 import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "cmtype"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The modules the module's import statements name."""
+    return {
+        node.module if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -70,11 +83,21 @@ def test_coefficient_representation_stays_in_poly(name):
     # int or Fraction is decided behind Polynomial: these modules read the
     # primitive integer map and the scale, never a coefficient's denominator
     tree = ast.parse((SOURCE / name).read_text())
-    imports = {
-        node.module if isinstance(node, ast.ImportFrom) else alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
-    }
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert "fractions" not in imports and "denominator" not in attributes
+    assert "fractions" not in imported_modules(tree) and "denominator" not in attributes
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # every command pays the import: a dataclass execs generated methods when
+    # its module loads, and `dataclasses` itself pulls in inspect and ast
+    assert "dataclasses" not in imported_modules(ast.parse(path.read_text()))
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    probe = "import sys, cmtype.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
