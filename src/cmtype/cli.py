@@ -38,7 +38,7 @@ import time
 
 from .classifier import classify
 from .drozd_roiter import arrangement_dr, line_arrangement, semigroup_closure, semigroup_dr
-from .errors import BudgetError, Budgets, DEFAULT_BUDGETS, InputError
+from .errors import BudgetError, Budgets, DEFAULT_BUDGETS, InputError, ParseError
 from .families import catalog_presentation
 from .groebner import buchberger
 from .invariants import analyze
@@ -167,7 +167,11 @@ def _run_semigroup(ns: argparse.Namespace, budgets: Budgets) -> tuple[str, dict]
 
 def _run_arrangement(ns: argparse.Namespace, budgets: Budgets) -> tuple[str, dict]:
     text, pres = _read_presentation(ns.file, require_homogeneous=False)
-    arrangement = line_arrangement(pres.generators, parse_polynomial(ns.reduction, pres.variables))
+    try:
+        reduction = parse_polynomial(ns.reduction, pres.variables)
+    except ParseError as exc:
+        raise InputError(f"--reduction: {exc}") from None
+    arrangement = line_arrangement(pres.generators, reduction)
     names = tuple(pres.variables)
     sections = {**plain(arrangement, names), "report": plain(arrangement_dr(arrangement))}
     return text + "\nreduction:" + ns.reduction, sections

@@ -1,115 +1,26 @@
-"""Parser for presentation files and polynomial expressions.
-
-File grammar (authoritative, shared with the command-line front end)::
-
-    line 1:  ring: v1, v2, ...      -- variable declaration, order significant
-    line 2+: ideal: p1, p2, ...     -- comma-separated polynomials
-
-Polynomial syntax: rational coefficients (``3``, ``-1/2``), the operators
-``+ - * ^``, and parentheses.  ``#`` begins a comment that runs to the end
-of the line; blank lines are ignored; input is UTF-8 with LF line endings
-(CRLF is normalized).  The one-line form ``ring: x, y ; ideal: x*y`` is
-accepted as well: a ``;`` may stand in for the line break.
-
-Products and powers are expanded as they are read, within the caps
-``MAX_NESTING``, ``MAX_TERM_PRODUCTS`` and ``MAX_DIGITS``; going over any of
-them raises ``ParseError``.  Zero generators are dropped with a warning
-recorded on the returned presentation.  With ``require_homogeneous=True``
-any inhomogeneous generator is rejected outright.
+"""Parser for presentation files and polynomial expressions.  The grammar,
+authoritative and shared with the command-line front end, and the caps on
+expansion are stated in the docstring of :class:`_Reader`.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import InhomogeneousError, ParseError
 from .poly import Polynomial, VariableSet, add_scaled, unit_monomial
 from .presentation import RingPresentation
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<newline>\n)
+    r"""[ \t\n]+ | \#[^\n]*
       | (?P<number>\d+)
       | (?P<ident>[a-zA-Z][a-zA-Z0-9_]*)
       | (?P<op>[-+*^(),:;/])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
-
-
-class Token(NamedTuple):
-    kind: str  # "number" | "ident" | "op" | "end"
-    value: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "newline":
-            line += 1
-            col = 1
-        else:
-            if kind == "number" and len(value) > MAX_DIGITS:
-                raise ParseError(f"an integer literal has more than {MAX_DIGITS} digits", line, col)
-            if kind in ("number", "ident", "op"):
-                tokens.append(Token(kind, value, line, col))
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("end", "", line, col))
-    return tokens
-
-
-class _Stream:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "end":
-            self.i += 1
-        return tok
-
-    def expect_op(self, op: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.value != op:
-            raise ParseError(f"expected {op!r}", tok.line, tok.column)
-        return self.next()
-
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.value != word:
-            raise ParseError(f"expected keyword {word!r}", tok.line, tok.column)
-        return self.next()
-
-    def at_op(self, op: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.value == op
-
-
-# ---------------------------------------------------------------------------
-# expression grammar:
-#   expr   := ['+'|'-'] term (('+'|'-') term)*
-#   term   := factor ('*' factor)*
-#   factor := atom ['^' number]
-#   atom   := number ['/' number] | ident | '(' expr ')'
-
 
 # Parenthesis nesting allowed in one expression.  Each level costs four
 # recursive calls, so this stays well inside the interpreter's recursion limit.
@@ -124,168 +35,210 @@ MAX_DIGITS = 1_000
 _DIGIT_LIMIT = 10**MAX_DIGITS
 
 
-class _PolyParser:
-    """Reads expressions into term maps ``{monomial: int | Fraction}``:
-    products add exponents and sums accumulate in place."""
+class _Reader:
+    """A cursor over the tokens of one text, and the expression reader.
 
-    def __init__(self, stream: _Stream, variables: VariableSet):
-        self.stream = stream
+    File grammar::
+
+        line 1:  ring: v1, v2, ...      -- variable declaration, order significant
+        line 2+: ideal: p1, p2, ...     -- comma-separated polynomials
+
+    The one-line form ``ring: x, y ; ideal: x*y`` is accepted as well: a
+    ``;`` may stand in for the line break.  ``#`` begins a comment that runs
+    to the end of the line; blank lines are ignored; input is UTF-8 with LF
+    line endings (CR and CRLF are normalized).  Expressions::
+
+        expr   := ['+'|'-']* term (('+'|'-') term)*
+        term   := factor ('*' factor)*
+        factor := atom ['^' number]
+        atom   := number ['/' number] | ident | '(' expr ')'
+
+    A number is a run of digits (a nonzero denominator), an identifier a
+    letter followed by letters, digits and ``_``.  Expressions are read into
+    term maps ``{monomial: int | Fraction}``: products add exponents and sums
+    accumulate in place.  Products and powers are expanded as they are read,
+    within the caps ``MAX_NESTING``, ``MAX_TERM_PRODUCTS`` and ``MAX_DIGITS``;
+    going over any of them raises ``ParseError``.  A token is ``(kind, value,
+    offset)``, with its offset into the normalized text, and an error's line
+    and column are those of the offending token.
+    """
+
+    def __init__(self, text: str, variables: VariableSet | None = None):
+        self.text = text.replace("\r\n", "\n").replace("\r", "\n")
+        self.tokens: list[tuple[str, str, int]] = []
+        for m in _TOKEN_RE.finditer(self.text):
+            kind, value = m.lastgroup, m.group()
+            if kind == "bad":
+                raise self.error(f"unexpected character {value!r}", m.start())
+            if kind == "number" and len(value) > MAX_DIGITS:
+                raise self.error(f"an integer literal has more than {MAX_DIGITS} digits", m.start())
+            if kind:
+                self.tokens.append((kind, value, m.start()))
+        self.tokens.append(("end", "", len(self.text)))
+        self.i = 0
         self.variables = variables
-        self.nvars = len(variables)
         self.depth = 0
         self.products = 0
 
-    def parse_expr(self) -> dict:
+    def error(self, message: str, offset: int) -> ParseError:
+        line = self.text.count("\n", 0, offset) + 1
+        return ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
+
+    def peek(self) -> tuple:
+        return self.tokens[self.i]
+
+    def take(self) -> tuple:
+        tok = self.tokens[self.i]
+        if tok[0] != "end":
+            self.i += 1
+        return tok
+
+    def at(self, *ops: str) -> bool:
+        return self.tokens[self.i][1] in ops  # only an "op" token's value is punctuation
+
+    def expect(self, value: str, kind: str = "op") -> None:
+        tok = self.peek()
+        if tok[:2] != (kind, value):
+            what = "keyword " if kind == "ident" else ""
+            raise self.error(f"expected {what}{value!r}", tok[2])
+        self.take()
+
+    def listed(self):
+        """Yields once for each item of a comma-separated list, read by the caller."""
+        yield
+        while self.at(","):
+            self.take()
+            yield
+
+    def finish(self) -> None:
+        kind, value, offset = self.peek()
+        if kind != "end":
+            raise self.error(f"unexpected trailing input {value!r}", offset)
+
+    def expr(self) -> dict:
         sign = 1
-        while self.stream.at_op("+") or self.stream.at_op("-"):
-            if self.stream.next().value == "-":
+        while self.at("+", "-"):
+            if self.take()[1] == "-":
                 sign = -sign
-        result = self.parse_term()
+        result = self.term()
         if sign < 0:
             result = {m: -c for m, c in result.items()}
-        while self.stream.at_op("+") or self.stream.at_op("-"):
-            tok = self.stream.next()
-            term = self.parse_term()
-            add_scaled(result, term, 1 if tok.value == "+" else -1)
-            self.checked(result, term, tok)
+        while self.at("+", "-"):
+            _, op, offset = self.take()
+            term = self.term()
+            add_scaled(result, term, 1 if op == "+" else -1)
+            self.checked(result, term, offset)
         return result
 
-    def parse_term(self) -> dict:
-        result = self.parse_factor()
-        while self.stream.at_op("*"):
-            tok = self.stream.next()
-            result = self.product(result, self.parse_factor(), tok)
+    def term(self) -> dict:
+        result = self.factor()
+        while self.at("*"):
+            offset = self.take()[2]
+            result = self.product(result, self.factor(), offset)
         return result
 
-    def parse_factor(self) -> dict:
-        base = self.parse_atom()
-        if self.stream.at_op("^"):
-            op = self.stream.next()
-            tok = self.stream.peek()
-            if tok.kind != "number":
-                raise ParseError("expected integer exponent after '^'", tok.line, tok.column)
-            self.stream.next()
-            result = {unit_monomial(self.nvars): 1}
-            for bit in bin(int(tok.value))[2:]:  # square and multiply, high bit first
-                result = self.product(result, result, op)
-                if bit == "1":
-                    result = self.product(result, base, op)
-            return result
-        return base
+    def factor(self) -> dict:
+        base = self.atom()
+        if not self.at("^"):
+            return base
+        offset = self.take()[2]
+        kind, exponent, at = self.take()
+        if kind != "number":
+            raise self.error("expected integer exponent after '^'", at)
+        result = {unit_monomial(len(self.variables)): 1}
+        for bit in bin(int(exponent))[2:]:  # square and multiply, high bit first
+            result = self.product(result, result, offset)
+            if bit == "1":
+                result = self.product(result, base, offset)
+        return result
 
-    def product(self, a: dict, b: dict, tok: Token) -> dict:
+    def product(self, a: dict, b: dict, offset: int) -> dict:
         self.products += len(a) * len(b)
         if self.products > MAX_TERM_PRODUCTS:
             message = f"expanding the input needs more than {MAX_TERM_PRODUCTS} term products"
-            raise ParseError(message, tok.line, tok.column)
+            raise self.error(message, offset)
         out: dict = {}
         for m, c in a.items():
             add_scaled(out, b, c, m)
-        return self.checked(out, out, tok)
+        return self.checked(out, out, offset)
 
-    def checked(self, terms: dict, monomials, tok: Token) -> dict:
+    def checked(self, terms: dict, monomials, offset: int) -> dict:
         """terms, once its coefficients and degrees at `monomials` are within MAX_DIGITS."""
         for m in monomials:
             c = terms.get(m)
             if c and max(abs(c.numerator), c.denominator) >= _DIGIT_LIMIT:
-                message = f"a coefficient has more than {MAX_DIGITS} digits"
-                raise ParseError(message, tok.line, tok.column)
+                raise self.error(f"a coefficient has more than {MAX_DIGITS} digits", offset)
             if c and sum(m) >= _DIGIT_LIMIT:
-                message = f"a term has a degree of more than {MAX_DIGITS} digits"
-                raise ParseError(message, tok.line, tok.column)
+                raise self.error(f"a term has a degree of more than {MAX_DIGITS} digits", offset)
         return terms
 
-    def parse_atom(self) -> dict:
-        tok = self.stream.peek()
-        if tok.kind == "number":
-            self.stream.next()
-            value = int(tok.value)
-            if self.stream.at_op("/"):
-                self.stream.next()
-                den = self.stream.peek()
-                if den.kind != "number" or int(den.value) == 0:
-                    raise ParseError("expected nonzero integer denominator", den.line, den.column)
-                self.stream.next()
-                value = Fraction(value, int(den.value))
-            return {unit_monomial(self.nvars): value} if value else {}
-        if tok.kind == "ident":
-            self.stream.next()
-            if tok.value not in self.variables.names:
-                raise ParseError(f"unknown variable {tok.value!r}", tok.line, tok.column)
-            i = self.variables.index(tok.value)
-            return {tuple(int(j == i) for j in range(self.nvars)): 1}
-        if tok.kind == "op" and tok.value == "(":
+    def atom(self) -> dict:
+        kind, value, offset = self.take()  # a token that starts no atom is an error
+        if kind == "number":
+            value = int(value)
+            if self.at("/"):
+                self.take()
+                kind, den, at = self.take()
+                if kind != "number" or int(den) == 0:
+                    raise self.error("expected nonzero integer denominator", at)
+                value = Fraction(value, int(den))
+            return {unit_monomial(len(self.variables)): value} if value else {}
+        if kind == "ident":
+            if value not in self.variables.names:
+                raise self.error(f"unknown variable {value!r}", offset)
+            i = self.variables.index(value)
+            return {tuple(int(j == i) for j in range(len(self.variables))): 1}
+        if value == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.column
-                )
-            self.stream.next()
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING}", offset)
             self.depth += 1
-            inner = self.parse_expr()
+            inner = self.expr()
             self.depth -= 1
-            self.stream.expect_op(")")
+            self.expect(")")
             return inner
-        if tok.kind == "end":
-            raise ParseError("unexpected end of input", tok.line, tok.column)
-        raise ParseError(f"unexpected token {tok.value!r}", tok.line, tok.column)
+        message = "unexpected end of input" if kind == "end" else f"unexpected token {value!r}"
+        raise self.error(message, offset)
 
 
 def parse_polynomial(text: str, variables: VariableSet) -> Polynomial:
     """Parse a single polynomial expression over known variables."""
-    stream = _Stream(_tokenize(text))
-    poly = Polynomial(len(variables), _PolyParser(stream, variables).parse_expr())
-    tok = stream.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected trailing input {tok.value!r}", tok.line, tok.column)
+    reader = _Reader(text, variables)
+    poly = Polynomial(len(variables), reader.expr())
+    reader.finish()
     return poly
 
 
 def parse_presentation(text: str, require_homogeneous: bool = False) -> RingPresentation:
-    """Parse a presentation file into a canonical :class:`RingPresentation`."""
-    stream = _Stream(_tokenize(text))
+    """Parse a presentation file into a canonical :class:`RingPresentation`.
+    Zero generators are dropped with a warning recorded on the result; with
+    ``require_homogeneous=True`` an inhomogeneous generator is rejected."""
+    reader = _Reader(text)
+    reader.expect("ring", "ident")
+    reader.expect(":")
+    names: list[str] = []
+    for _ in reader.listed():
+        kind, name, offset = reader.peek()
+        if kind != "ident":
+            raise reader.error("expected a variable name", offset)
+        if name in names:
+            raise reader.error(f"duplicate variable name {name!r}", offset)
+        names.append(reader.take()[1])
+    reader.variables = variables = VariableSet(tuple(names))
 
-    stream.expect_keyword("ring")
-    stream.expect_op(":")
-    names = []
-    while True:
-        tok = stream.peek()
-        if tok.kind != "ident":
-            raise ParseError("expected a variable name", tok.line, tok.column)
-        if tok.value in names:
-            raise ParseError(f"duplicate variable name {tok.value!r}", tok.line, tok.column)
-        stream.next()
-        names.append(tok.value)
-        if stream.at_op(","):
-            stream.next()
-            continue
-        break
-    variables = VariableSet(tuple(names))
-
-    if stream.at_op(";"):
-        stream.next()
-    stream.expect_keyword("ideal")
-    stream.expect_op(":")
-
-    parser = _PolyParser(stream, variables)
+    if reader.at(";"):
+        reader.take()
+    reader.expect("ideal", "ident")
+    reader.expect(":")
     generators: list[Polynomial] = []
     warnings: list[str] = []
-    position = 0
-    if stream.peek().kind != "end":
-        while True:
-            position += 1
-            tok = stream.peek()
-            poly = Polynomial(len(variables), parser.parse_expr())
+    if reader.peek()[0] != "end":
+        for position, _ in enumerate(reader.listed(), 1):
+            poly = Polynomial(len(variables), reader.expr())
             if poly.is_zero:
                 warnings.append(f"generator {position} is zero and was dropped")
             else:
                 generators.append(poly)
-            if stream.at_op(","):
-                stream.next()
-                continue
-            break
-    tok = stream.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected trailing input {tok.value!r}", tok.line, tok.column)
+    reader.finish()
 
     if require_homogeneous:
         for k, g in enumerate(generators, 1):

@@ -195,6 +195,9 @@ class Polynomial:
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):  # unpickle through from_ints, not __new__ and __setattr__
+        return from_ints, (self.nvars, self.ints, self.scale, self.lead, True)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

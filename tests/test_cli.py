@@ -164,6 +164,12 @@ class TestArrangementCommand:
         code, out, err = run_cli(capsys, "arrangement", path, "--reduction", "x")
         assert code == 2
 
+    def test_reduction_parse_error_names_the_option(self, capsys, tmp_path):
+        path = write(tmp_path, "arr.ring", "ring: x, y\nideal: x, y\n")
+        code, out, err = run_cli(capsys, "arrangement", path, "--reduction", "x+")
+        assert code == 2 and not out
+        assert err == "error: --reduction: unexpected end of input (line 1, column 3)\n"
+
 
 class TestGenerateCommand:
     def test_round_trip_for_every_catalog_family_with_few_variables(self, capsys, tmp_path):

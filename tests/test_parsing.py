@@ -3,12 +3,14 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmtype import (
     BudgetError,
+    CmtypeError,
     InhomogeneousError,
     InputError,
     ParseError,
@@ -79,6 +81,73 @@ def test_syntax_error_carries_location():
         parse_presentation("ring: x, y\nideal: x +* y")
     assert err.value.line == 2
     assert err.value.column > 0
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        # CRLF and bare CR count as one line break
+        ("ring: x, y\r\nideal: x*y,\r\n  x^", "expected integer exponent after '^'", 3, 5),
+        ("ring: x, y\rideal: x +* y", "unexpected token '*'", 2, 11),
+        ("ring: x\r\n\r\nideal: x*\r\n", "unexpected end of input", 4, 1),
+        ("ring: x, y\r\nideal: x*y # done\r\n  + y^2\r\n  y", "unexpected trailing input 'y'", 4, 3),
+        # after a comment, and one that holds tokens of the grammar
+        ("ring: x  # the variables, ( and all\nideal: x $ y", "unexpected character '$'", 2, 10),
+        ("ring: x\nideal: x,\n# trailing comment", "unexpected end of input", 3, 19),
+        ("ring: x\nideal:\n\n\tx + _y", "unexpected character '_'", 4, 6),
+        ("ring: x, y\nideal: x,\n   (y*x\n + q)", "unknown variable 'q'", 4, 4),
+        ("ring x\nideal: x", "expected ':'", 1, 6),
+        ("ring: x\nideal x", "expected ':'", 2, 7),
+        ("rings: x", "expected keyword 'ring'", 1, 1),
+        ("ring: x\nideals: x", "expected keyword 'ideal'", 2, 1),
+        ("ring: x ; ; ideal: x", "expected keyword 'ideal'", 1, 11),
+        ("ring: x\nideal: x y", "unexpected trailing input 'y'", 2, 10),
+        ("ring: x\nideal: x/y", "unexpected trailing input '/'", 2, 9),
+        ("ring: x, y\n\nideal: x*y,\n  y^2 + 1/0*x", "expected nonzero integer denominator", 4, 11),
+        ("ring: x\nideal: 2/x", "expected nonzero integer denominator", 2, 10),
+        ("ring: x\nideal: x - 1/\n", "expected nonzero integer denominator", 3, 1),
+        ("ring: x\nideal: x^y", "expected integer exponent after '^'", 2, 10),
+        ("ring: x\nideal: x^-1", "expected integer exponent after '^'", 2, 10),
+        ("ring: x\nideal: (x + 1", "expected ')'", 2, 14),
+        ("ring: x\nideal: x@", "unexpected character '@'", 2, 9),
+        ("ring: x\nideal: é", "unexpected character 'é'", 2, 8),
+    ],
+)
+def test_error_positions(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "bench" / "corpus"
+SPLICES = ["^99", "(", ")", "1/0", "/", ";", ",", "*", "-", "#", "\n", "\r\n", "x", "9" * 1001]
+
+
+def test_mutated_corpus_texts_parse_or_raise_located_errors():
+    """Every mutated text gives a presentation or a CmtypeError, and a
+    ParseError points into the text (column len + 1 is its line's end)."""
+    texts = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.ring"))]
+    assert len(texts) == 18
+    rng = random.Random(23)
+    for _ in range(2000):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            j = min(len(text), i + rng.randint(0, 6))
+            if rng.random() < 0.5:  # delete a span
+                text = text[:i] + text[j:]
+            else:  # insert or splice in a token
+                text = text[:i] + rng.choice(SPLICES) + text[j if rng.random() < 0.5 else i :]
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        for require_homogeneous in (False, True):
+            try:
+                parse_presentation(text, require_homogeneous)
+            except ParseError as exc:
+                assert 1 <= exc.line <= len(lines), text
+                assert 1 <= exc.column <= len(lines[exc.line - 1]) + 1, text
+            except CmtypeError:
+                pass
 
 
 def test_nesting_depth_limit():

@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmtype import InputError, Polynomial
+from cmtype import InputError, Polynomial, buchberger, classify, parse_presentation
 from cmtype.poly import (
     VariableSet,
     add_scaled,
@@ -280,6 +280,19 @@ class TestVariableSet:
         assert pickle.loads(pickle.dumps(vs)) == vs
         with pytest.raises(AttributeError):
             vs.names = ("z",)
+
+
+def test_pickle_round_trips():
+    """Polynomials, and the records that hold them, can be sent to a worker process."""
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    pres = parse_presentation("ring: x, y, z, u ; ideal: x^2, x*y, y^3")
+    report = classify(pres)  # its singularity section holds the Jacobian ideal
+    assert report.singularity.jacobian_ideal.generators
+    values = [Fraction(3, 4) * x**2 - Fraction(1, 6) * y, pres, buchberger(pres), report]
+    assert values[0].scale.denominator > 1
+    for value in values:
+        again = pickle.loads(pickle.dumps(value))
+        assert again == value and hash(again) == hash(value)
 
 
 def test_minimal_monomials_match_a_divisibility_filter():
