@@ -27,7 +27,7 @@ def main() -> None:
             + (f", type {inv.cm_type}, Gorenstein: {inv.is_gorenstein}" if inv.is_cm else "")
         )
         red = bundle.reduction
-        names = tuple(bundle.presentation.variables)  # lsop lives here
+        names = bundle.presentation.variables  # lsop lives here
         forms = ", ".join(render_polynomial(f, names) for f in red.lsop) or "(none needed)"
         print(f"   artinian reduction by [{forms}]: length {red.length}, counts {red.standard_monomial_counts}")
         if not inv.is_cm:

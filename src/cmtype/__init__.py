@@ -37,7 +37,6 @@ from .errors import (
 )
 from .families import (
     FamilyTag,
-    ScrollType,
     binary_form_profile,
     catalog_presentation,
     graded12_ideal,
@@ -64,7 +63,7 @@ from .invariants import (
     hilbert_numerator,
 )
 from .parsing import parse_polynomial, parse_presentation
-from .poly import Polynomial, VariableSet
+from .poly import Polynomial
 from .presentation import (
     RingPresentation,
     make_presentation,

@@ -130,10 +130,9 @@ def _read_presentation(path: str, require_homogeneous: bool) -> tuple[str, RingP
 def _run_analyze(ns: argparse.Namespace, budgets: Budgets) -> tuple[str, dict]:
     text, pres = _read_presentation(ns.file, require_homogeneous=True)
     bundle = analyze(pres, seed=ns.seed, budgets=budgets)
-    names = tuple(bundle.presentation.variables)
     sections = {
         "invariants": plain(bundle.invariants),
-        "artinian_reduction": plain(bundle.reduction, names),
+        "artinian_reduction": plain(bundle.reduction, bundle.presentation.variables),
     }
     # the invariants are done; a singular locus over budget degrades
     # to a null section with the reason instead of discarding them
@@ -172,16 +171,14 @@ def _run_arrangement(ns: argparse.Namespace, budgets: Budgets) -> tuple[str, dic
     except ParseError as exc:
         raise InputError(f"--reduction: {exc}") from None
     arrangement = line_arrangement(pres.generators, reduction)
-    names = tuple(pres.variables)
-    sections = {**plain(arrangement, names), "report": plain(arrangement_dr(arrangement))}
+    sections = {**plain(arrangement, pres.variables), "report": plain(arrangement_dr(arrangement))}
     return text + "\nreduction:" + ns.reduction, sections
 
 
 def _run_gb(ns: argparse.Namespace, budgets: Budgets) -> tuple[str, dict]:
     text, pres = _read_presentation(ns.file, require_homogeneous=False)
     basis = buchberger(pres, budgets=budgets)
-    names = tuple(pres.variables)
-    return text, {"order": basis.order, "basis": plain(basis.elements, names)}
+    return text, {"order": basis.order, "basis": plain(basis.elements, pres.variables)}
 
 
 PARSER = build_parser()

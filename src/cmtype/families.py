@@ -21,7 +21,6 @@ from typing import NamedTuple, Sequence
 from . import linalg
 from .errors import BudgetError, InputError
 from .groebner import minimalize_presentation, normal_form
-from .parsing import parse_presentation
 from .poly import Polynomial, minors
 from .presentation import RingPresentation, make_presentation
 
@@ -30,24 +29,17 @@ from .presentation import RingPresentation, make_presentation
 # generators
 
 
-class ScrollType(NamedTuple("ScrollType", [("a", tuple[int, ...])])):
-    """Nondecreasing block sizes a_0 <= ... <= a_k with at least one positive."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
-
-    def __new__(cls, a: tuple[int, ...]):
-        if not a or any(x < 0 for x in a):
-            raise InputError("scroll type must be a nonempty tuple of naturals")
-        if list(a) != sorted(a):
-            raise InputError("scroll type must be sorted ascending")
-        if not any(a):
-            raise InputError("scroll type needs at least one positive entry")
-        return super().__new__(cls, a)
-
-    @property
-    def nvars(self) -> int:
-        return sum(self.a) + len(self.a)
+def _scroll_type(a: Sequence[int]) -> tuple[int, ...]:
+    """The scroll type a as a tuple, once checked to be nondecreasing block
+    sizes a_0 <= ... <= a_k with at least one positive."""
+    a = tuple(a)
+    if not a or any(x < 0 for x in a):
+        raise InputError("scroll type must be a nonempty tuple of naturals")
+    if list(a) != sorted(a):
+        raise InputError("scroll type must be sorted ascending")
+    if not any(a):
+        raise InputError("scroll type needs at least one positive entry")
+    return a
 
 
 def _determinantal(
@@ -62,15 +54,14 @@ def _determinantal(
     return make_presentation(names, dict.fromkeys(gens))
 
 
-def scroll_ideal(scroll: ScrollType | Sequence[int]) -> RingPresentation:
+def scroll_ideal(scroll: Sequence[int]) -> RingPresentation:
     """2x2 minors of the concatenated Hankel blocks of the scroll."""
-    if not isinstance(scroll, ScrollType):
-        scroll = ScrollType(tuple(scroll))
-    k = len(scroll.a) - 1
+    scroll = _scroll_type(scroll)
+    k = len(scroll) - 1
     names: list[str] = []
     top: list[int] = []
     bottom: list[int] = []
-    for i, a in enumerate(scroll.a):
+    for i, a in enumerate(scroll):
         offset = len(names)
         names += [f"x{j}" if k == 0 else f"x{j}_{i}" for j in range(a + 1)]
         top += range(offset, offset + a)
@@ -91,7 +82,9 @@ def veronese_cone_ideal(n: int) -> RingPresentation:
 
 
 def gw12_ideal() -> RingPresentation:
-    return parse_presentation("ring: x, y, z\nideal: x*y, y*z, z^2\n")
+    """The monomial ideal (xy, yz, z^2)."""
+    gens = [Polynomial(3, {m: 1}) for m in ((1, 1, 0), (0, 1, 1), (0, 0, 2))]
+    return make_presentation(["x", "y", "z"], gens)
 
 
 def graded12_ideal() -> RingPresentation:
@@ -254,22 +247,22 @@ class FamilyTag(NamedTuple):
     attempted: bool = True
 
 
-def _scroll_types_with_nvars(n: int) -> list[ScrollType]:
+def _scroll_types_with_nvars(n: int) -> list[tuple[int, ...]]:
     """All scroll types on exactly n variables whose ideal is nonzero."""
-    found: list[ScrollType] = []
+    found: list[tuple[int, ...]] = []
 
     def extend(prefix: list[int], remaining: int):
         # remaining = variables still to allocate; each block uses a_i + 1
         if remaining == 0:
             if any(prefix) and sum(prefix) >= 2:
-                found.append(ScrollType(tuple(prefix)))
+                found.append(tuple(prefix))
             return
         lo = prefix[-1] if prefix else 0
         for a in range(lo, remaining):
             extend(prefix + [a], remaining - (a + 1))
 
     extend([], n)
-    found.sort(key=lambda t: (len(t.a), t.a))
+    found.sort(key=lambda t: (len(t), t))
     return found
 
 
@@ -278,9 +271,9 @@ def _permutation_candidates(n: int, quadrics: int) -> list[tuple[FamilyTag, Ring
     filtered before any ideal is built: a scroll of type a has C(sum a, 2),
     the Veronese cone 6, gw12 and graded12 3 each."""
     candidates: list[tuple[FamilyTag, RingPresentation]] = [
-        (FamilyTag("scroll", param=scroll.a), scroll_ideal(scroll))
+        (FamilyTag("scroll", param=scroll), scroll_ideal(scroll))
         for scroll in _scroll_types_with_nvars(n)
-        if math.comb(sum(scroll.a), 2) == quadrics
+        if math.comb(sum(scroll), 2) == quadrics
     ]
     if n >= 6 and quadrics == 6:
         p = n - 1
@@ -381,25 +374,18 @@ def catalog_presentation(family: str, args: Sequence[str]) -> RingPresentation:
         cap(sum(profile), "degree", MAX_FAMILY_DEGREE)
         return binary_form_presentation(profile)
     if family == "scroll":
-        scroll = ScrollType(tuple(sorted(ints())))
-        cap(scroll.nvars)
+        scroll = _scroll_type(sorted(ints()))
+        cap(sum(scroll) + len(scroll))
         return scroll_ideal(scroll)
     if family == "veronese_cone":
         n = ints(1)[0]
         cap(n + 1)
         return veronese_cone_ideal(n)
-    if family == "sym3x3":
+    fixed = {"sym3x3": lambda: veronese_cone_ideal(5), "gw12": gw12_ideal, "graded12": graded12_ideal}
+    if family in fixed:
         if args:
-            raise InputError("sym3x3 takes no arguments")
-        return veronese_cone_ideal(5)
-    if family == "gw12":
-        if args:
-            raise InputError("gw12 takes no arguments")
-        return gw12_ideal()
-    if family == "graded12":
-        if args:
-            raise InputError("graded12 takes no arguments")
-        return graded12_ideal()
+            raise InputError(f"{family} takes no arguments")
+        return fixed[family]()
     raise InputError(
         f"unknown family {family!r}; available: polynomial_ring, quadric, binary_form, "
         "scroll, veronese_cone, sym3x3, gw12, graded12"

@@ -30,7 +30,6 @@ from .errors import BudgetError, Budgets, DEFAULT_BUDGETS, InhomogeneousError, I
 from .poly import (
     Monomial,
     Polynomial,
-    VariableSet,
     add_scaled,
     from_ints,
     heap_key,
@@ -49,7 +48,7 @@ class GroebnerBasis(NamedTuple):
     """A reduced degrevlex Groebner basis: monic elements in canonical
     (descending) order."""
 
-    variables: VariableSet
+    variables: tuple[str, ...]
     elements: tuple[Polynomial, ...]
     order = "degrevlex"  # unannotated: a class attribute, not a field
 
@@ -351,8 +350,8 @@ def _minimal_homogeneous_generators(
 
 
 def eliminate_linear_forms(
-    variables: VariableSet, forms: Sequence[Polynomial], generators: Sequence[Polynomial]
-) -> tuple[VariableSet, tuple[Polynomial, ...]]:
+    variables: tuple[str, ...], forms: Sequence[Polynomial], generators: Sequence[Polynomial]
+) -> tuple[tuple[str, ...], tuple[Polynomial, ...]]:
     """Substitute linear forms away: S/(I + L) and S'/I' are the same graded
     ring, for S' the polynomial ring in the variables left.
 
@@ -376,7 +375,7 @@ def eliminate_linear_forms(
             ints = {tuple(m[i] for i in keep): c for m, c in h.ints.items()}
             lead = tuple(h.lead[i] for i in keep)
             projected.append(from_ints(len(keep), ints, h.scale, lead, primitive=True))
-    return VariableSet(tuple(variables.names[i] for i in keep)), tuple(projected)
+    return tuple(variables[i] for i in keep), tuple(projected)
 
 
 def minimalize_presentation(pres: RingPresentation) -> RingPresentation:

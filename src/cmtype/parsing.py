@@ -9,12 +9,12 @@ import re
 from fractions import Fraction
 
 from .errors import InhomogeneousError, ParseError
-from .poly import Polynomial, VariableSet, add_scaled, unit_monomial
-from .presentation import RingPresentation
+from .poly import Polynomial, add_scaled, unit_monomial
+from .presentation import KEYWORDS, RingPresentation
 
 _TOKEN_RE = re.compile(
     r"""[ \t\n]+ | \#[^\n]*
-      | (?P<number>\d+)
+      | (?P<number>[0-9]+)
       | (?P<ident>[a-zA-Z][a-zA-Z0-9_]*)
       | (?P<op>[-+*^(),:;/])
       | (?P<bad>.)
@@ -53,8 +53,9 @@ class _Reader:
         factor := atom ['^' number]
         atom   := number ['/' number] | ident | '(' expr ')'
 
-    A number is a run of digits (a nonzero denominator), an identifier a
-    letter followed by letters, digits and ``_``.  Expressions are read into
+    A number is a run of ASCII digits (a nonzero denominator), an identifier
+    an ASCII letter followed by letters, digits and ``_``; the variable names
+    exclude the keywords ``ring`` and ``ideal``.  Expressions are read into
     term maps ``{monomial: int | Fraction}``: products add exponents and sums
     accumulate in place.  Products and powers are expanded as they are read,
     within the caps ``MAX_NESTING``, ``MAX_TERM_PRODUCTS`` and ``MAX_DIGITS``;
@@ -63,7 +64,7 @@ class _Reader:
     and column are those of the offending token.
     """
 
-    def __init__(self, text: str, variables: VariableSet | None = None):
+    def __init__(self, text: str, variables: tuple[str, ...] = ()):
         self.text = text.replace("\r\n", "\n").replace("\r", "\n")
         self.tokens: list[tuple[str, str, int]] = []
         for m in _TOKEN_RE.finditer(self.text):
@@ -184,7 +185,7 @@ class _Reader:
                 value = Fraction(value, int(den))
             return {unit_monomial(len(self.variables)): value} if value else {}
         if kind == "ident":
-            if value not in self.variables.names:
+            if value not in self.variables:
                 raise self.error(f"unknown variable {value!r}", offset)
             i = self.variables.index(value)
             return {tuple(int(j == i) for j in range(len(self.variables))): 1}
@@ -200,8 +201,8 @@ class _Reader:
         raise self.error(message, offset)
 
 
-def parse_polynomial(text: str, variables: VariableSet) -> Polynomial:
-    """Parse a single polynomial expression over known variables."""
+def parse_polynomial(text: str, variables: tuple[str, ...]) -> Polynomial:
+    """Parse a single polynomial expression over the given variable names."""
     reader = _Reader(text, variables)
     poly = Polynomial(len(variables), reader.expr())
     reader.finish()
@@ -218,31 +219,26 @@ def parse_presentation(text: str, require_homogeneous: bool = False) -> RingPres
     names: list[str] = []
     for _ in reader.listed():
         kind, name, offset = reader.peek()
-        if kind != "ident":
+        if kind != "ident" or name in KEYWORDS:
             raise reader.error("expected a variable name", offset)
         if name in names:
             raise reader.error(f"duplicate variable name {name!r}", offset)
         names.append(reader.take()[1])
-    reader.variables = variables = VariableSet(tuple(names))
+    reader.variables = variables = tuple(names)
 
     if reader.at(";"):
         reader.take()
     reader.expect("ideal", "ident")
     reader.expect(":")
-    generators: list[Polynomial] = []
-    warnings: list[str] = []
+    polys: list[Polynomial] = []
     if reader.peek()[0] != "end":
-        for position, _ in enumerate(reader.listed(), 1):
-            poly = Polynomial(len(variables), reader.expr())
-            if poly.is_zero:
-                warnings.append(f"generator {position} is zero and was dropped")
-            else:
-                generators.append(poly)
+        polys = [Polynomial(len(variables), reader.expr()) for _ in reader.listed()]
     reader.finish()
 
+    # a generator is numbered by its position in the file, zero ones included
     if require_homogeneous:
-        for k, g in enumerate(generators, 1):
+        for k, g in enumerate(polys, 1):
             if not g.is_homogeneous():
                 raise InhomogeneousError(f"generator {k} is not homogeneous")
-
-    return RingPresentation(variables, tuple(generators), warnings=tuple(warnings))
+    warnings = tuple(f"generator {k} is zero and was dropped" for k, g in enumerate(polys, 1) if not g)
+    return RingPresentation(variables, tuple(g for g in polys if g), warnings=warnings)

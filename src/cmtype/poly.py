@@ -5,9 +5,10 @@ nothing in the library ever rounds.  A :class:`Polynomial` is stored as one
 rational scale times a primitive integer map, normalized by
 :func:`from_ints`; the division, the S-polynomial, the quotient forms and
 the Jacobian read the integer map directly, and the coefficient type is
-decided here alone.  A monomial is a plain exponent tuple, one entry per
-variable, and the position of a variable in its :class:`VariableSet` fixes
-its significance in degrevlex (earlier = more significant).
+decided here alone.  A polynomial knows its number of variables, not their
+names: those are a presentation's tuple of strings.  A monomial is a plain
+exponent tuple, one entry per variable, and the position of a variable in
+that tuple fixes its significance in degrevlex (earlier = more significant).
 :func:`add_scaled` is the one sparse accumulate: every sum of term maps in
 the package, from polynomial arithmetic to the parser, the S-polynomial,
 quotient images and echelon residuals, goes through it, except the two
@@ -20,7 +21,6 @@ minors of the determinantal families both come from it.
 from __future__ import annotations
 
 import math
-import re
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -31,8 +31,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .errors import InputError
 
 Monomial = tuple  # exponent tuple, one entry per variable
-
-_IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
 
 
 # ---------------------------------------------------------------------------
@@ -98,57 +96,6 @@ def minimal_monomials(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
         if not any(monomial_divides(g, m) for g in minimal):
             minimal.append(m)
     return tuple(minimal)
-
-
-# ---------------------------------------------------------------------------
-# variables
-
-
-class VariableSet:
-    """Ordered, distinct variable names; immutable.
-
-    Declaration order is significant: it fixes degrevlex significance
-    and the rendering order.  Presentations always have at least one
-    variable; the empty set only arises internally when minimalization
-    eliminates every variable (the residue field).
-    """
-
-    __slots__ = ("names",)
-
-    def __init__(self, names: tuple[str, ...]):
-        if len(set(names)) != len(names):
-            raise InputError("variable names must be distinct")
-        for name in names:
-            if not _IDENT_RE.match(name):
-                raise InputError(f"invalid variable name {name!r}")
-        object.__setattr__(self, "names", names)
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("VariableSet is immutable")
-
-    def __reduce__(self):  # unpickle through the constructor, not __setattr__
-        return VariableSet, (self.names,)
-
-    def __eq__(self, other) -> bool:
-        return self.names == other.names if isinstance(other, VariableSet) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.names)
-
-    def __repr__(self) -> str:
-        return f"VariableSet({self.names!r})"
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise InputError(f"unknown variable {name!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .errors import BudgetError, InputError
-from .poly import Polynomial, VariableSet
+from .poly import Polynomial
+
+_IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
+# The words of the file format, never variable names, so that every rendered
+# presentation parses back.
+KEYWORDS = ("ring", "ideal")
 
 
 class _PresentationFields(NamedTuple):
-    variables: VariableSet
+    variables: tuple[str, ...]
     generators: tuple[Polynomial, ...]
     minimalized: bool = False
     warnings: tuple[str, ...] = ()
@@ -19,7 +25,13 @@ class RingPresentation(_PresentationFields):
     """R = S/I for S = k[variables] and I generated by nonzero `generators`;
     `minimalized` marks a minimal presentation.  Ideals without a ring in
     view, such as a Jacobian ideal, use the same type.  Equality and the
-    hash ignore `warnings`."""
+    hash ignore `warnings`.
+
+    `variables` is a tuple of distinct names, each a letter followed by
+    letters, digits and ``_``, none of them a keyword of the file format.
+    Its order fixes degrevlex significance and the rendering order.  It is
+    empty only when minimalization eliminates every variable (the residue
+    field)."""
 
     __slots__ = ()
     __ne__ = object.__ne__  # the negation of __eq__; tuple's own compares every field
@@ -27,8 +39,14 @@ class RingPresentation(_PresentationFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        names = self.variables
+        if len(set(names)) != len(names):
+            raise InputError("variable names must be distinct")
+        for name in names:
+            if not _IDENT_RE.match(name) or name in KEYWORDS:
+                raise InputError(f"invalid variable name {name!r}")
         for g in self.generators:
-            if g.nvars != len(self.variables):
+            if g.nvars != len(names):
                 raise InputError("generator over the wrong variable set")
             if g.is_zero:
                 raise InputError("zero generator in ideal presentation")
@@ -51,8 +69,7 @@ class RingPresentation(_PresentationFields):
 
 def make_presentation(names, generators) -> RingPresentation:
     """Convenience constructor used throughout the library and tests."""
-    variables = names if isinstance(names, VariableSet) else VariableSet(tuple(names))
-    return RingPresentation(variables, tuple(generators))
+    return RingPresentation(tuple(names), tuple(generators))
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +130,7 @@ def render_polynomial(p: Polynomial, names) -> str:
 
 def render_presentation(pres: RingPresentation) -> str:
     """Canonical presentation file text (parses back to an equal presentation)."""
-    names = tuple(pres.variables)
-    lines = ["ring: " + ", ".join(names)]
-    gens = ", ".join(render_polynomial(g, names) for g in pres.generators)
+    lines = ["ring: " + ", ".join(pres.variables)]
+    gens = ", ".join(render_polynomial(g, pres.variables) for g in pres.generators)
     lines.append(f"ideal: {gens}" if gens else "ideal:")
     return "\n".join(lines) + "\n"

@@ -44,7 +44,6 @@ from hypothesis import strategies as st
 from cmtype import Polynomial, linalg, make_presentation
 from cmtype.classifier import ObstructionData
 from cmtype.drozd_roiter import NumericalSemigroup
-from cmtype.families import ScrollType
 from cmtype.errors import (
     BudgetError,
     Budgets,
@@ -71,7 +70,6 @@ from cmtype.invariants import (
 from cmtype.linalg import rank, rref
 from cmtype.poly import (
     Monomial,
-    VariableSet,
     from_ints,
     monomial_degree,
     monomial_divides,
@@ -324,7 +322,7 @@ def minimalize_presentation_oracle(pres: RingPresentation) -> RingPresentation:
         replacement = Polynomial.variable(len(variables), i) - linear * Fraction(1, lc)
         gens = [_substitute(g, i, replacement) for g in gens if g is not linear]
         gens = [_drop_variable(g, i) for g in gens]
-        variables = VariableSet(variables.names[:i] + variables.names[i + 1 :])
+        variables = variables[:i] + variables[i + 1 :]
 
     minimal = _minimal_homogeneous_generators(gens, len(variables))
     return RingPresentation(variables, tuple(minimal), minimalized=True, warnings=pres.warnings)
@@ -913,11 +911,8 @@ def binary_form_profile_oracle(f: Polynomial) -> tuple[int, ...]:
 # the generators that the shared ``families._determinantal`` replaced
 
 
-def scroll_ideal_oracle(scroll: ScrollType | Sequence[int]) -> RingPresentation:
+def scroll_ideal_oracle(blocks: Sequence[int]) -> RingPresentation:
     """2x2 minors of the concatenated Hankel blocks of the scroll."""
-    if not isinstance(scroll, ScrollType):
-        scroll = ScrollType(tuple(scroll))
-    blocks = scroll.a
     k = len(blocks) - 1
     names: list[str] = []
     columns: list[tuple[int, int]] = []

@@ -177,7 +177,7 @@ class TestGenerateCommand:
         specs += [("quadric", [str(r), "4"]) for r in (2, 3, 4)]
         specs += [("binary_form", ["2,1"])]
         specs += [
-            ("scroll", [",".join(str(a) for a in t.a)])
+            ("scroll", [",".join(str(a) for a in t)])
             for n in range(2, 8)
             for t in _scroll_types_with_nvars(n)
         ]

@@ -29,7 +29,6 @@ from cmtype import (
 )
 from cmtype import linalg
 from cmtype.families import (
-    ScrollType,
     _constrained_permutations,
     _permutation_candidates,
     _scroll_types_with_nvars,
@@ -92,20 +91,23 @@ class TestScrollIdeal:
             for scroll in _scroll_types_with_nvars(n):
                 pres = scroll_ideal(scroll)
                 inv = analyze(pres).invariants
-                assert inv.dim == len(scroll.a) + 1, scroll
-                assert inv.multiplicity == sum(scroll.a), scroll
+                assert inv.dim == len(scroll) + 1, scroll
+                assert inv.multiplicity == sum(scroll), scroll
                 seen += 1
         # the polynomial-ring types (0,..,0,1) carry no generators and are
         # covered separately; the sweep above must still hit a real family
         assert seen >= 8
 
     def test_scroll_type_validation(self):
-        with pytest.raises(InputError):
-            ScrollType((2, 1))
-        with pytest.raises(InputError):
-            ScrollType((0, 0))
-        with pytest.raises(InputError):
-            ScrollType((1, 2))._replace(a=(2, 1))
+        with pytest.raises(InputError, match="sorted ascending"):
+            scroll_ideal((2, 1))
+        with pytest.raises(InputError, match="at least one positive"):
+            scroll_ideal((0, 0))
+        with pytest.raises(InputError, match="nonempty tuple of naturals"):
+            scroll_ideal([])
+        # the front end checks the type before its variable cap
+        with pytest.raises(InputError, match="nonempty tuple of naturals"):
+            catalog_presentation("scroll", ["-1,200"])
 
 
 class TestVeroneseCone:
@@ -377,6 +379,9 @@ class TestCatalogPresentations:
             catalog_presentation("mystery", [])
         with pytest.raises(InputError):
             catalog_presentation("scroll", [])
+        for family in ("sym3x3", "gw12", "graded12"):
+            with pytest.raises(InputError, match=f"^{family} takes no arguments$"):
+                catalog_presentation(family, ["1"])
 
     def test_generate_reproduces_the_frozen_corpus(self):
         files = sorted(CORPUS.glob("*.ring"))

@@ -406,7 +406,7 @@ class TestMinimalize:
     def test_linear_generator_substituted_out(self):
         pres = parse_presentation("ring: x,y,z ; ideal: x + y, y^2")
         minimal = minimalize_presentation(pres)
-        assert tuple(minimal.variables) == ("y", "z")
+        assert minimal.variables == ("y", "z")
         assert len(minimal.generators) == 1
         assert minimal.generators[0] == Polynomial.variable(2, 0) ** 2
 
@@ -414,7 +414,7 @@ class TestMinimalize:
         pres = parse_presentation("ring: x,y ; ideal: x*y")
         minimal = minimalize_presentation(pres)
         assert minimal.generators == pres.generators
-        assert tuple(minimal.variables) == ("x", "y")
+        assert minimal.variables == ("x", "y")
 
     def test_redundant_generator_dropped(self):
         pres = parse_presentation("ring: x,y ; ideal: x*y, x^2*y")

@@ -99,7 +99,7 @@ class TestRingInvariants:
             pres = parse_presentation(text)
             inv = analyze(pres).invariants
             extended = make_presentation(
-                tuple(pres.variables) + ("t_new",), [g.extend(1) for g in pres.generators]
+                pres.variables + ("t_new",), [g.extend(1) for g in pres.generators]
             )
             inv2 = analyze(extended).invariants
             assert inv2.dim == inv.dim + 1
@@ -300,7 +300,7 @@ def assert_substitutes_the_oracle_basis(basis, oracle_basis):
     rest = [g for g in oracle_basis.elements if g.degree() != 1]
     dropped = {g.lead.index(1) for g in linear}
     keep = [i for i in range(oracle_basis.nvars) if i not in dropped]
-    assert basis.variables.names == tuple(oracle_basis.variables.names[i] for i in keep)
+    assert basis.variables == tuple(oracle_basis.variables[i] for i in keep)
     assert not any(m[i] for g in rest for m in g.terms for i in dropped)
     projected = tuple(
         Polynomial(len(keep), {tuple(m[i] for i in keep): c for m, c in g.terms.items()})

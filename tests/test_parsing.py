@@ -15,12 +15,14 @@ from cmtype import (
     InputError,
     ParseError,
     Polynomial,
+    buchberger,
+    make_presentation,
+    minimalize_presentation,
     parse_polynomial,
     parse_presentation,
     render_polynomial,
     render_presentation,
 )
-from cmtype.poly import VariableSet
 from cmtype.presentation import RingPresentation
 
 from oracles import random_homogeneous_polynomial
@@ -35,7 +37,7 @@ def test_three_variable_monomial_ideal():
 
 def test_zero_ideal():
     pres = parse_presentation("ring: x ; ideal:")
-    assert tuple(pres.variables) == ("x",)
+    assert pres.variables == ("x",)
     assert pres.generators == ()
 
 
@@ -71,7 +73,7 @@ def test_rational_coefficients():
 
 
 def test_parentheses_and_signs():
-    p = parse_polynomial("-(x - y)^2 + x^2", VariableSet(("x", "y")))
+    p = parse_polynomial("-(x - y)^2 + x^2", ("x", "y"))
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     assert p == 2 * x * y - y**2
 
@@ -111,6 +113,13 @@ def test_syntax_error_carries_location():
         ("ring: x\nideal: (x + 1", "expected ')'", 2, 14),
         ("ring: x\nideal: x@", "unexpected character '@'", 2, 9),
         ("ring: x\nideal: é", "unexpected character 'é'", 2, 8),
+        # numbers are ASCII digits only
+        ("ring: x ; ideal: x^\u0663 - \uff13*x^3", "unexpected character '\u0663'", 1, 20),
+        ("ring: x ; ideal: \uff13*x", "unexpected character '\uff13'", 1, 18),
+        # the keywords are no variable names
+        ("ring:\nideal: x", "expected a variable name", 2, 1),
+        ("ring: ideal, ring ; ideal: ideal*ring", "expected a variable name", 1, 7),
+        ("ring: x, ring ; ideal: x", "expected a variable name", 1, 10),
     ],
 )
 def test_error_positions(text, message, line, column):
@@ -152,13 +161,13 @@ def test_mutated_corpus_texts_parse_or_raise_located_errors():
 
 def test_nesting_depth_limit():
     x = Polynomial.variable(1, 0)
-    assert parse_polynomial("(" * 100 + "x" + ")" * 100, VariableSet(("x",))) == x
+    assert parse_polynomial("(" * 100 + "x" + ")" * 100, ("x",)) == x
     with pytest.raises(ParseError, match=r"nested deeper than 100 \(line 1, column 101\)"):
-        parse_polynomial("(" * 101 + "x" + ")" * 101, VariableSet(("x",)))
+        parse_polynomial("(" * 101 + "x" + ")" * 101, ("x",))
 
 
 def test_expansion_and_digit_caps():
-    xy = VariableSet(("x", "y"))
+    xy = ("x", "y")
     # a monomial power costs one product per bit of the exponent
     pres = parse_presentation("ring: x, y\nideal: x^2, y^100000000")
     assert pres.generators[1] == Polynomial(2, [((0, 100000000), 1)])
@@ -210,11 +219,27 @@ def test_zero_generator_dropped_with_warning():
 
 @pytest.mark.parametrize("generator", [Polynomial.variable(3, 0), Polynomial.zero(2)])
 def test_presentation_rejects_bad_generators(generator):
-    xy = VariableSet(("x", "y"))
+    xy = ("x", "y")
     with pytest.raises(InputError):
         RingPresentation(xy, (generator,))
     with pytest.raises(InputError):  # a copy is checked as a new one is
         RingPresentation(xy, ())._replace(generators=(generator,))
+
+
+@pytest.mark.parametrize("names", [("x", "x"), ("1bad",), ("ring",), ("x", "ideal"), ("",), ("x y",)])
+def test_presentation_rejects_bad_variable_names(names):
+    with pytest.raises(InputError, match="variable names must be distinct|invalid variable name"):
+        make_presentation(names, [])
+    with pytest.raises(InputError):  # a copy is checked as a new one is
+        make_presentation(("x",), [])._replace(variables=names)
+
+
+def test_variables_are_a_plain_tuple_of_names():
+    pres = parse_presentation("ring: x, y_1, z ; ideal: x*y_1, z")
+    assert type(pres.variables) is tuple and pres.variables == ("x", "y_1", "z")
+    assert type(buchberger(pres).variables) is tuple and buchberger(pres).variables == pres.variables
+    assert minimalize_presentation(pres).variables == ("x", "y_1")
+    assert make_presentation(["x", "y"], []) == RingPresentation(("x", "y"), ())
 
 
 def test_homogeneous_flag_rejects_mixed_degrees():
@@ -222,6 +247,13 @@ def test_homogeneous_flag_rejects_mixed_degrees():
         parse_presentation("ring: x, y ; ideal: x + y^2", require_homogeneous=True)
     pres = parse_presentation("ring: x, y ; ideal: x + y^2")
     assert not pres.homogeneous
+    # numbered as listed: the zero generator dropped before it counts, as in its warning
+    text = "ring: x ; ideal: x - x, x^2 + x"
+    with pytest.raises(InhomogeneousError, match="generator 2 is not homogeneous"):
+        parse_presentation(text, require_homogeneous=True)
+    assert parse_presentation(text).warnings == ("generator 1 is zero and was dropped",)
+    with pytest.raises(ParseError, match="unexpected end of input"):  # a later syntax error wins
+        parse_presentation(text + ", (", require_homogeneous=True)
 
 
 def test_duplicate_variable_rejected():
@@ -245,10 +277,10 @@ def test_parse_render_round_trip_on_canonical_forms():
         assert again == pres
 
     rng = random.Random(11)
-    names = VariableSet(("x", "y", "z"))
+    names = ("x", "y", "z")
     for _ in range(50):
         p = random_homogeneous_polynomial(rng, 3, rng.randint(1, 4))
-        assert parse_polynomial(render_polynomial(p, tuple(names)), names) == p
+        assert parse_polynomial(render_polynomial(p, names), names) == p
 
 
 def expressions(names):
@@ -273,9 +305,9 @@ def expressions(names):
 @given(st.data())
 def test_parse_render_parse_round_trip(data):
     names = st.lists(st.sampled_from(["x", "y", "z1", "w_2"]), min_size=1, unique=True)
-    names = VariableSet(tuple(data.draw(names)))
-    p = parse_polynomial(data.draw(expressions(names.names)), names)
-    text = render_polynomial(p, names.names)
+    names = tuple(data.draw(names))
+    p = parse_polynomial(data.draw(expressions(names)), names)
+    text = render_polynomial(p, names)
     again = parse_polynomial(text, names)
     assert again == p
-    assert render_polynomial(again, names.names) == text
+    assert render_polynomial(again, names) == text

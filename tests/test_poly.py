@@ -10,9 +10,8 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmtype import InputError, Polynomial, buchberger, classify, parse_presentation
+from cmtype import Polynomial, buchberger, classify, parse_presentation
 from cmtype.poly import (
-    VariableSet,
     add_scaled,
     heap_key,
     minimal_monomials,
@@ -259,27 +258,6 @@ class TestStructuralOps:
         assert (x * y + y**2).is_homogeneous()
         assert not (x + y**2).is_homogeneous()
         assert Polynomial.zero(2).is_homogeneous()
-
-
-class TestVariableSet:
-    def test_validation(self):
-        with pytest.raises(InputError):
-            VariableSet(("x", "x"))
-        with pytest.raises(InputError):
-            VariableSet(("1bad",))
-        vs = VariableSet(("x", "y_1"))
-        assert vs.index("y_1") == 1
-        with pytest.raises(InputError):
-            vs.index("z")
-
-    def test_value_semantics(self):
-        vs = VariableSet(("x", "y"))
-        assert tuple(vs) == ("x", "y") and len(vs) == 2
-        assert vs == VariableSet(("x", "y")) and hash(vs) == hash(VariableSet(("x", "y")))
-        assert vs != VariableSet(("y", "x")) and vs != ("x", "y")
-        assert pickle.loads(pickle.dumps(vs)) == vs
-        with pytest.raises(AttributeError):
-            vs.names = ("z",)
 
 
 def test_pickle_round_trips():

@@ -68,7 +68,7 @@ def test_free_variable_increments_singular_dimension():
         pres = parse_presentation(text)
         base = singular_locus(analyze(pres))
         extended = make_presentation(
-            tuple(pres.variables) + ("t_new",), [g.extend(1) for g in pres.generators]
+            pres.variables + ("t_new",), [g.extend(1) for g in pres.generators]
         )
         grown = singular_locus(analyze(extended))
         assert grown.singular_dim == base.singular_dim + 1
