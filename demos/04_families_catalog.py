@@ -7,6 +7,7 @@ import random
 
 from cmtype import (
     Polynomial,
+    analyze,
     binary_form_profile,
     make_presentation,
     match_named_family,
@@ -49,7 +50,7 @@ def main() -> None:
         [f"v{i}" for i in range(pres.nvars)],
         [g.permute_variables(tuple(sigma)) for g in pres.generators],
     )
-    tag = match_named_family(scrambled)
+    tag = match_named_family(analyze(scrambled))
     print(f"  scrambled scroll(1,2) with sigma = {tuple(sigma)}")
     print(f"  matched as {tag.kind} {tag.param} with certificate {tag.certificate}")
 

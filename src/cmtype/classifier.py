@@ -6,6 +6,10 @@ outside the tool's certified scope); the tool never guesses on open cases.
 All statements about uncountability live over an uncountable algebraically
 closed field of characteristic zero and are transported through closure-
 stable invariants (h-vector, quadric rank, root profile, singular dimension).
+Hypersurfaces are tagged here: quadrics by rank and binary forms by root
+profile, which are full linear-equivalence invariants in characteristic
+zero, so no permutation certificate applies to them.  Every other family
+tag comes from :func:`cmtype.families.match_named_family`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .errors import BudgetError, Budgets, DEFAULT_BUDGETS, InputError
 from .families import FamilyTag, binary_form_profile, match_named_family, quadric_rank
 from .invariants import Analysis, RingInvariants, analyze
 from .groebner import normal_form
-from .poly import Polynomial
+from .poly import Polynomial, unit_vectors
 from .presentation import RingPresentation
 from .singularity import SingularityReport, singular_locus
 
@@ -76,7 +80,7 @@ def _is_linear_nonzerodivisor(x_index: int, bundle: Analysis) -> bool:
     """
     series = bundle.series
     quotient = bundle.quotient
-    x = tuple(int(i == x_index) for i in range(bundle.presentation.nvars))
+    x = unit_vectors(bundle.presentation.nvars)[x_index]
     stable = max(1, len(series.hvector) - 1)
     d = 0
     while True:
@@ -89,9 +93,11 @@ def _is_linear_nonzerodivisor(x_index: int, bundle: Analysis) -> bool:
             raise InputError("nonzerodivisor test: the Hilbert function never stabilized")
 
 
-def _rewrite_from_bundle(
-    bundle: Analysis, x_index: int, u_index: int, v_index: int
-) -> ObstructionData:
+def rewrite_in_xm(bundle: Analysis, x_index: int, u_index: int, v_index: int) -> ObstructionData:
+    """Rewrite u^2, uv, v^2 as x*(linear form) by exact degree-2 linear algebra.
+
+    Variable indices refer to the minimal presentation `bundle.presentation`.
+    """
     pres = bundle.presentation
     inv = bundle.invariants
     n = pres.nvars
@@ -124,6 +130,7 @@ def _rewrite_from_bundle(
 
     u = Polynomial.variable(n, u_index)
     v = Polynomial.variable(n, v_index)
+    units = unit_vectors(n)
     rows: list[tuple[Fraction, ...]] = []
     for product in (u * u, u * v, v * v):
         left = columns.residual(image(product.terms))
@@ -134,9 +141,8 @@ def _rewrite_from_bundle(
             )
         solution = [-Fraction(left.get((-1, j), 0)) for j in range(len(basis_order))]
         # certify the rewrite: the residual must vanish in the quotient
-        units = (tuple(int(i == idx) for i in range(n)) for idx in basis_order)
-        linear = Polynomial(n, zip(units, solution))
-        residual = normal_form(product - x * linear, bundle.gb)
+        linear = Polynomial(n, ((units[idx], c) for idx, c in zip(basis_order, solution)))
+        residual = normal_form(product - x * linear, bundle.quotient.gb)
         if not residual.is_zero:
             raise InputError("rewrite residual did not normal-form to zero")
         rows.append(tuple(solution))
@@ -147,29 +153,6 @@ def _rewrite_from_bundle(
     return ObstructionData(x_index, u_index, v_index, tuple(basis_order), tuple(rows), f_columns)
 
 
-def rewrite_in_xm(
-    pres: RingPresentation,
-    x_index: int,
-    u_index: int,
-    v_index: int,
-    *,
-    seed: int = 1,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> ObstructionData:
-    """Rewrite u^2, uv, v^2 as x*(linear form) by exact degree-2 linear algebra.
-
-    Variable indices refer to the presentation as given, which must already
-    be minimal on the variable side (no eliminable linear generators).
-    """
-    bundle = analyze(pres, seed=seed, budgets=budgets)
-    if bundle.presentation.nvars != pres.nvars:
-        raise InputError(
-            "presentation has eliminable linear generators; minimalize it first "
-            "so variable indices are unambiguous"
-        )
-    return _rewrite_from_bundle(bundle, x_index, u_index, v_index)
-
-
 def _best_effort_obstruction(bundle: Analysis) -> ObstructionData | None:
     """Attach rewrite data for the h = (1, n >= 3) verdict when a variable works."""
     n = bundle.presentation.nvars
@@ -178,7 +161,7 @@ def _best_effort_obstruction(bundle: Analysis) -> ObstructionData | None:
     for x_idx in range(n):
         others = [i for i in range(n) if i != x_idx]
         try:
-            return _rewrite_from_bundle(bundle, x_idx, others[0], others[1])
+            return rewrite_in_xm(bundle, x_idx, others[0], others[1])
         except (InputError, BudgetError):
             continue
     return None
@@ -287,7 +270,7 @@ def _classify_dim1(bundle: Analysis, assumptions: frozenset[str]) -> Classificat
         return _report(inv, Verdict.UNCOUNTABLE, "dim1-h13", obstruction=obstruction)
 
     if len(h) == 2 and h[1] == 2:
-        family = match_named_family(bundle.presentation)
+        family = match_named_family(bundle)
         if family.kind == "gw12":
             return _report(
                 inv, Verdict.COUNTABLE_INFINITE, "dim1-gw12", "completion-transfer", family=family
@@ -335,7 +318,7 @@ def _classify_dim_ge2(bundle: Analysis, budgets: Budgets) -> ClassificationRepor
             return _report(inv, Verdict.UNCOUNTABLE, "dim2-isolated-minmult", **evidence)
         return _report(inv, Verdict.OPEN_UNKNOWN, "dim2-nonisolated-open", **evidence)
 
-    tag = match_named_family(bundle.presentation)
+    tag = match_named_family(bundle)
     if tag.kind == "scroll":
         if len(tag.param) == 1:
             return _report(inv, Verdict.FINITE, "scroll-2dim-finite", family=tag)

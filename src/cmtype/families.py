@@ -1,14 +1,13 @@
 """Generators and recognizers for the catalog of named ring families.
 
-The catalog covers polynomial rings, quadrics (tagged by rank), binary-form
-hypersurfaces (tagged by root-multiplicity profile), rational normal scrolls,
-Veronese cones, and the two special h-vector (1,2) rings.  The scrolls, the
-Veronese cones and graded12 are generated by the distinct nonzero 2x2 minors
-of a matrix of variables, expanded by :func:`cmtype.poly.minors`.  Recognition of the
-determinantal families is exact up to variable permutation; quadrics and
-binary forms are instead tagged by rank and profile, which are full
-linear-equivalence invariants in characteristic zero, so no permutation
-certificate applies to them.
+The catalog covers polynomial rings, quadrics, binary-form hypersurfaces,
+rational normal scrolls, Veronese cones, and the two special h-vector (1,2)
+rings.  The scrolls, the Veronese cones and graded12 are generated by the
+distinct nonzero 2x2 minors of a matrix of variables, expanded by
+:func:`cmtype.poly.minors`.  Recognition of these families and gw12 is exact
+up to variable permutation.  :func:`quadric_rank` and
+:func:`binary_form_profile` compute the invariants the classifier tags
+hypersurfaces by.
 """
 
 from __future__ import annotations
@@ -20,8 +19,9 @@ from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import BudgetError, InputError
-from .groebner import minimalize_presentation, normal_form
-from .poly import Polynomial, minors
+from .groebner import normal_form
+from .invariants import Analysis
+from .poly import Polynomial, minors, unit_vectors
 from .presentation import RingPresentation, make_presentation
 
 
@@ -48,7 +48,7 @@ def _determinantal(
     """The distinct nonzero 2x2 minors, in :func:`minors` order, of the matrix
     whose entry i is the variable names[i]."""
     nvars = len(names)
-    units = [{tuple(int(j == i) for j in range(nvars)): 1} for i in range(nvars)]
+    units = [{m: 1} for m in unit_vectors(nvars)]
     matrix = [[units[i] for i in row] for row in index_matrix]
     gens = (Polynomial(nvars, det) for det in minors(matrix, 2, lambda m: {m: 1}) if det)
     return make_presentation(names, dict.fromkeys(gens))
@@ -236,12 +236,13 @@ class FamilyTag(NamedTuple):
     For permutation-matched kinds the certificate is the variable relabeling
     (old index -> new index) under which the canonical family's quadrics span
     exactly the input's quadrics; equal spans give equal ideals, so the
-    relabeled family has the input's reduced Groebner basis.  Rank- and
-    profile-based kinds carry no certificate.  `attempted` is False when the permutation
-    search was skipped because the ring has more than 9 variables.
+    relabeled family has the input's reduced Groebner basis.  The rank- and
+    profile-based kinds, which the classifier gives hypersurfaces, carry no
+    certificate.  `attempted` is False when the permutation search was
+    skipped because the ring has more than 9 variables.
     """
 
-    kind: str  # polynomial_ring|quadric|binary_form|scroll|veronese_cone|gw12|graded12|none
+    kind: str  # quadric|binary_form|scroll|veronese_cone|gw12|graded12|none
     param: tuple | int | None = None
     certificate: tuple[int, ...] | None = None
     attempted: bool = True
@@ -284,31 +285,20 @@ def _permutation_candidates(n: int, quadrics: int) -> list[tuple[FamilyTag, Ring
     return candidates
 
 
-def match_named_family(pres: RingPresentation) -> FamilyTag:
-    """Match a minimal presentation against the family catalog.
+def match_named_family(bundle: Analysis) -> FamilyTag:
+    """Match the minimal presentation of `bundle` against the family catalog.
 
-    Quadrics and binary forms are tagged by their invariants; all other
-    families with the input's number of quadrics are searched over variable
-    permutations in lexicographic order (first match wins), pruned by the
-    support signatures of the quadric span.  A match is reported when the
-    permuted family's quadrics span exactly the input's quadrics: both ideals
-    are generated by those spans, so the ideals, and hence their reduced
-    Groebner bases, are equal.
+    The families with the input's number of quadrics are searched over
+    variable permutations in lexicographic order (first match wins), pruned
+    by the support signatures of the quadric span.  A match is reported when
+    the permuted family's quadrics span exactly the input's quadrics: both
+    ideals are generated by those spans, so the ideals, and hence their
+    reduced Groebner bases, are equal.  The classifier tags hypersurfaces
+    itself, by rank or root profile, and calls this only on rings with at
+    least two generators.
     """
-    minimal = pres if pres.minimalized else minimalize_presentation(pres)
-    gens = minimal.generators
-    n = minimal.nvars
-
-    if not gens:
-        return FamilyTag("polynomial_ring", param=n, certificate=tuple(range(n)))
-    if len(gens) == 1:
-        f = gens[0]
-        if f.degree() == 2:
-            return FamilyTag("quadric", param=(quadric_rank(f), n))
-        if n == 2:
-            return FamilyTag("binary_form", param=binary_form_profile(f))
-        return FamilyTag("none")
-
+    gens = bundle.presentation.generators
+    n = bundle.presentation.nvars
     if n > 9:
         return FamilyTag("none", attempted=False)
     if any(g.degree() != 2 for g in gens):

@@ -394,4 +394,4 @@ def minimalize_presentation(pres: RingPresentation) -> RingPresentation:
         [g for g in pres.generators if g.degree() != 1],
     )
     minimal = _minimal_homogeneous_generators(gens, len(variables))
-    return RingPresentation(variables, tuple(minimal), minimalized=True, warnings=pres.warnings)
+    return RingPresentation(variables, tuple(minimal), warnings=pres.warnings)

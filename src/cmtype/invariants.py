@@ -49,6 +49,7 @@ from .poly import (
     monomial_divides,
     monomial_lcm,
     monomial_mul,
+    unit_vectors,
 )
 from .presentation import RingPresentation
 
@@ -320,7 +321,7 @@ def _candidates(rng: random.Random, nvars: int):
         bound = 1 + attempt
         coeffs = [rng.randint(-bound, bound) for _ in range(nvars)]
         if any(coeffs):
-            yield Polynomial(nvars, [(m, c) for m, c in zip(_unit_vectors(nvars), coeffs) if c])
+            yield Polynomial(nvars, [(m, c) for m, c in zip(unit_vectors(nvars), coeffs) if c])
 
 
 def _sequential_search(minimal: RingPresentation, dim: int, seed: int, basis_of) -> tuple[Polynomial, ...]:
@@ -339,10 +340,6 @@ def _sequential_search(minimal: RingPresentation, dim: int, seed: int, basis_of)
     return tuple(chosen)
 
 
-def _unit_vectors(nvars: int) -> list[Monomial]:
-    return [tuple(1 if j == i else 0 for j in range(nvars)) for i in range(nvars)]
-
-
 # ---------------------------------------------------------------------------
 # socle and Cohen-Macaulay type
 
@@ -351,7 +348,7 @@ def _socle_dimension(quotient: Quotient) -> int:
     """dim_k (0 : m) of an artinian quotient: per degree, the kernel of
     multiplication by every variable into the next degree (the top degree
     is all socle)."""
-    units = _unit_vectors(quotient.gb.nvars)
+    units = unit_vectors(quotient.gb.nvars)
     total = d = 0
     while quotient.basis(d):
         total += quotient.kernel_dim(d, units)
@@ -379,14 +376,14 @@ class RingInvariants(NamedTuple):
 class Analysis(NamedTuple):
     """Everything the pipeline computes about one ring, built only by :func:`analyze`.
 
-    Consumers (the singular locus, the classifier, the CLI) read it instead of
-    recomputing, so each ideal gets one reduced Groebner basis per run:
-    `gb` is the basis of the minimal presentation and `quotient` the view of
-    S/I over it, whose memoized normal forms the consumers share.
+    Consumers (the singular locus, the family matcher, the degree-2 rewrite,
+    the classifier, the CLI) take it instead of recomputing, so each ideal
+    gets one reduced Groebner basis per run: `presentation` is minimal and
+    `quotient` the view of S/I over its basis (`quotient.gb`), whose
+    memoized normal forms the consumers share.
     """
 
-    presentation: RingPresentation  # minimalized
-    gb: GroebnerBasis
+    presentation: RingPresentation
     quotient: Quotient
     series: HilbertSeries
     reduction: ArtinianReduction
@@ -399,7 +396,8 @@ def analyze(
     *,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> Analysis:
-    """Minimalize `pres` and run the invariant pipeline on it, once.
+    """Minimalize `pres` (a minimal `pres` comes back equal) and run the
+    invariant pipeline on it, once.
 
     The only producer of :class:`Analysis`; the artinian reduction reuses
     `gb` and `series` and hands back the basis of its final trial, over the
@@ -407,7 +405,7 @@ def analyze(
     """
     _require_homogeneous(pres)
     _require_proper(pres)
-    minimal = pres if pres.minimalized else minimalize_presentation(pres)
+    minimal = minimalize_presentation(pres)
     _require_proper(minimal)
     gb = buchberger(minimal, budgets=budgets)
     series = hilbert_series_from_gb(gb)
@@ -429,4 +427,4 @@ def analyze(
         is_hypersurface=len(minimal.generators) <= 1,
         is_regular=len(minimal.generators) == 0,
     )
-    return Analysis(minimal, gb, Quotient(gb), series, reduction, invariants)
+    return Analysis(minimal, Quotient(gb), series, reduction, invariants)

@@ -9,7 +9,7 @@ import re
 from fractions import Fraction
 
 from .errors import InhomogeneousError, ParseError
-from .poly import Polynomial, add_scaled, unit_monomial
+from .poly import Polynomial, add_scaled, unit_monomial, unit_vectors
 from .presentation import KEYWORDS, RingPresentation
 
 _TOKEN_RE = re.compile(
@@ -77,7 +77,7 @@ class _Reader:
                 self.tokens.append((kind, value, m.start()))
         self.tokens.append(("end", "", len(self.text)))
         self.i = 0
-        self.variables = variables
+        self.variables = dict(zip(variables, unit_vectors(len(variables))))  # name -> its monomial
         self.depth = 0
         self.products = 0
 
@@ -187,8 +187,7 @@ class _Reader:
         if kind == "ident":
             if value not in self.variables:
                 raise self.error(f"unknown variable {value!r}", offset)
-            i = self.variables.index(value)
-            return {tuple(int(j == i) for j in range(len(self.variables))): 1}
+            return {self.variables[value]: 1}
         if value == "(":
             if self.depth == MAX_NESTING:
                 raise self.error(f"parentheses nested deeper than {MAX_NESTING}", offset)
@@ -224,7 +223,8 @@ def parse_presentation(text: str, require_homogeneous: bool = False) -> RingPres
         if name in names:
             raise reader.error(f"duplicate variable name {name!r}", offset)
         names.append(reader.take()[1])
-    reader.variables = variables = tuple(names)
+    variables = tuple(names)
+    reader.variables = dict(zip(variables, unit_vectors(len(variables))))
 
     if reader.at(";"):
         reader.take()

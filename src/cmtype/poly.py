@@ -58,6 +58,11 @@ def unit_monomial(nvars: int) -> Monomial:
     return (0,) * nvars
 
 
+def unit_vectors(nvars: int) -> list[Monomial]:
+    """The degree-one monomials, the i-th that of the i-th variable."""
+    return [tuple(int(j == i) for j in range(nvars)) for i in range(nvars)]
+
+
 def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
     """All exponent tuples of the given total degree, in a fixed order."""
     if degree < 0:
@@ -161,9 +166,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Polynomial":
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls(nvars, [(tuple(exps), 1)])
+        return cls(nvars, [(unit_vectors(nvars)[i], 1)])
 
     # -- basic queries -----------------------------------------------------
 

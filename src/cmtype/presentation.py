@@ -17,15 +17,13 @@ KEYWORDS = ("ring", "ideal")
 class _PresentationFields(NamedTuple):
     variables: tuple[str, ...]
     generators: tuple[Polynomial, ...]
-    minimalized: bool = False
     warnings: tuple[str, ...] = ()
 
 
 class RingPresentation(_PresentationFields):
-    """R = S/I for S = k[variables] and I generated by nonzero `generators`;
-    `minimalized` marks a minimal presentation.  Ideals without a ring in
-    view, such as a Jacobian ideal, use the same type.  Equality and the
-    hash ignore `warnings`.
+    """R = S/I for S = k[variables] and I generated by nonzero `generators`.
+    Ideals without a ring in view, such as a Jacobian ideal, use the same
+    type.  Equality and the hash ignore `warnings`.
 
     `variables` is a tuple of distinct names, each a letter followed by
     letters, digits and ``_``, none of them a keyword of the file format.
@@ -53,10 +51,10 @@ class RingPresentation(_PresentationFields):
         return self
 
     def __eq__(self, other):
-        return self[:3] == other[:3] if isinstance(other, RingPresentation) else NotImplemented
+        return self[:2] == other[:2] if isinstance(other, RingPresentation) else NotImplemented
 
     def __hash__(self):
-        return hash(self[:3])
+        return hash(self[:2])
 
     @property
     def nvars(self) -> int:

@@ -64,7 +64,6 @@ from cmtype.invariants import (
     Analysis,
     ArtinianReduction,
     HilbertSeries,
-    _unit_vectors,
     hilbert_series_from_gb,
 )
 from cmtype.linalg import rank, rref
@@ -77,6 +76,7 @@ from cmtype.poly import (
     monomial_lcm,
     monomial_mul,
     monomials_of_degree,
+    unit_vectors,
 )
 from cmtype.presentation import RingPresentation
 from cmtype.singularity import SingularityReport
@@ -325,7 +325,7 @@ def minimalize_presentation_oracle(pres: RingPresentation) -> RingPresentation:
         variables = variables[:i] + variables[i + 1 :]
 
     minimal = _minimal_homogeneous_generators(gens, len(variables))
-    return RingPresentation(variables, tuple(minimal), minimalized=True, warnings=pres.warnings)
+    return RingPresentation(variables, tuple(minimal), warnings=pres.warnings)
 
 
 def degree2_rref_oracle(gens, nvars: int):
@@ -547,7 +547,7 @@ def singular_locus_oracle(
 ) -> SingularityReport:
     """Dimension of the singular locus and the isolated-singularity flag, from
     every Jacobian minor expanded over Fraction polynomials."""
-    minimal = pres if pres.minimalized else minimalize_presentation(pres)
+    minimal = minimalize_presentation(pres)
     gens = minimal.generators
     nvars = minimal.nvars
     if not gens:
@@ -670,7 +670,7 @@ def artinian_reduction_oracle(
             coeffs = [rng.randint(-bound, bound) for _ in range(nvars)]
             if not any(coeffs):
                 continue
-            form = Polynomial(nvars, [(m, c) for m, c in zip(_unit_vectors(nvars), coeffs) if c])
+            form = Polynomial(nvars, [(m, c) for m, c in zip(unit_vectors(nvars), coeffs) if c])
             trial = current + [form]
             trial_gb = buchberger(RingPresentation(minimal.variables, tuple(trial)), budgets=budgets)
             trial_series = hilbert_series_from_gb(trial_gb)
@@ -702,7 +702,7 @@ def is_linear_nonzerodivisor_oracle(x: Polynomial, bundle: Analysis) -> bool:
     stabilized (so injective = bijective there) propagates to all degrees.
     """
     series = bundle.series
-    gb = bundle.gb
+    gb = bundle.quotient.gb
     nvars = bundle.presentation.nvars
     leads = gb.leading_monomials()
     stable = max(1, len(series.hvector) - 1)
@@ -746,7 +746,7 @@ def solve_combination_oracle(
     return sol, len(pivots) == k
 
 
-def rewrite_from_bundle_oracle(
+def rewrite_in_xm_oracle(
     bundle: Analysis, x_index: int, u_index: int, v_index: int
 ) -> ObstructionData:
     pres = bundle.presentation
@@ -790,7 +790,7 @@ def rewrite_from_bundle_oracle(
         linear = Polynomial.zero(n)
         for coeff, idx in zip(solution, basis_order):
             linear = linear + Polynomial.variable(n, idx) * coeff
-        residual = normal_form(product - x * linear, bundle.gb)
+        residual = normal_form(product - x * linear, bundle.quotient.gb)
         if not residual.is_zero:
             raise InputError("rewrite residual did not normal-form to zero")
         rows.append(tuple(solution))

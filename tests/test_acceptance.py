@@ -110,7 +110,7 @@ def test_criterion_05_four_lines_h13_rule():
     assert report.verdict is Verdict.UNCOUNTABLE
     assert any(j.citation == "Thm 3.3" for j in report.justification)
 
-    data = rewrite_in_xm(pres, 0, 1, 2)
+    data = rewrite_in_xm(analyze(pres), 0, 1, 2)
     assert data.matrix == ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0))
     gb = buchberger(minimalize_presentation(pres))
     n = pres.nvars

@@ -38,7 +38,7 @@ from oracles import (
     linear_change,
     random_invertible_matrix,
     rational_homogeneous_presentations,
-    rewrite_from_bundle_oracle,
+    rewrite_in_xm_oracle,
 )
 
 
@@ -312,18 +312,18 @@ class TestScopeAndBudgets:
 class TestRewriteInXm:
     def test_square_of_maximal_ideal_gives_zero_matrix(self):
         # quotient by (u,v,w)^2: every product of u, v, w vanishes outright
-        data = rewrite_in_xm(parse_presentation(SQUARE_OF_UVW), 0, 1, 2)
+        data = rewrite_in_xm(analyze(parse_presentation(SQUARE_OF_UVW)), 0, 1, 2)
         assert all(all(c == 0 for c in row) for row in data.matrix)
 
     def test_four_lines_rows(self):
-        data = rewrite_in_xm(parse_presentation(FOUR_LINES), 0, 1, 2)
+        data = rewrite_in_xm(analyze(parse_presentation(FOUR_LINES)), 0, 1, 2)
         assert data.basis == (0, 1, 2, 3)
         assert data.matrix == ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0))
         assert data.f_columns == {3: (0, 0, 0)}
 
     def test_residuals_normal_form_to_zero(self):
         pres = parse_presentation(FOUR_LINES)
-        data = rewrite_in_xm(pres, 0, 1, 2)
+        data = rewrite_in_xm(analyze(pres), 0, 1, 2)
         gb = buchberger(minimalize_presentation(pres))
         n = pres.nvars
         x = Polynomial.variable(n, data.x_index)
@@ -339,13 +339,11 @@ class TestRewriteInXm:
         # for (xy, yz, z^2) the first variable kills y, so the verified
         # nonzerodivisor precondition fires before any solve is attempted
         with pytest.raises(InputError, match="not a nonzerodivisor"):
-            rewrite_in_xm(parse_presentation("ring: x,y,z ; ideal: x*y, y*z, z^2"), 0, 1, 2)
+            rewrite_in_xm(analyze(parse_presentation("ring: x,y,z ; ideal: x*y, y*z, z^2")), 0, 1, 2)
 
     def test_rejects_non_minimal_multiplicity(self):
         with pytest.raises(InputError, match="minimal multiplicity"):
-            rewrite_in_xm(
-                parse_presentation("ring: x,y,z ; ideal: x^2, x*y, y^3"), 0, 1, 2
-            )
+            rewrite_in_xm(analyze(parse_presentation("ring: x,y,z ; ideal: x^2, x*y, y^3")), 0, 1, 2)
 
     def test_nonzerodivisor_guard_raises_when_the_function_never_stabilizes(self):
         # k[x, y] is two-dimensional, so its Hilbert function keeps growing
@@ -365,9 +363,9 @@ class TestRewriteInXm:
         checked = 0
         for x, u, v in itertools.permutations(range(bundle.presentation.nvars), 3):
             if classifier_module._is_linear_nonzerodivisor(x, bundle):
-                assert classifier_module._rewrite_from_bundle(
-                    bundle, x, u, v
-                ) == rewrite_from_bundle_oracle(bundle, x, u, v), (x, u, v)
+                assert rewrite_in_xm(bundle, x, u, v) == rewrite_in_xm_oracle(bundle, x, u, v), (
+                    x, u, v
+                )
                 checked += 1
         assert checked
 
@@ -383,6 +381,20 @@ class TestRewriteInXm:
 
 
 class TestReports:
+    @pytest.mark.parametrize(
+        "text, kind, param",
+        [
+            ("ring: x, y ; ideal: x*y", "binary_form", (1, 1)),
+            ("ring: x, y ; ideal: x^2", "binary_form", (2,)),
+            ("ring: x, y, z ; ideal: x*z - y^2", "quadric", (3, 3)),
+        ],
+    )
+    def test_hypersurfaces_are_tagged_by_profile_or_rank(self, text, kind, param):
+        # the classifier tags every hypersurface itself, without a certificate:
+        # rank and root profile are full linear-equivalence invariants
+        family = classify_text(text).family
+        assert (family.kind, family.param, family.certificate) == (kind, param, None)
+
     def test_every_quote_is_in_the_citation_table(self):
         table_quotes = {c.quote for c in CITATIONS.values()}
         for text in (
@@ -428,7 +440,7 @@ def test_the_library_runs_no_dense_elimination(monkeypatch):
     assert (quadric.family.kind, quadric.family.param) == ("quadric", (3, 4))
     gw12 = classify(parse_presentation((corpus / "gw12.ring").read_text()))
     assert gw12.verdict is Verdict.COUNTABLE_INFINITE
-    data = rewrite_in_xm(parse_presentation(FOUR_LINES), 0, 1, 2)
+    data = rewrite_in_xm(analyze(parse_presentation(FOUR_LINES)), 0, 1, 2)
     assert data.matrix == ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0))
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     report = arrangement_dr(line_arrangement([y, x, x - y, x + y], x + 2 * y))

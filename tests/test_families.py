@@ -33,7 +33,6 @@ from cmtype.families import (
     _permutation_candidates,
     _scroll_types_with_nvars,
     _support_signatures,
-    sum_of_squares,
 )
 from cmtype.presentation import RingPresentation, render_presentation
 
@@ -82,7 +81,7 @@ class TestScrollIdeal:
             "ring: x1, x2, x3, x4, x5 ; "
             "ideal: x1*x3 - x2^2, x1*x5 - x2*x4, x2*x5 - x3*x4"
         )
-        tag = match_named_family(reference)
+        tag = match_named_family(analyze(reference))
         assert tag.kind == "scroll" and tag.param == (1, 2)
 
     def test_dimension_and_multiplicity_for_all_small_types(self):
@@ -215,27 +214,17 @@ class TestBinaryFormProfile:
 
 class TestMatchNamedFamily:
     def test_gw12(self):
-        tag = match_named_family(gw12_ideal())
+        tag = match_named_family(analyze(gw12_ideal()))
         assert tag.kind == "gw12"
         assert tag.certificate is not None
 
     def test_graded12(self):
-        tag = match_named_family(graded12_ideal())
+        tag = match_named_family(analyze(graded12_ideal()))
         assert tag.kind == "graded12"
 
     def test_random_cubic_hypersurface_unmatched(self):
         pres = parse_presentation("ring: x,y,z ; ideal: x^3 + y^3 + z^3 + x*y*z")
-        assert match_named_family(pres).kind == "none"
-
-    def test_polynomial_ring(self):
-        pres = parse_presentation("ring: x,y ; ideal:")
-        assert match_named_family(pres).kind == "polynomial_ring"
-
-    def test_quadric_tag_has_no_certificate(self):
-        tag = match_named_family(sum_of_squares(3, 4))
-        assert tag.kind == "quadric"
-        assert tag.param == (3, 4)
-        assert tag.certificate is None
+        assert match_named_family(analyze(pres)).kind == "none"
 
     def test_recognition_soundness_replay(self):
         # permute a family, match it, then replay the certificate and require
@@ -258,9 +247,10 @@ class TestMatchNamedFamily:
                 [f"v{i}" for i in range(n)],
                 [g.permute_variables(tuple(sigma)) for g in family.generators],
             )
-            tag = match_named_family(permuted)
+            bundle = analyze(permuted)
+            tag = match_named_family(bundle)
             assert (tag.kind, tag.param, tag.certificate) == expected
-            assert_certificate_replays(permuted, tag)
+            assert_certificate_replays(bundle, tag)
 
     def test_scrambled_families_are_recognized(self):
         # every multi-quadric family on 3-7 variables, under a random
@@ -271,18 +261,37 @@ class TestMatchNamedFamily:
             for quadrics in range(math.comb(n, 2) + 1):
                 for expected, family in _permutation_candidates(n, quadrics):
                     if len(family.generators) < 2:
-                        continue  # a single quadric is tagged by rank instead
+                        continue  # the classifier tags a single quadric by rank
                     sigma = list(range(n))
                     rng.shuffle(sigma)
                     scrambled = make_presentation(
                         [f"v{i}" for i in range(n)],
                         [g.permute_variables(tuple(sigma)) for g in family.generators],
                     )
-                    tag = match_named_family(scrambled)
+                    bundle = analyze(scrambled)
+                    tag = match_named_family(bundle)
                     assert (tag.kind, tag.param) == (expected.kind, expected.param)
-                    assert_certificate_replays(scrambled, tag)
+                    assert_certificate_replays(bundle, tag)
                     checked += 1
         assert checked == 26
+
+    def test_non_minimal_input_is_matched_on_its_minimal_presentation(self):
+        # scroll(1,2) relabeled, over a sixth variable v5, with the linear
+        # generator v0 - v5, also folded into a quadric: minimalizing
+        # substitutes v5 for v0, and the certificate refers to the minimal
+        # presentation's variables
+        relabeled = (g.permute_variables((3, 0, 4, 1, 2)) for g in scroll_ideal((1, 2)).generators)
+        quadrics = [Polynomial(6, [(m + (0,), c) for m, c in g.terms.items()]) for g in relabeled]
+        linear = Polynomial.variable(6, 0) - Polynomial.variable(6, 5)
+        pres = make_presentation(
+            [f"v{i}" for i in range(6)],
+            [quadrics[0] + Polynomial.variable(6, 2) * linear, quadrics[1], linear, quadrics[2]],
+        )
+        bundle = analyze(pres)
+        assert bundle.presentation.variables == ("v1", "v2", "v3", "v4", "v5")
+        tag = match_named_family(bundle)
+        assert (tag.kind, tag.param) == ("scroll", (1, 2))
+        assert_certificate_replays(bundle, tag)
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_echelon_rank_and_signatures_match_dense_rref(self, n):
@@ -307,7 +316,7 @@ class TestMatchNamedFamily:
         monkeypatch.setattr(linalg, "rref", refuse)
         pres = scroll_ideal((1, 1, 1, 2))
         assert set(minimalize_presentation(pres).generators) == set(pres.generators)
-        tag = match_named_family(pres)
+        tag = match_named_family(analyze(pres))
         assert (tag.kind, tag.param) == ("scroll", (1, 1, 1, 2))
 
     def test_constrained_permutations_match_the_product_oracle(self):
@@ -338,23 +347,21 @@ class TestMatchNamedFamily:
         assert peak < 100_000
 
     def test_large_rings_skip_the_search(self):
-        pres = scroll_ideal((4, 4))  # 10 variables
-        tag = match_named_family(pres)
+        tag = match_named_family(analyze(scroll_ideal((4, 4))))  # 10 variables
         assert tag.kind == "none"
         assert tag.attempted is False
 
 
-def assert_certificate_replays(pres, tag):
+def assert_certificate_replays(bundle, tag):
     """The matcher's certificate, checked the long way: the relabeled family
     has exactly the reduced Groebner basis of the minimal input."""
-    family = catalog_presentation_for_tag(tag, pres.nvars)
+    family = catalog_presentation_for_tag(tag)
     replayed = [g.permute_variables(tag.certificate) for g in family.generators]
-    replay_gb = buchberger(RingPresentation(pres.variables, tuple(replayed)))
-    input_gb = buchberger(minimalize_presentation(pres))
-    assert replay_gb.elements == input_gb.elements
+    replay_gb = buchberger(RingPresentation(bundle.presentation.variables, tuple(replayed)))
+    assert replay_gb.elements == bundle.quotient.gb.elements
 
 
-def catalog_presentation_for_tag(tag, nvars):
+def catalog_presentation_for_tag(tag):
     if tag.kind == "scroll":
         return scroll_ideal(tag.param)
     if tag.kind == "veronese_cone":
@@ -363,8 +370,6 @@ def catalog_presentation_for_tag(tag, nvars):
         return gw12_ideal()
     if tag.kind == "graded12":
         return graded12_ideal()
-    if tag.kind == "polynomial_ring":
-        return catalog_presentation("polynomial_ring", [str(nvars)])
     raise AssertionError(f"no canonical presentation for {tag.kind}")
 
 

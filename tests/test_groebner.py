@@ -507,13 +507,13 @@ class TestMinimalize:
 
 def minimalize_outcome(minimalize, pres):
     """The variables, the generators in order (with their leading terms and
-    the rendered text) and the flags of the result, or the error raised."""
+    the rendered text) and the warnings of the result, or the error raised."""
     try:
         m = minimalize(pres)
     except CmtypeError as exc:
         return type(exc), str(exc)
     leads = [g.lead for g in m.generators]
-    return m.variables, m.generators, leads, render_presentation(m), m.minimalized, m.warnings
+    return m.variables, m.generators, leads, render_presentation(m), m.warnings
 
 
 @st.composite

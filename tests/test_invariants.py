@@ -91,7 +91,8 @@ class TestRingInvariants:
             expected = hilbert_function_oracle(list(pres.generators), pres.nvars, d)
             assert bundle.series.hilbert_function(d) == expected
             assert len(bundle.quotient.basis(d)) == expected
-            standard = standard_monomials(bundle.gb.leading_monomials(), bundle.gb.nvars, d)
+            gb = bundle.quotient.gb
+            standard = standard_monomials(gb.leading_monomials(), gb.nvars, d)
             assert set(bundle.quotient.basis(d)) == set(standard)
 
     def test_free_variable_additivity(self):
@@ -142,7 +143,7 @@ class TestQuotientForm:
         for d in range(max_degree + 1):
             for m in monomials_of_degree(n, d):
                 form = bundle.quotient.form(m)
-                expected = normal_form_oracle(Polynomial(n, [(m, 1)]), bundle.gb)
+                expected = normal_form_oracle(Polynomial(n, [(m, 1)]), bundle.quotient.gb)
                 assert {t: Fraction(c) for t, c in form.items()} == expected.terms, m
                 values.extend(form.values())
         return values

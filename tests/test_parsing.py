@@ -214,7 +214,6 @@ def test_zero_generator_dropped_with_warning():
     # the warnings are no part of the ring: equality and the hash ignore them
     same = parse_presentation("ring: x ; ideal: x^2")
     assert pres == same and not pres != same and hash(pres) == hash(same)
-    assert pres != RingPresentation(same.variables, same.generators, minimalized=True)
 
 
 @pytest.mark.parametrize("generator", [Polynomial.variable(3, 0), Polynomial.zero(2)])

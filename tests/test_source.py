@@ -78,6 +78,33 @@ def test_every_top_level_name_is_referenced(path):
     assert defined_names(ast.parse(path.read_text())) - referenced_names() == set()
 
 
+def callers_of(name: str) -> set[str]:
+    """``module.function`` for each function of the library that calls `name`
+    (the innermost one), ``module`` for a call outside every function."""
+    callers = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.partition('.')[0]}.{node.name}"
+        if isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            callers.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in SOURCE.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    return callers
+
+
+def test_only_analyze_minimalizes():
+    # `analyze` is the one place the pipeline is built: every other consumer
+    # takes its Analysis, whose presentation is already minimal
+    assert callers_of("minimalize_presentation") == {"invariants.analyze"}
+
+
 @pytest.mark.parametrize("name", ["groebner.py", "invariants.py", "singularity.py", "families.py"])
 def test_coefficient_representation_stays_in_poly(name):
     # int or Fraction is decided behind Polynomial: these modules read the
