@@ -50,7 +50,7 @@ def _determinantal(
     nvars = len(names)
     units = [{m: 1} for m in unit_vectors(nvars)]
     matrix = [[units[i] for i in row] for row in index_matrix]
-    gens = (Polynomial(nvars, det) for det in minors(matrix, 2, lambda m: {m: 1}) if det)
+    gens = (Polynomial(nvars, det) for det in minors(matrix, 2) if det)
     return make_presentation(names, dict.fromkeys(gens))
 
 

@@ -180,17 +180,18 @@ class Quotient:
 
     ``basis(d)`` lists the standard monomials of degree d, a k-basis of the
     degree-d piece, grown from ``basis(d - 1)`` by the enumerator that
-    ``buchberger`` counts with; ``form(m)`` is the normal form of the
-    monomial m as a term map over those monomials, and ``image(terms)`` the
-    normal form of any term map, by linearity.  A monomial no leading
-    monomial divides is standard, its own normal form, and is answered
-    without division.  A form is the ``terms`` view of the normal form: int
-    coefficients when its scale is integral, as for every form of a toric
-    ideal (coefficient 1), so the Jacobian minors that
-    :func:`cmtype.poly.minors` expands through ``form`` and the images of
-    monomial products are then computed in integers.  ``basis`` and ``form``
+    ``buchberger`` counts with; ``normal(m)`` is the normal form of the
+    monomial m, a :class:`Polynomial` over those monomials, ``form(m)`` its
+    ``terms`` view, and ``image(terms)`` the normal form of any term map, by
+    linearity.  A monomial no leading monomial divides is standard, its own
+    normal form, and is answered without division.  The one memo holds the
+    normal forms: :func:`cmtype.poly.minors` reads each through ``normal``
+    as its integer map and scale, and expands the Jacobian minors in
+    integers even where a form's scale is not; ``form`` gives the exact
+    rational coefficients, ints when the scale is integral, as for every
+    form of a toric ideal (coefficient 1).  ``basis`` and ``normal``
     memoize, so callers that reduce many polynomials sharing monomials
-    divide each monomial once.  ``form`` looks ``normal_form`` up in this
+    divide each monomial once.  ``normal`` looks ``normal_form`` up in this
     module at every call, so a rebinding of ``invariants.normal_form`` (a
     tracer, a counter) sees it.
     """
@@ -199,7 +200,7 @@ class Quotient:
         self.gb = gb
         self._leads = gb.leading_monomials()
         self._bases: list[list[Monomial]] = []  # degrees 0, 1, ...
-        self._forms: dict[Monomial, Mapping] = {}
+        self._forms: dict[Monomial, Polynomial] = {}
 
     def basis(self, d: int) -> list[Monomial]:
         while len(self._bases) <= d:
@@ -207,14 +208,18 @@ class Quotient:
             self._bases.append(_standard_monomials(previous, self._leads, self.gb.nvars, len(self._bases)))
         return self._bases[d] if d >= 0 else []
 
-    def form(self, m: Monomial) -> Mapping:
-        if m not in self._forms:
+    def normal(self, m: Monomial) -> Polynomial:
+        nf = self._forms.get(m)
+        if nf is None:
+            # a standard monomial is its own normal form
+            nf = from_ints(self.gb.nvars, {m: 1}, lead=m, primitive=True)
             if any(monomial_divides(lead, m) for lead in self._leads):
-                monomial = from_ints(self.gb.nvars, {m: 1}, lead=m, primitive=True)
-                self._forms[m] = normal_form(monomial, self.gb).terms
-            else:  # a standard monomial is its own normal form
-                self._forms[m] = {m: 1}
-        return self._forms[m]
+                nf = normal_form(nf, self.gb)
+            self._forms[m] = nf
+        return nf
+
+    def form(self, m: Monomial) -> Mapping:
+        return self.normal(m).terms
 
     def image(self, terms: dict) -> dict:
         out: dict = {}

@@ -14,14 +14,15 @@ the package, from polynomial arithmetic to the parser, the S-polynomial,
 quotient images and echelon residuals, goes through it, except the two
 innermost loops of division and of :func:`minors`.  :func:`minors`
 is the one determinant routine: the Jacobian minors of the singular locus,
-expanded modulo the ideal as exterior products of their rows, and the 2x2
-minors of the determinantal families both come from it.
+expanded modulo the ideal as exterior products of their rows over bitmask
+column sets, and the 2x2 minors of the determinantal families both come
+from it.  It expands over integers alone, reading each normal form's scale
+as a numerator and a denominator.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from operator import add, le
@@ -399,68 +400,101 @@ def add_scaled(out: dict, terms: Mapping, c=1, shift: Monomial | None = None) ->
 
 
 def minors(
-    matrix: Sequence[Sequence[dict]], size: int, form: Callable[[Monomial], dict]
+    matrix: Sequence[Sequence[dict]],
+    size: int,
+    form: Callable[[Monomial], Polynomial] | None = None,
 ) -> Iterator[dict]:
     """Every size x size minor of a matrix of integer term maps ``{monomial:
     int}``, as such a map (empty when zero): row combinations outer, column
-    combinations inner.  Every product of monomials m is replaced by the term
-    map ``form(m)``, so a normal form modulo an ideal I gives every minor
-    already reduced modulo I; ``lambda m: {m: 1}`` gives the plain minors.
+    combinations inner.  ``form(m)`` is the normal form of the monomial m
+    modulo an ideal I, and every product of monomials is replaced by it, so
+    each minor comes out already reduced modulo I; without ``form`` the
+    minors are the plain ones.
+
+    Each map is the reduced minor times a nonzero rational, and exactly the
+    minor when every form is integral, as every plain minor is.  A form is
+    read as its integer map times its scale's numerator, over the scale's
+    denominator; a minor is kept as an integer map over its own
+    denominator, and a product whose denominator does not divide it
+    rescales the map once, the way :func:`cmtype.groebner.normal_form`
+    rescales its frame.  The last denominator is dropped.
 
     The minors on one row set are the coordinates of the exterior product of
     those rows, each built as the first row wedged with the memoized product
-    of the rows below it: an entry (r0, j) times the minor on a column set S
-    without j adds to the minor on S + {j}, signed by j's position there.
-    Reducing each product is exact, since NF(a*b) = NF(NF(a)*b) when the
-    normal form NF is linear and NF(a) - a lies in I; ``form`` is called once
-    per distinct pair of factor monomials."""
-    products: dict = {}
-    below: dict = {}
+    of the rows below it, and the product of no rows is 1 on no columns.  A
+    column set is a bitmask: an entry (r0, j) times the minor on a set S
+    without j adds to the minor on S | 1 << j, signed by the parity of the
+    members of S below j.  Reducing each product is exact, since NF(a*b) =
+    NF(NF(a)*b) when the normal form NF is linear and NF(a) - a lies in I;
+    ``form`` is called once per distinct pair of factor monomials."""
+    products: dict = {}  # m1 -> {m2: the form of m1 * m2}, shared by every entry term m1
+    rows_items = [
+        [(1 << j, tuple((m, c, products.setdefault(m, {})) for m, c in entry.items()))
+         for j, entry in enumerate(row) if entry]
+        for row in matrix
+    ]
+    unit = next((unit_monomial(len(m)) for row in matrix for e in row for m in e), ())
+    # the wedges of the trailing row sets, their maps as item tuples
+    below: dict = {(): ({0: ((unit, 1),)}, {})}
 
-    def wedge(rows: tuple[int, ...]) -> dict:
-        """{cols: minor on (rows, cols)} over the column sets with a term."""
-        first = matrix[rows[0]]
-        result: dict = {}
-        if len(rows) == 1:
-            for j, entry in enumerate(first):
-                if not entry:
-                    continue
-                out = result[(j,)] = {}
-                for m, c in entry.items():
-                    add_scaled(out, form(m), c)
-            return result
+    def reduced(m1: Monomial, m2: Monomial) -> tuple:
+        """(items, d): the form of m1 * m2 is the integer items over d."""
+        m = tuple(map(add, m1, m2))
+        if form is None:
+            return ((m, 1),), 1
+        nf = form(m)
+        n = nf.scale.numerator
+        return tuple((t, n * x) for t, x in nf.ints.items()), nf.scale.denominator
+
+    def wedge(rows: tuple[int, ...]) -> tuple[dict, dict]:
+        """({column mask: minor's integer map}, {column mask: its denominator,
+        when not 1}) over the column sets where the rows have a term."""
         rest = rows[1:]
         if rest not in below:
-            below[rest] = wedge(rest)
-        entries = [(j, entry) for j, entry in enumerate(first) if entry]
-        for cols, sub in below[rest].items():
-            if not sub:
-                continue
-            for j, entry in entries:
-                if j in cols:
+            maps, rest_dens = wedge(rest)
+            below[rest] = {cols: tuple(out.items()) for cols, out in maps.items() if out}, rest_dens
+        subs, sub_dens = below[rest]
+        first = rows_items[rows[0]]
+        result: dict = {}
+        dens: dict = {}
+        for cols, sub in subs.items():
+            den = sub_dens.get(cols, 1)
+            for bit, entry in first:
+                if cols & bit:
                     continue
-                k = bisect_left(cols, j)
-                key = cols[:k] + (j,) + cols[k:]
+                key = cols | bit
                 out = result.get(key)
                 if out is None:
                     out = result[key] = {}
-                sign = -1 if k % 2 else 1
-                for m1, c1 in entry.items():
+                frame = dens.get(key, 1) if dens else 1
+                sign = -1 if (cols & (bit - 1)).bit_count() & 1 else 1
+                for m1, c1, by_m2 in entry:
                     c1 *= sign
-                    for m2, c2 in sub.items():
-                        reduced = products.get(pair := (m1, m2))
-                        if reduced is None:
-                            reduced = products[pair] = form(monomial_mul(m1, m2))
+                    for m2, c2 in sub:
+                        reduced_items = by_m2.get(m2)
+                        if reduced_items is None:
+                            reduced_items = by_m2[m2] = reduced(m1, m2)
+                        items, d = reduced_items
                         c = c1 * c2
+                        if d != 1 or den != 1 or frame != 1:
+                            d *= den
+                            if frame % d:  # out / frame + c * items / d over a common frame
+                                grow = d // math.gcd(frame, d)
+                                for t in out:
+                                    out[t] *= grow
+                                frame = dens[key] = frame * grow
+                            c *= frame // d
                         # inline, not add_scaled: the innermost loop of a singular locus
-                        for t, x in reduced.items():
+                        for t, x in items:
                             if v := out.get(t, 0) + c * x:
                                 out[t] = v
                             else:
                                 del out[t]
-        return result
+        return result, dens
 
+    ncols = len(matrix[0]) if matrix else 0
+    masks = [sum(1 << j for j in cols) for cols in combinations(range(ncols), size)]
     for rows in combinations(range(len(matrix)), size):
-        dets = wedge(rows)
-        for cols in combinations(range(len(matrix[rows[0]])), size):
-            yield dets.get(cols) or {}
+        dets = wedge(rows)[0]
+        for mask in masks:
+            yield dets.get(mask) or {}

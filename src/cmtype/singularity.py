@@ -11,12 +11,18 @@ times the rational one and I + minors is unchanged;
 :func:`cmtype.poly.minors` expands them over integer term maps
 as exterior products of the rows, replacing every monomial product by its
 normal form from the analysis's quotient view, so each minor comes out
-reduced modulo I.  The minors enter one sparse echelon; I plus the echelon
-rows is I plus every minor.  When in some degree d the
-rows span all of R_d (their count is the Hilbert function at d), I + minors
-holds every form of degree d, so the singular locus is the origin and no
-Groebner basis is computed; otherwise one basis of I plus the rows gives
-its dimension.  More minors than ``Budgets.minors`` raise
+reduced modulo I, up to a nonzero rational factor that leaves its span
+unchanged.  The minors enter one sparse echelon; I plus the echelon
+rows is I plus every minor.
+
+The z variables that no minimal generator uses split off: R = R'[those
+variables] for R' = k[the others]/I, their Jacobian columns vanish, and the
+minors lie in R', whose Hilbert function is R's numerator over
+(1-t)^(n-z).  When in some degree d the rows span all of R'_d (their count
+is that Hilbert function at d), I + minors holds every form of degree d in
+the variables of R', so the singular locus is the origin of R' times k^z,
+of dimension z, and no Groebner basis is computed; otherwise one basis of
+I plus the rows gives its dimension.  More minors than ``Budgets.minors`` raise
 ``BudgetError`` before any is expanded; ``cmtype analyze`` then reports a
 null singularity section with the reason, in ``singularity_skipped``, next
 to the invariants it already computed.
@@ -30,7 +36,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import BudgetError, Budgets, DEFAULT_BUDGETS
-from .groebner import buchberger
+from .groebner import buchberger, hilbert_coefficient
 from .invariants import Analysis, hilbert_series_from_gb
 from .poly import Polynomial, minors, monomial_degree
 from .presentation import RingPresentation
@@ -66,7 +72,10 @@ def singular_locus(bundle: Analysis, *, budgets: Budgets = DEFAULT_BUDGETS) -> S
     # Scaling a row by a nonzero constant scales its minors alike, which
     # leaves I + minors unchanged: differentiate the primitive integer maps.
     primitive = [g * (1 / g.scale) for g in gens]
-    jacobian = [[g.derivative(j).terms for j in range(nvars)] for g in primitive]
+    # R = R'[z variables no generator uses]; their Jacobian columns vanish
+    used = [j for j in range(nvars) if any(m[j] for g in gens for m in g.ints)]
+    z = nvars - len(used)
+    jacobian = [[g.derivative(j).terms for j in used] for g in primitive]
     count = math.comb(len(gens), codim) * math.comb(nvars, codim)
     if count > budgets.minors:
         raise BudgetError(
@@ -74,16 +83,18 @@ def singular_locus(bundle: Analysis, *, budgets: Budgets = DEFAULT_BUDGETS) -> S
         )
     # I + rows = I + minors; the minors are forms, so the degree-d rows span their image in R_d
     echelon = linalg.Echelon()
-    for det in minors(jacobian, codim, bundle.quotient.form):
+    for det in minors(jacobian, codim, bundle.quotient.normal):
         if det:
             echelon.add(det)
 
     spans = [Polynomial(nvars, row) for row in echelon.rows.values()]
     jacobian_ideal = RingPresentation(minimal.variables, tuple(gens) + tuple(spans))
     ranks = Counter(map(monomial_degree, echelon.rows))
-    if any(rank == bundle.series.hilbert_function(d) for d, rank in ranks.items()):
-        # the minors span R_d, so I + minors holds every form of degree d
-        singular_dim = 0
+    # the minors lie in R', whose numerator over (1-t)^(n-z) is that of R
+    numerator = bundle.series.numerator
+    if any(rank == hilbert_coefficient(numerator, nvars - z, d) for d, rank in ranks.items()):
+        # the minors span R'_d, so the singular locus is the origin of R' times k^z
+        singular_dim = z
     elif spans:
         singular_dim = hilbert_series_from_gb(buchberger(jacobian_ideal, budgets=budgets)).dim
     else:  # every minor lies in I, so the singular locus is all of V(I)

@@ -40,11 +40,15 @@ def test_traced_pass_matches_every_pin():
     # have.  627 / 282 and 1,096 / 427 became 593 / 235 and 1,062 / 380 when
     # the artinian reduction's trial bases came to be computed in n - k
     # variables, with the linear forms substituted away, where the ring's
-    # numerator over (1-t)^(n-k) bounds every degree.  A degree-by-degree
-    # batched engine (ROADMAP item 3b) re-baselines these counts on purpose.
+    # numerator over (1-t)^(n-k) bounds every degree.  1,062 / 380 on
+    # analyze-catalog became 889 / 247 when the singular locus stopped
+    # computing a basis for a cone over an isolated singularity (the
+    # veronese_cone 6 and the quadrics (3,4) and (3,5)), whose minors span a
+    # whole degree of the base ring.  A degree-by-degree batched engine
+    # (ROADMAP item 6) re-baselines these counts on purpose.
     division_work = {
         "classify-catalog": (593, 235),
-        "analyze-catalog": (1_062, 380),
+        "analyze-catalog": (889, 247),
         "gb-random": (133, 64),
     }
     for workload, (normal_forms, spairs) in division_work.items():

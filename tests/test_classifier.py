@@ -367,7 +367,8 @@ class TestRewriteInXm:
                     x, u, v
                 )
                 checked += 1
-        assert checked
+        # a draw that leaves no variable a nonzerodivisor checks nothing
+        assume(checked)
 
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(rational_homogeneous_presentations(max_degree=3, max_generators=3, curves=True))

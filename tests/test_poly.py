@@ -319,4 +319,4 @@ def test_minors_match_the_leibniz_formula_in_row_major_order():
             for rows in combinations(range(3), size)
             for cols in combinations(range(4), size)
         ]
-        assert [Polynomial(1, det) for det in minors(matrix, size, lambda m: {m: 1})] == expected
+        assert [Polynomial(1, det) for det in minors(matrix, size)] == expected

@@ -14,7 +14,7 @@ from cmtype import (
 )
 from cmtype import invariants, linalg, singularity
 from cmtype.families import sum_of_squares
-from cmtype.poly import minors
+from cmtype.poly import minors, unit_vectors
 
 from oracles import laplace_minors, rational_homogeneous_presentations, singular_locus_oracle
 
@@ -100,18 +100,69 @@ def test_matches_the_fraction_minor_oracle(pres):
     assert report.singular_dim == expected.singular_dim
 
 
+def proportional(got: dict, expected: dict) -> bool:
+    """got = q * expected for a nonzero rational q (both empty when zero)."""
+    if got.keys() != expected.keys():
+        return False
+    if not got:
+        return True
+    t0 = next(iter(got))
+    return all(got[t] * expected[t0] == expected[t] * got[t0] for t in got)
+
+
+def jacobian_of(pres):
+    primitive = [g * (1 / g.scale) for g in pres.generators]
+    return [[g.derivative(j).terms for j in range(pres.nvars)] for g in primitive]
+
+
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(rational_homogeneous_presentations(max_degree=3, max_generators=4), st.integers(1, 4))
 def test_minors_in_the_quotient_are_the_reduced_laplace_minors(pres, size):
     # mixed degrees and non-toric forms with Fraction normal forms: each
     # minor, expanded with every monomial product reduced, is the normal
-    # form of the plain minor
-    nvars = pres.nvars
-    primitive = [g * (1 / g.scale) for g in pres.generators]
-    jacobian = [[g.derivative(j).terms for j in range(nvars)] for g in primitive]
+    # form of the plain minor up to a nonzero rational factor, and its
+    # coefficients are ints
+    jacobian = jacobian_of(pres)
     quotient = invariants.Quotient(buchberger(pres))
     expected = [quotient.image(det) for det in laplace_minors(jacobian, size)]
-    assert list(minors(jacobian, size, quotient.form)) == expected
+    got = list(minors(jacobian, size, quotient.normal))
+    assert len(got) == len(expected)
+    for det, reduced in zip(got, expected):
+        assert proportional(det, reduced)
+        assert all(type(c) is int for c in det.values())
+
+
+def determinantal_matrix(index_matrix, nvars):
+    """The matrix of variables families._determinantal expands, entry i the i-th variable."""
+    units = [{m: 1} for m in unit_vectors(nvars)]
+    return [[units[i] for i in row] for row in index_matrix]
+
+
+@pytest.mark.parametrize(
+    "index_matrix, nvars",
+    [
+        ([[0, 1, 3, 4, 5], [1, 2, 4, 5, 6]], 7),  # scroll(2,3)
+        ([[0, 1, 2], [1, 3, 4], [2, 4, 5]], 6),  # veronese_cone 5
+        ([[0, 1, 2], [1, 2, 0]], 3),  # graded12
+    ],
+)
+def test_the_identity_form_gives_the_exact_minors(index_matrix, nvars):
+    # the plain minors of the matrices families._determinantal expands into
+    # the catalog generators are exactly the Laplace minors
+    matrix = determinantal_matrix(index_matrix, nvars)
+    for size in range(1, len(matrix) + 1):
+        assert list(minors(matrix, size)) == list(laplace_minors(matrix, size))
+
+
+def test_integral_forms_give_the_exact_reduced_minors():
+    # every form of the toric quotient of scroll(1,2) has coefficient 1, so
+    # each minor is exactly the reduced Laplace minor
+    pres = scroll_ideal((1, 2))
+    jacobian = jacobian_of(pres)
+    quotient = invariants.Quotient(buchberger(pres))
+    for size in (1, 2, 3):
+        expected = [quotient.image(det) for det in laplace_minors(jacobian, size)]
+        assert list(minors(jacobian, size, quotient.normal)) == expected
 
 
 def count_calls(monkeypatch, module, name):
@@ -141,11 +192,23 @@ def test_scroll_minors_span_a_whole_degree(monkeypatch):
 
 
 @pytest.mark.parametrize("pres", [veronese_cone_ideal(6), sum_of_squares(3, 4)])
-def test_non_isolated_singularity_falls_back_to_one_basis(monkeypatch, pres):
+def test_cone_over_an_isolated_singularity_takes_no_basis(monkeypatch, pres):
+    # one variable no generator uses: R = R'[z], the minors lie in R' and
+    # span a whole degree of it, so the singular locus is the z-line
     bundle = analyze(pres)
     bases = count_calls(monkeypatch, singularity, "buchberger")
     report = singular_locus(bundle)
     assert report.singular_dim == 1
+    assert len(bases) == 0
+
+
+def test_cone_over_a_non_isolated_singularity_falls_back_to_one_basis(monkeypatch):
+    # x^2*y is singular along the y-axis of k[x, y], so its minors x*y and
+    # x^2 span no degree of R' and one basis of I + minors finds the plane
+    bundle = analyze(parse_presentation("ring: x,y,z ; ideal: x^2*y"))
+    bases = count_calls(monkeypatch, singularity, "buchberger")
+    report = singular_locus(bundle)
+    assert report.singular_dim == 2
     assert len(bases) == 1
 
 

@@ -114,6 +114,14 @@ def test_coefficient_representation_stays_in_poly(name):
     assert "fractions" not in imported_modules(tree) and "denominator" not in attributes
 
 
+def test_minors_touch_no_fraction():
+    # the minor kernel reads each form as an integer map and a denominator
+    # and expands over ints; a Fraction there is the cost it was rid of
+    tree = ast.parse((SOURCE / "poly.py").read_text())
+    (body,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "minors"]
+    assert "Fraction" not in {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+
+
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_dataclasses(path):
     # every command pays the import: a dataclass execs generated methods when
