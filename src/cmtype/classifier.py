@@ -24,7 +24,7 @@ from .errors import BudgetError, Budgets, DEFAULT_BUDGETS, InputError
 from .families import FamilyTag, binary_form_profile, match_named_family, quadric_rank
 from .invariants import Analysis, RingInvariants, analyze
 from .groebner import normal_form
-from .poly import Polynomial, unit_vectors
+from .poly import Polynomial, cleared, unit_vectors
 from .presentation import RingPresentation
 from .singularity import SingularityReport, singular_locus
 
@@ -114,18 +114,20 @@ def rewrite_in_xm(bundle: Analysis, x_index: int, u_index: int, v_index: int) ->
     if not _is_linear_nonzerodivisor(x_index, bundle):
         raise InputError(f"variable {x_index} is not a nonzerodivisor")
 
-    # Column j is x * x_j in R_2 plus the tag coordinate (-1, j), which sorts
-    # below every monomial, so monomials are the pivots.  x is a
-    # nonzerodivisor, so the columns are independent: the residual of a
-    # product in their span holds only tags, carrying minus its coefficients.
-    image = bundle.quotient.image
+    # Column j is x * x_j in R_2 plus a 1 at the tag (-1, j), and a product
+    # is itself plus a 1 at the marker (-2, 0), both cleared of denominators.
+    # Monomials sort above tags, tags above the marker, and the columns are
+    # independent (x is a nonzerodivisor): the residual of a product in their
+    # span is its coefficients at the tags times minus the marker's entry.
+    def vector(monomial, key) -> dict:
+        return cleared({**bundle.quotient.normal(monomial).terms, key: 1})[0]
+
     x = Polynomial.variable(n, x_index)
     basis_order = [x_index, u_index, v_index] + [
         i for i in range(n) if i not in (x_index, u_index, v_index)
     ]
     columns = linalg.Echelon(
-        {**image((x * Polynomial.variable(n, idx)).terms), (-1, j): Fraction(1)}
-        for j, idx in enumerate(basis_order)
+        vector((x * Polynomial.variable(n, idx)).lead, (-1, j)) for j, idx in enumerate(basis_order)
     )
 
     u = Polynomial.variable(n, u_index)
@@ -133,13 +135,14 @@ def rewrite_in_xm(bundle: Analysis, x_index: int, u_index: int, v_index: int) ->
     units = unit_vectors(n)
     rows: list[tuple[Fraction, ...]] = []
     for product in (u * u, u * v, v * v):
-        left = columns.residual(image(product.terms))
+        left = columns.residual(vector(product.lead, (-2, 0)))
+        scale = left.pop((-2, 0))
         if any(key[0] != -1 for key in left):
             raise InputError(
                 "degree-2 rewrite inconsistent: a product is not in x*m "
                 "(m^2 = x*m fails for this x)"
             )
-        solution = [-Fraction(left.get((-1, j), 0)) for j in range(len(basis_order))]
+        solution = [Fraction(-left.get((-1, j), 0), scale) for j in range(len(basis_order))]
         # certify the rewrite: the residual must vanish in the quotient
         linear = Polynomial(n, ((units[idx], c) for idx, c in zip(basis_order, solution)))
         residual = normal_form(product - x * linear, bundle.quotient.gb)

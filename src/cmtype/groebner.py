@@ -366,7 +366,7 @@ def eliminate_linear_forms(
     if not linear.rows:
         return variables, tuple(generators)
     n = len(variables)
-    rows = [Polynomial(n, row) for row in linear.rows.values()]
+    rows = [from_ints(n, row, primitive=True) for row in linear.rows.values()]
     keep = [i for i in range(n) if not any(lm[i] for lm in linear.rows)]
     # dropping variables that no term uses keeps the degrevlex order of the terms
     projected = []

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import random
 from itertools import accumulate
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import (
@@ -42,7 +42,7 @@ from .groebner import (
 from .poly import (
     Monomial,
     Polynomial,
-    add_scaled,
+    cleared,
     from_ints,
     minimal_monomials,
     monomial_degree,
@@ -181,19 +181,13 @@ class Quotient:
     ``basis(d)`` lists the standard monomials of degree d, a k-basis of the
     degree-d piece, grown from ``basis(d - 1)`` by the enumerator that
     ``buchberger`` counts with; ``normal(m)`` is the normal form of the
-    monomial m, a :class:`Polynomial` over those monomials, ``form(m)`` its
-    ``terms`` view, and ``image(terms)`` the normal form of any term map, by
-    linearity.  A monomial no leading monomial divides is standard, its own
-    normal form, and is answered without division.  The one memo holds the
-    normal forms: :func:`cmtype.poly.minors` reads each through ``normal``
-    as its integer map and scale, and expands the Jacobian minors in
-    integers even where a form's scale is not; ``form`` gives the exact
-    rational coefficients, ints when the scale is integral, as for every
-    form of a toric ideal (coefficient 1).  ``basis`` and ``normal``
-    memoize, so callers that reduce many polynomials sharing monomials
-    divide each monomial once.  ``normal`` looks ``normal_form`` up in this
-    module at every call, so a rebinding of ``invariants.normal_form`` (a
-    tracer, a counter) sees it.
+    monomial m, a :class:`Polynomial` over those monomials, and the one view
+    of a form: every product the Jacobian minors, the socle and the degree-2
+    rewrite reduce is a monomial.  A standard monomial, one no leading
+    monomial divides, is its own normal form and is answered without
+    division.  Both memoize, so each monomial is divided once.  ``normal``
+    looks ``normal_form`` up in this module at every call, so a rebinding
+    of ``invariants.normal_form`` (a tracer, a counter) sees it.
     """
 
     def __init__(self, gb: GroebnerBasis):
@@ -218,15 +212,6 @@ class Quotient:
             self._forms[m] = nf
         return nf
 
-    def form(self, m: Monomial) -> Mapping:
-        return self.normal(m).terms
-
-    def image(self, terms: dict) -> dict:
-        out: dict = {}
-        for m, c in terms.items():
-            add_scaled(out, self.form(m), c)
-        return out
-
     def kernel_dim(self, d: int, monomials: Sequence[Monomial]) -> int:
         """dim_k of the kernel of R_d -> R_{d+1}^k, b |-> (b*m)_m, for k
         degree-one monomials m: one vector per standard monomial b, the
@@ -235,7 +220,9 @@ class Quotient:
         if not self.basis(d + 1):
             return len(basis)
         images = linalg.Echelon(
-            {(v, t): c for v, m in enumerate(monomials) for t, c in self.form(monomial_mul(b, m)).items()}
+            cleared({
+                (v, t): c for v, m in enumerate(monomials) for t, c in self.normal(monomial_mul(b, m)).terms.items()
+            })[0]
             for b in basis
         )
         return len(basis) - len(images.rows)

@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
 Every rank, span test and solve in the library runs on :class:`Echelon`, a
-sparse row echelon form of dicts from coordinate to int or Fraction.
+sparse row echelon form of dicts from coordinate to int, fraction-free.
 :func:`rref` and :func:`rank`, dense Gaussian elimination over lists of rows
 of Fractions, are the reference the test oracles compare against; no library
 code calls them.  Everything is exact and deterministic.
@@ -9,6 +9,7 @@ code calls them.  Everything is exact and deterministic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -50,13 +51,13 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 class Echelon:
-    """Sparse row echelon form of the vectors added so far.
+    """Sparse row echelon form of the integer vectors added so far.
 
     A vector is a dict from coordinate (any totally ordered key, such as a
-    monomial) to a nonzero int or Fraction.  ``rows`` maps each pivot, the
-    largest coordinate of its row, to that row scaled to pivot entry 1; a
-    row stays int when its pivot divides it.  Pivots are distinct, so the
-    rows are independent and their count is the rank.
+    monomial) to a nonzero int.  ``rows`` maps each pivot, the largest
+    coordinate of its row, to that row made primitive with a positive pivot
+    entry.  Pivots are distinct, so the rows are independent and their
+    count is the rank.
     """
 
     def __init__(self, vectors: Iterable[dict] = ()):
@@ -65,22 +66,25 @@ class Echelon:
             self.add(vec)
 
     def residual(self, vec: dict) -> dict:
-        """vec minus row multiples until its largest coordinate is no pivot;
+        """vec reduced until its largest coordinate is no pivot, each step
+        v <- (p/g) v - (c/g) row for the row's pivot entry p, v's entry c and
+        g = gcd(p, c): the exact residual times a nonzero integer, so it is
         empty exactly when vec lies in the span of the rows."""
         v = dict(vec)
         while v and (row := self.rows.get(pivot := max(v))) is not None:
-            add_scaled(v, row, -v[pivot])
+            c, p = v[pivot], row[pivot]
+            if c % p:  # scale v by p / gcd(p, c), so that p divides its entry c
+                a = p // math.gcd(p, c)
+                for k in v:
+                    v[k] *= a
+                c *= a
+            add_scaled(v, row, -(c // p))
         return v
 
     def add(self, vec: dict) -> bool:
-        """Reduce vec; if a nonzero residual is left, store it and return True."""
-        v = self.residual(vec)
-        if v:
+        """Reduce vec; if a nonzero residual is left, store it primitive and return True."""
+        if v := self.residual(vec):
             pivot = max(v)
-            p = v[pivot]
-            if type(p) is int and not any(x % p for x in v.values()):
-                self.rows[pivot] = {k: x // p for k, x in v.items()}
-            else:
-                inv = 1 / Fraction(p)
-                self.rows[pivot] = {k: x * inv for k, x in v.items()}
+            content = math.gcd(*v.values()) if v[pivot] > 0 else -math.gcd(*v.values())
+            self.rows[pivot] = {k: x // content for k, x in v.items()}
         return bool(v)

@@ -10,9 +10,9 @@ names: those are a presentation's tuple of strings.  A monomial is a plain
 exponent tuple, one entry per variable, and the position of a variable in
 that tuple fixes its significance in degrevlex (earlier = more significant).
 :func:`add_scaled` is the one sparse accumulate: every sum of term maps in
-the package, from polynomial arithmetic to the parser, the S-polynomial,
-quotient images and echelon residuals, goes through it, except the two
-innermost loops of division and of :func:`minors`.  :func:`minors`
+the package, from polynomial arithmetic to the parser, the S-polynomial and
+echelon residuals, goes through it, except the two innermost loops of
+division and of :func:`minors`.  :func:`minors`
 is the one determinant routine: the Jacobian minors of the singular locus,
 expanded modulo the ideal as exterior products of their rows over bitmask
 column sets, and the 2x2 minors of the determinantal families both come
@@ -141,9 +141,7 @@ class Polynomial:
                 data[m] = c
             else:
                 data.pop(m, None)
-        denominator = math.lcm(*(c.denominator for c in data.values()))
-        ints = {m: c.numerator * (denominator // c.denominator) for m, c in data.items()}
-        return from_ints(nvars, ints, Fraction(1, denominator))
+        return from_ints(nvars, *cleared(data))
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -378,6 +376,13 @@ def from_ints(
     object.__setattr__(p, "scale", scale)
     object.__setattr__(p, "lead", lead)
     return p
+
+
+def cleared(terms: Mapping) -> tuple[dict, Fraction]:
+    """``(ints, scale)`` with ``terms == scale * ints`` for a term map of
+    rationals: ``ints`` integral, the scale 1 over their least common denominator."""
+    denominator = math.lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (denominator // c.denominator) for m, c in terms.items()}, Fraction(1, denominator)
 
 
 def add_scaled(out: dict, terms: Mapping, c=1, shift: Monomial | None = None) -> dict:

@@ -12,8 +12,8 @@ times the rational one and I + minors is unchanged;
 as exterior products of the rows, replacing every monomial product by its
 normal form from the analysis's quotient view, so each minor comes out
 reduced modulo I, up to a nonzero rational factor that leaves its span
-unchanged.  The minors enter one sparse echelon; I plus the echelon
-rows is I plus every minor.
+unchanged.  The minors enter one sparse integer echelon; I plus the
+echelon rows is I plus every minor.
 
 The z variables that no minimal generator uses split off: R = R'[those
 variables] for R' = k[the others]/I, their Jacobian columns vanish, and the
@@ -22,10 +22,10 @@ minors lie in R', whose Hilbert function is R's numerator over
 is that Hilbert function at d), I + minors holds every form of degree d in
 the variables of R', so the singular locus is the origin of R' times k^z,
 of dimension z, and no Groebner basis is computed; otherwise one basis of
-I plus the rows gives its dimension.  More minors than ``Budgets.minors`` raise
-``BudgetError`` before any is expanded; ``cmtype analyze`` then reports a
-null singularity section with the reason, in ``singularity_skipped``, next
-to the invariants it already computed.
+I plus the rows gives its dimension.  More minors over the columns of R'
+than ``Budgets.minors`` raise ``BudgetError`` before any is expanded;
+``cmtype analyze`` then reports a null singularity section with the reason,
+in ``singularity_skipped``, next to the invariants it already computed.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from . import linalg
 from .errors import BudgetError, Budgets, DEFAULT_BUDGETS
 from .groebner import buchberger, hilbert_coefficient
 from .invariants import Analysis, hilbert_series_from_gb
-from .poly import Polynomial, minors, monomial_degree
+from .poly import from_ints, minors, monomial_degree
 from .presentation import RingPresentation
 
 
@@ -76,7 +76,7 @@ def singular_locus(bundle: Analysis, *, budgets: Budgets = DEFAULT_BUDGETS) -> S
     used = [j for j in range(nvars) if any(m[j] for g in gens for m in g.ints)]
     z = nvars - len(used)
     jacobian = [[g.derivative(j).terms for j in used] for g in primitive]
-    count = math.comb(len(gens), codim) * math.comb(nvars, codim)
+    count = math.comb(len(gens), codim) * math.comb(len(used), codim)
     if count > budgets.minors:
         raise BudgetError(
             f"singular_locus: {count} Jacobian minors exceed the minor budget {budgets.minors}"
@@ -87,7 +87,7 @@ def singular_locus(bundle: Analysis, *, budgets: Budgets = DEFAULT_BUDGETS) -> S
         if det:
             echelon.add(det)
 
-    spans = [Polynomial(nvars, row) for row in echelon.rows.values()]
+    spans = [from_ints(nvars, row, primitive=True) for row in echelon.rows.values()]
     jacobian_ideal = RingPresentation(minimal.variables, tuple(gens) + tuple(spans))
     ranks = Counter(map(monomial_degree, echelon.rows))
     # the minors lie in R', whose numerator over (1-t)^(n-z) is that of R

@@ -17,8 +17,9 @@ expansion of integer term-map minors, without reduction modulo an ideal.  The ar
 trial, with no one-basis fast path and no memo.  The socle and
 nonzerodivisor oracles normal-form every product afresh with the engine's
 ``normal_form`` and take the ranks of dense matrices with rref.  The
-degree-2 rewrite oracle solves its three systems by rref on dense vectors
-over the degree-2 standard monomials.  The binary-form profile oracle is
+degree-2 rewrite oracle normal-forms every product afresh and solves its
+three systems by rref on dense vectors over the degree-2 standard
+monomials.  The binary-form profile oracle is
 Yun's squarefree decomposition over Fraction coefficient lists, with its own
 univariate division.  The scroll and Veronese-cone oracles write out each
 2x2 minor as a difference of Polynomial products.  The constrained
@@ -766,7 +767,7 @@ def rewrite_in_xm_oracle(
         raise InputError(f"variable {x_index} is not a nonzerodivisor")
 
     def vector(p: Polynomial) -> list:  # p modulo I over the degree-2 standard monomials
-        image = bundle.quotient.image(p.terms)
+        image = normal_form(p, bundle.quotient.gb).terms
         return [image.get(m, 0) for m in bundle.quotient.basis(2)]
 
     x = Polynomial.variable(n, x_index)

@@ -302,7 +302,7 @@ class TestMatchNamedFamily:
                 minimal = minimalize_presentation(family).generators
                 for gens in (minimal, [g.permute_variables(reverse) for g in minimal]):
                     mat, pivots, basis = degree2_rref_oracle(gens, n)
-                    echelon = linalg.Echelon(g.terms for g in gens)
+                    echelon = linalg.Echelon(g.ints for g in gens)
                     assert len(echelon.rows) == len(pivots) == quadrics
                     assert _support_signatures(echelon, n) == (
                         support_signatures_oracle(mat, basis, n)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmtype import (
+    Polynomial,
     analyze,
     buchberger,
     make_presentation,
@@ -14,6 +15,7 @@ from cmtype import (
 )
 from cmtype import invariants, linalg, singularity
 from cmtype.families import sum_of_squares
+from cmtype.groebner import normal_form
 from cmtype.poly import minors, unit_vectors
 
 from oracles import laplace_minors, rational_homogeneous_presentations, singular_locus_oracle
@@ -88,6 +90,17 @@ def test_minor_budget_guard():
         singular_locus(analyze(scroll_ideal((5,))), budgets=Budgets(minors=10))
 
 
+def test_the_minor_budget_counts_the_minors_expanded():
+    # veronese_cone 6 has one variable no generator uses: its Jacobian has
+    # 6 columns, not 7, so C(6, 3) * C(6, 3) = 400 minors are expanded
+    from cmtype import BudgetError, Budgets
+
+    bundle = analyze(veronese_cone_ideal(6))
+    assert singular_locus(bundle, budgets=Budgets(minors=400)).singular_dim == 1
+    with pytest.raises(BudgetError, match="400 Jacobian minors exceed the minor budget 399"):
+        singular_locus(bundle, budgets=Budgets(minors=399))
+
+
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(rational_homogeneous_presentations(max_degree=3, max_generators=3))
 def test_matches_the_fraction_minor_oracle(pres):
@@ -110,6 +123,11 @@ def proportional(got: dict, expected: dict) -> bool:
     return all(got[t] * expected[t0] == expected[t] * got[t0] for t in got)
 
 
+def normal_terms(det: dict, gb) -> dict:
+    """The normal form of a term map modulo the ideal of `gb`."""
+    return dict(normal_form(Polynomial(gb.nvars, det), gb).terms)
+
+
 def jacobian_of(pres):
     primitive = [g * (1 / g.scale) for g in pres.generators]
     return [[g.derivative(j).terms for j in range(pres.nvars)] for g in primitive]
@@ -123,8 +141,9 @@ def test_minors_in_the_quotient_are_the_reduced_laplace_minors(pres, size):
     # form of the plain minor up to a nonzero rational factor, and its
     # coefficients are ints
     jacobian = jacobian_of(pres)
-    quotient = invariants.Quotient(buchberger(pres))
-    expected = [quotient.image(det) for det in laplace_minors(jacobian, size)]
+    gb = buchberger(pres)
+    expected = [normal_terms(det, gb) for det in laplace_minors(jacobian, size)]
+    quotient = invariants.Quotient(gb)
     got = list(minors(jacobian, size, quotient.normal))
     assert len(got) == len(expected)
     for det, reduced in zip(got, expected):
@@ -159,9 +178,10 @@ def test_integral_forms_give_the_exact_reduced_minors():
     # each minor is exactly the reduced Laplace minor
     pres = scroll_ideal((1, 2))
     jacobian = jacobian_of(pres)
-    quotient = invariants.Quotient(buchberger(pres))
+    gb = buchberger(pres)
+    quotient = invariants.Quotient(gb)
     for size in (1, 2, 3):
-        expected = [quotient.image(det) for det in laplace_minors(jacobian, size)]
+        expected = [normal_terms(det, gb) for det in laplace_minors(jacobian, size)]
         assert list(minors(jacobian, size, quotient.normal)) == expected
 
 

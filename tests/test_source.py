@@ -122,6 +122,14 @@ def test_minors_touch_no_fraction():
     assert "Fraction" not in {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
 
 
+def test_echelon_touches_no_fraction():
+    # the echelon keeps primitive integer rows and reduces by
+    # cross-multiplication; a Fraction row is the cost it was rid of
+    tree = ast.parse((SOURCE / "linalg.py").read_text())
+    (body,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Echelon"]
+    assert "Fraction" not in {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+
+
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_dataclasses(path):
     # every command pays the import: a dataclass execs generated methods when
