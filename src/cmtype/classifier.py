@@ -145,7 +145,7 @@ def rewrite_in_xm(bundle: Analysis, x_index: int, u_index: int, v_index: int) ->
         solution = [Fraction(-left.get((-1, j), 0), scale) for j in range(len(basis_order))]
         # certify the rewrite: the residual must vanish in the quotient
         linear = Polynomial(n, ((units[idx], c) for idx, c in zip(basis_order, solution)))
-        residual = normal_form(product - x * linear, bundle.quotient.gb)
+        residual = normal_form(product - x * linear, bundle.quotient.divisors)
         if not residual.is_zero:
             raise InputError("rewrite residual did not normal-form to zero")
         rows.append(tuple(solution))

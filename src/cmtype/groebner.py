@@ -13,6 +13,22 @@ On homogeneous input a pair whose degree a lower bound on the Hilbert series
 already settles is discarded unreduced (Traverso, J. Symb. Comp. 1996, with
 the lex form of Froeberg's inequality, Math. Scand. 56, 1985).
 
+Division runs on packed monomials (Bachmann-Schoenemann, ISSAC 1998; the
+heap of Monagan-Pearce, J. Symb. Comp. 46, 2011).  A :class:`DivisorSet`
+packs each element of a basis once: every exponent gets a field of w bits
+and the total degree the field above them, so a product of monomials is a
+sum of ints, the quotient of a divisible pair a difference, and the
+divisibility test and the degrevlex heap key are each a few integer
+operations; the top bit of every field is a guard bit that the divisibility
+test reads.  In degrevlex no exponent in a division exceeds the degree of
+the leading term it starts from, so w is one more than the bit length of
+the largest degree the set must hold, and a larger one (an element, an
+S-pair, an input) repacks the set wider.  ``buchberger`` grows one set as
+it adds elements and builds each S-pair from its packed entries, the
+interreduction reduces each element against one set without it, and the
+quotient view of :mod:`cmtype.invariants` keeps one for all its forms.
+Exponent tuples are packed on the way in and unpacked on the way out.
+
 The module also holds the one expansion of a Hilbert series
 (:func:`hilbert_coefficient`, :func:`numerator_product`) and the one
 standard-monomial enumerator, which :mod:`cmtype.invariants` shares.
@@ -22,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from operator import add, le, sub
+from operator import le
 from typing import NamedTuple, Sequence
 
 from . import linalg
@@ -30,9 +46,7 @@ from .errors import BudgetError, Budgets, DEFAULT_BUDGETS, InhomogeneousError, I
 from .poly import (
     Monomial,
     Polynomial,
-    add_scaled,
     from_ints,
-    heap_key,
     minimal_monomials,
     monomial_degree,
     monomial_divides,
@@ -60,82 +74,195 @@ class GroebnerBasis(NamedTuple):
         return tuple(g.lead for g in self.elements)
 
 
+class DivisorSet:
+    """The nonzero elements of a basis, each packed once for division.
+
+    Inside the division kernel a monomial is one int.  Each exponent gets a
+    field of ``width`` bits, the variable i at bit i * width, and the total
+    degree sits in the field above them; the top bit of every field is a
+    guard bit, 0 in every monomial the set packs.  A product of monomials is
+    then their sum, the quotient of a divisible pair their difference,
+    ``lm | m`` the one test ``((m | guard) - lm) & guard == guard`` (no
+    field of m | guard borrows from the next), and ``2 * (m & mask) - m`` is
+    an ascending degrevlex key for a min-heap: minus the degree field, plus
+    the exponents read from the last variable down.  No exponent exceeds
+    the degree, and in degrevlex no term of a polynomial exceeds the degree
+    of its leading term, so the width is fixed by the largest degree the
+    set must hold: the fields hold up to 2^(width-1) - 1.  A larger degree
+    (a new element, a higher S-pair, a higher input to divide) repacks
+    every element with a wider field.
+
+    ``entries[k]`` is the packed leading monomial of ``elements[k]``, its
+    integer coefficient and the tail, its other terms as packed pairs.
+    """
+
+    def __init__(self, nvars: int, elements=(), degree: int = 0):
+        self.nvars = nvars
+        self.elements = [g for g in elements if g]
+        if any(g.nvars != nvars for g in self.elements):
+            raise InputError("polynomials are over different variable sets")
+        self._layout(max([degree, *(g.degree() for g in self.elements)]))
+
+    def _layout(self, degree: int):
+        """Pack every element with the narrowest fields that hold the degree."""
+        width = self.width = degree.bit_length() + 1
+        self.cap = (1 << width - 1) - 1
+        self.shift = self.nvars * width  # the degree field
+        self.mask = (1 << self.shift) - 1
+        self.guard = sum(1 << k * width + width - 1 for k in range(self.nvars + 1))
+        self.entries = [self._entry(g) for g in self.elements]
+
+    def _entry(self, g: Polynomial):
+        pack = self.pack
+        lead = g.lead
+        return pack(lead), g.ints[lead], [(pack(m), c) for m, c in g.ints.items() if m != lead]
+
+    def fit(self, degree: int):
+        """Repack wider if the fields cannot hold the degree."""
+        if degree > self.cap:
+            self._layout(degree)
+
+    def add(self, g: Polynomial):
+        """Append a nonzero element over the same variables."""
+        if g.nvars != self.nvars:
+            raise InputError("polynomials are over different variable sets")
+        self.elements.append(g)
+        if g.degree() > self.cap:
+            self._layout(g.degree())
+        else:
+            self.entries.append(self._entry(g))
+
+    def without(self, i: int) -> "DivisorSet":
+        """The set less its i-th element, sharing the other packed entries."""
+        other = object.__new__(DivisorSet)
+        other.__dict__.update(self.__dict__)
+        other.elements = self.elements[:i] + self.elements[i + 1 :]
+        other.entries = self.entries[:i] + self.entries[i + 1 :]
+        return other
+
+    def pack(self, m: Monomial) -> int:
+        width, packed = self.width, sum(m)
+        for e in reversed(m):
+            packed = packed << width | e
+        return packed
+
+    def unpacked(self, ints: dict[int, int]) -> dict[Monomial, int]:
+        """A packed integer map over exponent tuples, in the same order."""
+        shifts, field = range(0, self.shift, self.width), (1 << self.width) - 1
+        return {tuple([m >> s & field for s in shifts]): c for m, c in ints.items()}
+
+    def spoly(self, i: int, j: int) -> dict[int, int]:
+        """The S-polynomial of elements i and j, up to a nonzero rational
+        factor, as a packed integer map: (cg/d)*x^qf*f - (cf/d)*x^qg*g over
+        the primitive integer maps, whose leading coefficients cf and cg
+        cancel, d = gcd(cf, cg), lcm = x^qf*lead_f = x^qg*lead_g."""
+        lcm = monomial_lcm(self.elements[i].lead, self.elements[j].lead)
+        self.fit(sum(lcm))
+        lcm = self.pack(lcm)
+        (lf, cf, tail_f), (lg, cg, tail_g) = self.entries[i], self.entries[j]
+        d = math.gcd(cf, cg)
+        a, b, qf, qg = cg // d, -cf // d, lcm - lf, lcm - lg
+        out = {t + qf: a * c for t, c in tail_f}
+        for t, c in tail_g:
+            t += qg
+            if v := out.get(t, 0) + b * c:
+                out[t] = v
+            else:
+                del out[t]
+        return out
+
+
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial of f and g up to a nonzero rational factor, which is all
-    division and ``.monic()`` need: (cg/d)*x^qf*ints_f - (cf/d)*x^qg*ints_g
-    over the two primitive integer maps, whose leading coefficients cf and cg
-    cancel, d = gcd(cf, cg), lcm = x^qf*lead_f = x^qg*lead_g."""
-    lcm = monomial_lcm(f.lead, g.lead)
-    qf, qg = tuple(map(sub, lcm, f.lead)), tuple(map(sub, lcm, g.lead))
-    cf, cg = f.ints[f.lead], g.ints[g.lead]
-    d = math.gcd(cf, cg)
-    return from_ints(f.nvars, add_scaled(add_scaled({}, f.ints, cg // d, qf), g.ints, -cf // d, qg))
+    division and ``.monic()`` need; see :meth:`DivisorSet.spoly`."""
+    divisors = DivisorSet(f.nvars, (f, g))
+    return from_ints(f.nvars, divisors.unpacked(divisors.spoly(0, 1)))
 
 
-def normal_form(p: Polynomial, basis) -> Polynomial:
+def normal_form(p: Polynomial | dict[int, int], basis) -> Polynomial:
     """Full remainder of p under division by the basis (no term divisible by a
     leading term survives).  Against a Groebner basis the result is the unique
     normal form; in particular it is zero exactly for ideal members.
 
+    The basis is a :class:`DivisorSet`, or a sequence of polynomials or a
+    :class:`GroebnerBasis`, which is packed for this one call.  p is a
+    Polynomial, or a packed integer map from the set's ``spoly``, whose
+    remainder is then one up to a nonzero rational factor, as the S-pair is.
     The leading remaining term is always divided by the first basis element
-    whose leading monomial divides it.  The division runs in integers:
-    ``work`` starts as ``p.ints``, each step subtracts a multiple of the
-    divisor's ``ints`` that cancels the leading term, and terms no leading
-    monomial divides move to ``remainder``.  Both maps share one frame: a
-    step that multiplies ``work`` by an integer multiplies ``remainder``
-    too, their common content is removed, and the rational ``scale`` with
-    ``p == scale * (work + remainder) + (ideal multiples)`` absorbs both, so
-    ``scale * remainder`` is exactly the remainder of dividing p itself.
+    whose leading monomial divides it.  The division runs in integers on
+    packed monomials: ``work`` starts as the integer map of p, each step
+    subtracts a multiple of the divisor's tail that cancels the leading
+    term, and terms no leading monomial divides move to ``remainder``.  Both
+    maps share one frame: a step that multiplies ``work`` by an integer
+    multiplies ``remainder`` too, their common content is removed, and the
+    integers ``num`` and ``den`` with ``p == scale * num / den * (work +
+    remainder) + (ideal multiples)`` absorb both, so ``scale * num / den *
+    remainder`` is exactly the remainder of dividing p itself.
     """
-    elements = basis.elements if isinstance(basis, GroebnerBasis) else basis
-    elements = tuple(g for g in elements if g)
-    if not elements:
-        return p
-    if any(g.nvars != p.nvars for g in elements):
-        raise InputError("polynomials are over different variable sets")
-    divisors = [(g.lead, g.ints[g.lead], g.ints) for g in elements]
-    scale, work = p.scale, dict(p.ints)
-    heap = [(heap_key(m), m) for m in work]
+    if isinstance(basis, DivisorSet):
+        divisors = basis
+    else:
+        divisors = DivisorSet(p.nvars, basis.elements if isinstance(basis, GroebnerBasis) else basis, p.degree())
+    if isinstance(p, Polynomial):
+        if not divisors.entries:
+            return p
+        if p.nvars != divisors.nvars:
+            raise InputError("polynomials are over different variable sets")
+        divisors.fit(p.degree())
+        pack = divisors.pack
+        work = {pack(m): c for m, c in p.ints.items()}
+    else:
+        work = dict(p)
+    entries, guard, mask, shift = divisors.entries, divisors.guard, divisors.mask, divisors.shift
+    gcd, heappop, heappush = math.gcd, heapq.heappop, heapq.heappush
+    heap = [2 * (m & mask) - m for m in work]
     heapq.heapify(heap)
-    remainder: dict[Monomial, int] = {}
+    remainder: dict[int, int] = {}
+    num = den = 1
     while heap:
-        m = heapq.heappop(heap)[1]
+        key = heappop(heap)
+        m = key - (key >> shift << shift + 1)  # the monomial back from its key
         c = work.get(m)
         if c is None:  # stale: the monomial cancelled after it was pushed
             continue
-        for lm, lc, ints in divisors:
-            if all(map(le, lm, m)):
+        for lm, lc, tail in entries:
+            if (m | guard) - lm & guard == guard:
                 break
         else:
             remainder[m] = work.pop(m)
             continue
-        q = tuple(map(sub, m, lm))
-        g = math.gcd(c, lc)
+        del work[m]  # cancelled by the divisor's leading term
+        q = m - lm
+        g = gcd(c, lc)
         a, b = lc // g, c // g
         if a != 1:
             for t in work:
                 work[t] *= a
             for t in remainder:
                 remainder[t] *= a
-            scale /= a
-        # inline, not add_scaled: a monomial new to work goes onto the heap; m itself cancels
-        for t, d in ints.items():
-            t = tuple(map(add, t, q))
+            den *= a
+        # inline, not add_scaled: a monomial new to work goes onto the heap
+        for t, d in tail:
+            t += q
             v = work.get(t)
             if v is None:
                 work[t] = -b * d
-                heapq.heappush(heap, (heap_key(t), t))
+                heappush(heap, 2 * (t & mask) - t)
             elif v := v - b * d:
                 work[t] = v
             else:
                 del work[t]
-        if a != 1 and (content := math.gcd(*work.values(), *remainder.values())) > 1:
+        if a != 1 and (content := gcd(*work.values(), *remainder.values())) > 1:
             for t in work:
                 work[t] //= content
             for t in remainder:
                 remainder[t] //= content
-            scale *= content
-    return from_ints(p.nvars, remainder, scale, next(iter(remainder), None))
+            num *= content
+    ints = divisors.unpacked(remainder)
+    lead = next(iter(ints), None)  # popped first, so the largest
+    if isinstance(p, Polynomial):
+        return from_ints(p.nvars, ints, p.scale * num / den, lead)
+    return from_ints(divisors.nvars, ints, lead=lead)
 
 
 def buchberger(
@@ -174,7 +301,7 @@ def buchberger(
     """
     gens = [g.monic() for g in pres.generators]
 
-    basis: list[Polynomial] = []
+    divisors = DivisorSet(pres.nvars)
     leads: list[Monomial] = []
     lcms: dict[tuple[int, int], Monomial] = {}  # open pairs and their lcms
     queue: list[tuple[int, int, int]] = []  # (lcm degree, i, j), pruned pairs included
@@ -182,7 +309,7 @@ def buchberger(
     def update(f: Polynomial):
         # Gebauer-Moeller pair pruning (product + chain criteria).
         mf = f.lead
-        t = len(basis)
+        t = len(leads)
         new_lcms = [monomial_lcm(lead, mf) for lead in leads]
         for (i, j), lcm in list(lcms.items()):
             if monomial_divides(mf, lcm) and lcm != new_lcms[i] and lcm != new_lcms[j]:
@@ -196,7 +323,7 @@ def buchberger(
                 i = min(members)
                 lcms[i, t] = lcm
                 heapq.heappush(queue, (monomial_degree(lcm), i, t))
-        basis.append(f)
+        divisors.add(f)
         leads.append(mf)
 
     for f in gens:
@@ -234,12 +361,12 @@ def buchberger(
                 excess = len(standard) - b
         if bound is not None and not excess:
             continue  # in(G) and in(I) agree in degree lcm_degree
-        h = normal_form(spoly(basis[i], basis[j]), basis)
+        h = normal_form(divisors.spoly(i, j), divisors)
         if h:
             excess -= 1
             update(h.monic())
 
-    return GroebnerBasis(pres.variables, _interreduce(basis))
+    return GroebnerBasis(pres.variables, _interreduce(pres.nvars, divisors.elements))
 
 
 # Caps on the discarding rule, past which it stops: the candidates (n times
@@ -288,17 +415,16 @@ def _standard_monomials(previous, leads, nvars: int, degree: int) -> list[Monomi
     return [m for m in candidates if not any(all(map(le, lead, m)) for lead in leads)]
 
 
-def _interreduce(elements: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
-    """Minimalize (drop divisible leading terms) and tail-reduce; canonical sort."""
+def _interreduce(nvars: int, elements: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
+    """Minimalize (drop divisible leading terms) and tail-reduce, each kept
+    element against one divisor set of the others; canonical sort."""
     minimal: list[Polynomial] = []
     for g in sorted(elements, key=lambda g: monomial_key(g.lead)):
         lm = g.lead
         if not any(monomial_divides(h.lead, lm) for h in minimal):
             minimal.append(g)
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(normal_form(g, others).monic())
+    divisors = DivisorSet(nvars, minimal)
+    reduced = [normal_form(g, divisors.without(i)).monic() for i, g in enumerate(minimal)]
     reduced.sort(key=lambda g: monomial_key(g.lead), reverse=True)
     return tuple(reduced)
 
@@ -366,7 +492,7 @@ def eliminate_linear_forms(
     if not linear.rows:
         return variables, tuple(generators)
     n = len(variables)
-    rows = [from_ints(n, row, primitive=True) for row in linear.rows.values()]
+    rows = DivisorSet(n, [from_ints(n, row, primitive=True) for row in linear.rows.values()])
     keep = [i for i in range(n) if not any(lm[i] for lm in linear.rows)]
     # dropping variables that no term uses keeps the degrevlex order of the terms
     projected = []

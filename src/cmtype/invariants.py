@@ -30,6 +30,7 @@ from .errors import (
     LsopSearchError,
 )
 from .groebner import (
+    DivisorSet,
     GroebnerBasis,
     _standard_monomials,
     buchberger,
@@ -185,9 +186,12 @@ class Quotient:
     of a form: every product the Jacobian minors, the socle and the degree-2
     rewrite reduce is a monomial.  A standard monomial, one no leading
     monomial divides, is its own normal form and is answered without
-    division.  Both memoize, so each monomial is divided once.  ``normal``
-    looks ``normal_form`` up in this module at every call, so a rebinding
-    of ``invariants.normal_form`` (a tracer, a counter) sees it.
+    division.  Both memoize, so each monomial is divided once, and every
+    division runs against one :class:`~cmtype.groebner.DivisorSet`,
+    ``divisors``, which packs the basis on first use and is kept, so no
+    form pays the packing again; the degree-2 rewrite divides by it too.
+    ``normal`` looks ``normal_form`` up in this module at every call, so a
+    rebinding of ``invariants.normal_form`` (a tracer, a counter) sees it.
     """
 
     def __init__(self, gb: GroebnerBasis):
@@ -195,6 +199,10 @@ class Quotient:
         self._leads = gb.leading_monomials()
         self._bases: list[list[Monomial]] = []  # degrees 0, 1, ...
         self._forms: dict[Monomial, Polynomial] = {}
+
+    @functools.cached_property
+    def divisors(self) -> DivisorSet:
+        return DivisorSet(self.gb.nvars, self.gb.elements)
 
     def basis(self, d: int) -> list[Monomial]:
         while len(self._bases) <= d:
@@ -208,7 +216,7 @@ class Quotient:
             # a standard monomial is its own normal form
             nf = from_ints(self.gb.nvars, {m: 1}, lead=m, primitive=True)
             if any(monomial_divides(lead, m) for lead in self._leads):
-                nf = normal_form(nf, self.gb)
+                nf = normal_form(nf, self.divisors)
             self._forms[m] = nf
         return nf
 

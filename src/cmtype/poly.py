@@ -9,10 +9,12 @@ decided here alone.  A polynomial knows its number of variables, not their
 names: those are a presentation's tuple of strings.  A monomial is a plain
 exponent tuple, one entry per variable, and the position of a variable in
 that tuple fixes its significance in degrevlex (earlier = more significant).
-:func:`add_scaled` is the one sparse accumulate: every sum of term maps in
-the package, from polynomial arithmetic to the parser, the S-polynomial and
-echelon residuals, goes through it, except the two innermost loops of
-division and of :func:`minors`.  :func:`minors`
+Only the division kernel of :mod:`cmtype.groebner` packs a monomial into
+one int, on the way in, and unpacks it on the way out.
+:func:`add_scaled` is the one sparse accumulate over exponent tuples: every
+sum of term maps in the package, from polynomial arithmetic to the parser
+and echelon residuals, goes through it, except the innermost loop of
+:func:`minors` and the packed division and S-polynomial.  :func:`minors`
 is the one determinant routine: the Jacobian minors of the singular locus,
 expanded modulo the ideal as exterior products of their rows over bitmask
 column sets, and the 2x2 minors of the determinantal families both come

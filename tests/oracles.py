@@ -478,7 +478,7 @@ def buchberger_oracle(pres, *, budgets: Budgets = DEFAULT_BUDGETS) -> GroebnerBa
         if h:
             update(h.monic())
 
-    return GroebnerBasis(pres.variables, _interreduce(basis))
+    return GroebnerBasis(pres.variables, _interreduce(pres.nvars, basis))
 
 
 def _minor(matrix, rows: tuple[int, ...], cols: tuple[int, ...], memo) -> Polynomial:

@@ -13,10 +13,10 @@ from cmtype.poly import minors
 from oracles import linear_change, random_invertible_matrix
 
 # The small catalog rings.  Under random_invertible_matrix(random.Random(1), n)
-# the singular loci of veronese_cone 5 and scroll(2,2) take about 0.3 s each
-# (Python 3.11, 2 cores).  Left out for time: scroll(1,3) (0.3 s),
-# scroll(1,1,2) and veronese_cone 6 (1.2-1.3 s each), scroll(2,3) (25-34 s),
-# and scroll(3,4) and scroll(1,1,1,2), which exceed the minor budget.
+# the singular loci of veronese_cone 5, scroll(2,2) and scroll(1,3) take
+# about 0.3 s each (Python 3.11, 2 cores).  Left out for time: scroll(1,1,2)
+# and veronese_cone 6 (1.2-1.3 s each), scroll(2,3) (25-34 s), and
+# scroll(3,4) and scroll(1,1,1,2), which exceed the minor budget.
 RINGS = [
     ("gw12", ()),
     ("graded12", ()),
@@ -29,6 +29,7 @@ RINGS = [
     ("scroll", ("1,1,1",)),
     ("scroll", ("4",)),
     ("scroll", ("2,2",)),
+    ("scroll", ("1,3",)),
     ("veronese_cone", ("5",)),
 ]
 

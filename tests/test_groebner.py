@@ -51,13 +51,15 @@ def divisions(run, *modules):
     """Run ``run()`` with each module's ``normal_form`` recording every
     division: its input's primitive integer map ``ints``, which division
     starts from and which two polynomials equal up to a rational factor
-    share (the engine's S-polynomial and the oracle's), and whether the
-    remainder is zero."""
+    share (the engine's packed S-polynomial and the oracle's), and whether
+    the remainder is zero."""
     log = []
     nf = groebner.normal_form
 
-    def recorded_normal_form(p, *args, **kwargs):
-        remainder = nf(p, *args, **kwargs)
+    def recorded_normal_form(p, basis):
+        remainder = nf(p, basis)
+        if not isinstance(p, Polynomial):  # a packed S-pair of the divisor set
+            p = poly.from_ints(basis.nvars, basis.unpacked(p))
         log.append((p.ints, remainder.is_zero))
         return remainder
 
@@ -134,6 +136,80 @@ class TestSpoly:
             m, c = expected.lead, expected.terms[expected.lead]
             assert s * Fraction(c, s.terms[m]) == expected
         assert normal_form(s, basis).monic() == normal_form(expected, basis).monic()
+
+
+@st.composite
+def packed_monomials(draw):
+    """(nvars, w, a, b): two monomials whose product has degree at most
+    2^(w-1) - 1, the most a field of w bits holds; the boundary, a product
+    with all of that degree in one variable, is reachable."""
+    nvars = draw(st.integers(0, 5))
+    width = draw(st.integers(1, 8))
+    cap = 2 ** (width - 1) - 1
+    cuts = sorted(draw(st.lists(st.integers(0, cap), min_size=nvars, max_size=nvars)))
+    product = [hi - lo for lo, hi in zip([0] + cuts, cuts)]  # degree cuts[-1] <= cap
+    a = tuple(draw(st.integers(0, e)) for e in product)
+    return nvars, width, a, tuple(e - f for e, f in zip(product, a))
+
+
+class TestPackedMonomials:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(packed_monomials())
+    def test_packing_agrees_with_exponent_tuples(self, drawn):
+        nvars, width, a, b = drawn
+        cap = 2 ** (width - 1) - 1
+        divisors = groebner.DivisorSet(nvars, degree=cap)
+        assert divisors.width == width
+        assert groebner.DivisorSet(nvars, degree=cap + 1).width == width + 1
+        pack, guard, mask = divisors.pack, divisors.guard, divisors.mask
+        pa, pb = pack(a), pack(b)
+        assert divisors.unpacked({pa: 1, pb: 2}) == {a: 1, b: 2} or a == b
+        # the heap key ascends as the monomial descends in degrevlex
+        key_a, key_b = 2 * (pa & mask) - pa, 2 * (pb & mask) - pb
+        assert (key_a < key_b) == (poly.monomial_key(a) > poly.monomial_key(b))
+        assert (key_a == key_b) == (a == b)
+        for m, n in ((a, b), (b, a), (a, a)):
+            assert (((pack(n) | guard) - pack(m)) & guard == guard) == monomial_divides(m, n)
+        product = poly.monomial_mul(a, b)
+        assert pa + pb == pack(product)
+        assert pack(product) - pa == pb
+
+    def test_a_higher_input_repacks_the_set(self):
+        x, y, z = (Polynomial.variable(3, i) for i in range(3))
+        basis = [x * y - z**2, y**2 - x * z, 3 * x * z - 2 * y * z]
+        divisors = groebner.DivisorSet(3, basis)
+        assert divisors.width == 3  # degrees up to 3
+        inputs = [
+            (x**3 + 2 * y**3 - x * y * z, 3),  # at the top of the field
+            (x**4 * y**3 - z**7 + Fraction(1, 3) * x * y**6, 4),  # degree 7: wider
+            (x**8 - y**5 * z**3, 5),
+            (y**2, 5),  # a lower input keeps the wider set
+        ]
+        for p, width in inputs:
+            assert normal_form(p, divisors) == normal_form_oracle(p, basis)
+            assert divisors.width == width
+
+    def test_a_set_repacked_mid_run_gives_the_oracle_basis(self, monkeypatch):
+        # The S-pair of x^N*y - y^(N+1) and x*y^2 is y^(N+2).  For N = 10^8
+        # all three degrees fit the 28-bit fields the generators need; for
+        # N = 2^27 - 2 the generator fills its fields (degree 2^27 - 1) and
+        # the S-pair repacks the set wider before it is divided.
+        layouts = []
+        layout = groebner.DivisorSet._layout
+
+        def recorded_layout(self, degree):
+            layout(self, degree)
+            layouts.append((len(self.elements), self.width))
+
+        monkeypatch.setattr(groebner.DivisorSet, "_layout", recorded_layout)
+        for n, widths in ((10**8, [1, 28]), (2**27 - 2, [1, 28, 29])):
+            pres = parse_presentation(f"ring: x, y ; ideal: x^{n}*y - y^{n + 1}, x*y^2")
+            layouts.clear()
+            gb = buchberger(pres, budgets=Budgets(degree=10**9))
+            assert [w for count, w in layouts if count <= 2] == widths
+            assert gb.elements == buchberger_oracle(pres, budgets=Budgets(degree=10**9)).elements
+            x, y = (Polynomial.variable(2, i) for i in range(2))
+            assert gb.elements == (y ** (n + 2), x**n * y - y ** (n + 1), x * y**2)
 
 
 class TestBuchberger:
@@ -294,13 +370,13 @@ class TestHilbertDrivenDiscarding:
         with pytest.raises(BudgetError, match=r"^buchberger: pair budget 8 exceeded$"):
             buchberger(pres, budgets=Budgets(pairs=8))
         calls = {"spoly": 0}
-        original = groebner.spoly
+        original = groebner.DivisorSet.spoly
 
         def counted_spoly(*args):
             calls["spoly"] += 1
             return original(*args)
 
-        monkeypatch.setattr(groebner, "spoly", counted_spoly)
+        monkeypatch.setattr(groebner.DivisorSet, "spoly", counted_spoly)
         gb = buchberger(pres, budgets=Budgets(pairs=9))
         assert gb.elements == buchberger_oracle(pres).elements
         assert calls["spoly"] == 4

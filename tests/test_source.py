@@ -122,6 +122,16 @@ def test_minors_touch_no_fraction():
     assert "Fraction" not in {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
 
 
+def test_division_loop_builds_no_tuple_and_no_fraction():
+    # the division loop runs on packed monomials, one int each, and keeps its
+    # scale as an integer numerator and denominator; an exponent tuple or a
+    # Fraction there is the cost it was rid of
+    tree = ast.parse((SOURCE / "groebner.py").read_text())
+    (body,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "normal_form"]
+    (loop,) = [node for node in ast.walk(body) if isinstance(node, ast.While)]
+    assert {"tuple", "Fraction"}.isdisjoint(node.id for node in ast.walk(loop) if isinstance(node, ast.Name))
+
+
 def test_echelon_touches_no_fraction():
     # the echelon keeps primitive integer rows and reduces by
     # cross-multiplication; a Fraction row is the cost it was rid of
