@@ -23,22 +23,26 @@ operations; the top bit of every field is a guard bit that the divisibility
 test reads.  In degrevlex no exponent in a division exceeds the degree of
 the leading term it starts from, so w is one more than the bit length of
 the largest degree the set must hold, and a larger one (an element, an
-S-pair, an input) repacks the set wider.  ``buchberger`` grows one set as
-it adds elements and builds each S-pair from its packed entries, the
-interreduction reduces each element against one set without it, and the
-quotient view of :mod:`cmtype.invariants` keeps one for all its forms.
-Exponent tuples are packed on the way in and unpacked on the way out.
+S-pair, an input, a degree to count) repacks the set wider.  ``buchberger``
+grows one set as it adds elements, builds each S-pair from its packed
+entries, counts the standard monomials of its Hilbert bound against the
+set's packed leads, and hands the set to the interreduction, which divides
+each packed entry, in ascending lead order, by one growing set of the
+reduced elements before it: only a smaller lead can divide a tail term.
+The quotient view of :mod:`cmtype.invariants` keeps one set for all its
+forms and standard monomials.  Exponent tuples are packed on the way in
+and unpacked on the way out.
 
 The module also holds the one expansion of a Hilbert series
 (:func:`hilbert_coefficient`, :func:`numerator_product`) and the one
-standard-monomial enumerator, which :mod:`cmtype.invariants` shares.
+standard-monomial enumerator, on packed monomials, which
+:mod:`cmtype.invariants` shares.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from operator import le
 from typing import NamedTuple, Sequence
 
 from . import linalg
@@ -51,7 +55,6 @@ from .poly import (
     monomial_degree,
     monomial_divides,
     monomial_lcm,
-    monomial_key,
     monomial_mul,
     monomials_of_degree,
 )
@@ -94,6 +97,8 @@ class DivisorSet:
 
     ``entries[k]`` is the packed leading monomial of ``elements[k]``, its
     integer coefficient and the tail, its other terms as packed pairs.
+    ``standard`` is the packed list of the last degree
+    :func:`_standard_monomials` counted against the set, repacked with it.
     """
 
     def __init__(self, nvars: int, elements=(), degree: int = 0):
@@ -101,16 +106,20 @@ class DivisorSet:
         self.elements = [g for g in elements if g]
         if any(g.nvars != nvars for g in self.elements):
             raise InputError("polynomials are over different variable sets")
+        self.standard: list[int] = []
         self._layout(max([degree, *(g.degree() for g in self.elements)]))
 
     def _layout(self, degree: int):
-        """Pack every element with the narrowest fields that hold the degree."""
+        """Pack every element, and the standard monomials, with the
+        narrowest fields that hold the degree."""
+        standard = self.unpacked(dict.fromkeys(self.standard)) if self.standard else ()
         width = self.width = degree.bit_length() + 1
         self.cap = (1 << width - 1) - 1
         self.shift = self.nvars * width  # the degree field
         self.mask = (1 << self.shift) - 1
         self.guard = sum(1 << k * width + width - 1 for k in range(self.nvars + 1))
         self.entries = [self._entry(g) for g in self.elements]
+        self.standard = [self.pack(m) for m in standard]
 
     def _entry(self, g: Polynomial):
         pack = self.pack
@@ -131,14 +140,6 @@ class DivisorSet:
             self._layout(g.degree())
         else:
             self.entries.append(self._entry(g))
-
-    def without(self, i: int) -> "DivisorSet":
-        """The set less its i-th element, sharing the other packed entries."""
-        other = object.__new__(DivisorSet)
-        other.__dict__.update(self.__dict__)
-        other.elements = self.elements[:i] + self.elements[i + 1 :]
-        other.entries = self.entries[:i] + self.entries[i + 1 :]
-        return other
 
     def pack(self, m: Monomial) -> int:
         width, packed = self.width, sum(m)
@@ -357,7 +358,8 @@ def buchberger(
                 bound = None
             else:
                 degree += 1
-                standard = _standard_monomials(standard, leads, pres.nvars, degree)
+                divisors.fit(lcm_degree)  # one repacking for every degree up to the pair's
+                standard = _standard_monomials(divisors, degree)
                 excess = len(standard) - b
         if bound is not None and not excess:
             continue  # in(G) and in(I) agree in degree lcm_degree
@@ -366,7 +368,7 @@ def buchberger(
             excess -= 1
             update(h.monic())
 
-    return GroebnerBasis(pres.variables, _interreduce(pres.nvars, divisors.elements))
+    return GroebnerBasis(pres.variables, _interreduce(divisors))
 
 
 # Caps on the discarding rule, past which it stops: the candidates (n times
@@ -403,30 +405,61 @@ def numerator_product(numerator: Sequence[int], degrees: Sequence[int], top: int
     return product
 
 
-def _standard_monomials(previous, leads, nvars: int, degree: int) -> list[Monomial]:
-    """The monomials of the degree that no lead divides, grown from a superset
-    of those one degree down (divisors of standard monomials are standard):
-    m * x_i with i at or past the last variable of m makes each once."""
-    candidates = [(0,) * nvars] if degree == 0 else [
-        m[:i] + (m[i] + 1,) + m[i + 1 :]
-        for m in previous
-        for i in range(max((v for v, e in enumerate(m) if e), default=0), nvars)
-    ]
-    return [m for m in candidates if not any(all(map(le, lead, m)) for lead in leads)]
+def _standard_monomials(divisors: DivisorSet, degree: int) -> list[int]:
+    """The packed monomials of the degree that no lead of the set divides,
+    grown from ``divisors.standard``, a superset of those one degree down
+    (divisors of standard monomials are standard), which they replace.
+
+    The set is first fitted to the degree.  A candidate is a standard
+    monomial m plus the packed unit vector of x_i, its degree field
+    included, for i at or past the last variable of m, the field of the top
+    set bit below the degree field, so each is made once; it is kept when
+    the guard test finds no lead that divides it."""
+    divisors.fit(degree)
+    width, guard, mask = divisors.width, divisors.guard, divisors.mask
+    leads = [entry[0] for entry in divisors.entries]
+    if degree == 0:
+        candidates = [0]
+    else:
+        units = [(1 << divisors.shift) + (1 << i * width) for i in range(divisors.nvars)]
+        candidates = [
+            m + unit for m in divisors.standard for unit in units[max(((m & mask).bit_length() - 1) // width, 0) :]
+        ]
+    standard = divisors.standard = []
+    for m in candidates:
+        m_guarded = m | guard
+        for lm in leads:
+            if m_guarded - lm & guard == guard:
+                break
+        else:
+            standard.append(m)
+    return standard
 
 
-def _interreduce(nvars: int, elements: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
-    """Minimalize (drop divisible leading terms) and tail-reduce, each kept
-    element against one divisor set of the others; canonical sort."""
-    minimal: list[Polynomial] = []
-    for g in sorted(elements, key=lambda g: monomial_key(g.lead)):
-        lm = g.lead
-        if not any(monomial_divides(h.lead, lm) for h in minimal):
-            minimal.append(g)
-    divisors = DivisorSet(nvars, minimal)
-    reduced = [normal_form(g, divisors.without(i)).monic() for i, g in enumerate(minimal)]
-    reduced.sort(key=lambda g: monomial_key(g.lead), reverse=True)
-    return tuple(reduced)
+def _interreduce(divisors: DivisorSet) -> tuple[Polynomial, ...]:
+    """The reduced basis of the Groebner basis the set packs: minimalized
+    (no lead divisible by another) and tail-reduced, in canonical order.
+
+    The elements go in ascending lead order, each divided by one growing
+    set of the reduced elements before it, starting from its packed entry.
+    That is enough: a tail term of g lies below the lead of g, and a lead
+    that divides a monomial is at most that monomial, so only a smaller
+    lead, one already in the set, can divide it; the lead of g itself
+    survives, since no lead before it divides it.  An element whose lead a
+    lead before it divides is dropped; of equal leads the first stays.  The
+    reduced basis is unique, so the order of the divisions does not change
+    it.  The set is laid out at the width of ``divisors``, which holds every
+    degree, so the entries are its dividends as they are."""
+    mask, guard = divisors.mask, divisors.guard
+    reduced = DivisorSet(divisors.nvars, degree=divisors.cap)
+    for lm, lc, tail in sorted(divisors.entries, key=lambda entry: 2 * (entry[0] & mask) - entry[0], reverse=True):
+        lm_guarded = lm | guard
+        if any(lm_guarded - entry[0] & guard == guard for entry in reduced.entries):
+            continue
+        dividend = dict(tail)
+        dividend[lm] = lc
+        reduced.add(normal_form(dividend, reduced).monic())
+    return tuple(reversed(reduced.elements))
 
 
 # ---------------------------------------------------------------------------

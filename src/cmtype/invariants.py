@@ -180,8 +180,9 @@ class Quotient:
     """The graded pieces of S/I, read through its reduced Groebner basis.
 
     ``basis(d)`` lists the standard monomials of degree d, a k-basis of the
-    degree-d piece, grown from ``basis(d - 1)`` by the enumerator that
-    ``buchberger`` counts with; ``normal(m)`` is the normal form of the
+    degree-d piece, grown from the packed ones of degree d - 1 by the
+    enumerator that ``buchberger`` counts with, against the packed leads of
+    ``divisors``, and unpacked; ``normal(m)`` is the normal form of the
     monomial m, a :class:`Polynomial` over those monomials, and the one view
     of a form: every product the Jacobian minors, the socle and the degree-2
     rewrite reduce is a monomial.  A standard monomial, one no leading
@@ -206,8 +207,8 @@ class Quotient:
 
     def basis(self, d: int) -> list[Monomial]:
         while len(self._bases) <= d:
-            previous = self._bases[-1] if self._bases else []
-            self._bases.append(_standard_monomials(previous, self._leads, self.gb.nvars, len(self._bases)))
+            standard = _standard_monomials(self.divisors, len(self._bases))
+            self._bases.append(list(self.divisors.unpacked(dict.fromkeys(standard))))
         return self._bases[d] if d >= 0 else []
 
     def normal(self, m: Monomial) -> Polynomial:

@@ -199,8 +199,21 @@ class Polynomial:
     def coefficient(self, m: Monomial) -> int | Fraction:
         return self.terms.get(tuple(m), 0)
 
-    def sorted_terms(self) -> list[tuple[Monomial, int | Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: monomial_key(t[0]), reverse=True)
+    def descending_terms(self) -> Iterator[tuple[Monomial, int, int]]:
+        """``(m, n, d)`` for each term, in descending degrevlex order: its
+        coefficient is n / d in lowest terms, d > 0, read off the integer
+        map without a Fraction.  The scale is in lowest terms, so the term's
+        int c gives n = numerator * c / g and d = denominator / g for the one
+        gcd g = gcd(c, denominator)."""
+        numerator, denominator = self.scale.numerator, self.scale.denominator
+        ints = self.ints
+        for m in sorted(ints, key=heap_key):
+            c = ints[m]
+            if denominator == 1:
+                yield m, numerator * c, 1
+            else:
+                g = math.gcd(c, denominator)
+                yield m, numerator * (c // g), denominator // g
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -342,7 +355,7 @@ class Polynomial:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.ints:
             return "Polynomial(0)"
-        parts = [f"{c}*x^{m}" for m, c in self.sorted_terms()]
+        parts = [f"{n}*x^{m}" if d == 1 else f"{n}/{d}*x^{m}" for m, n, d in self.descending_terms()]
         return "Polynomial(" + " + ".join(parts) + ")"
 
 

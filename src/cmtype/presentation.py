@@ -88,41 +88,46 @@ def _format_monomial(m, names) -> str:
 # default int-to-str limit, past which str() raises ValueError.  A reduced
 # basis can grow such coefficients from inputs within parsing.MAX_DIGITS.
 MAX_RENDERED_DIGITS = 4_300
+# An int of at most this many bits is below 8^4300 < 10^4300, so it has at
+# most MAX_RENDERED_DIGITS digits and its digits need no count.
+_UNCOUNTED_BITS = 3 * MAX_RENDERED_DIGITS
 
 
-def _check_digits(c) -> None:
+def _check_digits(n: int) -> None:
     """Raise before str() would: digits are counted from the bit length."""
-    for n in (c.numerator, c.denominator):
-        # integer arithmetic only (0.30103 > log10 2): at least the digit count
-        # of |n|, at most two more, and exact once the loop has run
-        digits = n.bit_length() * 30103 // 100_000 + 1
-        while digits > MAX_RENDERED_DIGITS and abs(n) < 10 ** (digits - 1):
-            digits -= 1
-        if digits > MAX_RENDERED_DIGITS:
-            raise BudgetError(
-                f"render_polynomial: coefficient has {digits} digits (cap {MAX_RENDERED_DIGITS})"
-            )
+    # integer arithmetic only (0.30103 > log10 2): at least the digit count
+    # of |n|, at most two more, and exact once the loop has run
+    digits = n.bit_length() * 30103 // 100_000 + 1
+    while digits > MAX_RENDERED_DIGITS and abs(n) < 10 ** (digits - 1):
+        digits -= 1
+    if digits > MAX_RENDERED_DIGITS:
+        raise BudgetError(
+            f"render_polynomial: coefficient has {digits} digits (cap {MAX_RENDERED_DIGITS})"
+        )
 
 
 def render_polynomial(p: Polynomial, names) -> str:
-    """Canonical text form: terms in descending degrevlex order."""
+    """Canonical text form: terms in descending degrevlex order, each
+    coefficient n / d read off the integer map, written n when d is 1."""
     if p.is_zero:
         return "0"
     pieces = []
-    for i, (m, c) in enumerate(p.sorted_terms()):
-        _check_digits(c)
+    for i, (m, n, d) in enumerate(p.descending_terms()):
+        if n.bit_length() > _UNCOUNTED_BITS or d.bit_length() > _UNCOUNTED_BITS:
+            _check_digits(n)
+            _check_digits(d)
         mono = _format_monomial(m, names)
-        mag = abs(c)
-        if mono and mag == 1:
+        mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+        if mono and mag == "1":
             body = mono
         elif mono:
             body = f"{mag}*{mono}"
         else:
-            body = str(mag)
+            body = mag
         if i == 0:
-            pieces.append(body if c > 0 else f"-{body}")
+            pieces.append(body if n > 0 else f"-{body}")
         else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+            pieces.append(f"+ {body}" if n > 0 else f"- {body}")
     return " ".join(pieces)
 
 

@@ -24,7 +24,10 @@ Yun's squarefree decomposition over Fraction coefficient lists, with its own
 univariate division.  The scroll and Veronese-cone oracles write out each
 2x2 minor as a difference of Polynomial products.  The constrained
 permutations oracle is the original ``itertools.product`` of every
-signature group's permutations, which builds them all up front.  Apart
+signature group's permutations, which builds them all up front.  The
+render oracle is the original renderer over the Fraction term view, one
+Fraction coefficient per term, with the digit cap checked on every
+numerator and denominator.  Apart
 from that, the paths under test and the oracle paths share only the
 Polynomial arithmetic: every rank and solve under test runs on the sparse
 ``linalg.Echelon``, and only the oracles call the dense ``rref``.
@@ -54,6 +57,7 @@ from cmtype.errors import (
     LsopSearchError,
 )
 from cmtype.groebner import (
+    DivisorSet,
     GroebnerBasis,
     _interreduce,
     _minimal_homogeneous_generators,
@@ -79,7 +83,7 @@ from cmtype.poly import (
     monomials_of_degree,
     unit_vectors,
 )
-from cmtype.presentation import RingPresentation
+from cmtype.presentation import MAX_RENDERED_DIGITS, RingPresentation
 from cmtype.singularity import SingularityReport
 
 
@@ -478,7 +482,7 @@ def buchberger_oracle(pres, *, budgets: Budgets = DEFAULT_BUDGETS) -> GroebnerBa
         if h:
             update(h.monic())
 
-    return GroebnerBasis(pres.variables, _interreduce(pres.nvars, basis))
+    return GroebnerBasis(pres.variables, _interreduce(DivisorSet(pres.nvars, basis)))
 
 
 def _minor(matrix, rows: tuple[int, ...], cols: tuple[int, ...], memo) -> Polynomial:
@@ -972,3 +976,41 @@ def veronese_cone_ideal_oracle(n: int) -> RingPresentation:
                         seen.add(minor)
                         gens.append(minor)
     return make_presentation(names, gens)
+
+
+# ---------------------------------------------------------------------------
+# rendering over Fraction terms: the renderer the integer one replaced
+
+
+def _check_digits_oracle(c) -> None:
+    for n in (c.numerator, c.denominator):
+        digits = n.bit_length() * 30103 // 100_000 + 1
+        while digits > MAX_RENDERED_DIGITS and abs(n) < 10 ** (digits - 1):
+            digits -= 1
+        if digits > MAX_RENDERED_DIGITS:
+            raise BudgetError(
+                f"render_polynomial: coefficient has {digits} digits (cap {MAX_RENDERED_DIGITS})"
+            )
+
+
+def render_polynomial_oracle(p: Polynomial, names) -> str:
+    """Canonical text form: terms in descending degrevlex order."""
+    if p.is_zero:
+        return "0"
+    pieces = []
+    terms = sorted(p.terms.items(), key=lambda t: monomial_key(t[0]), reverse=True)
+    for i, (m, c) in enumerate(terms):
+        _check_digits_oracle(c)
+        mono = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, m) if e)
+        mag = abs(c)
+        if mono and mag == 1:
+            body = mono
+        elif mono:
+            body = f"{mag}*{mono}"
+        else:
+            body = str(mag)
+        if i == 0:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cmtype import (
     BudgetError,
@@ -25,7 +25,7 @@ from cmtype import (
 )
 from cmtype.presentation import RingPresentation
 
-from oracles import random_homogeneous_polynomial
+from oracles import random_homogeneous_polynomial, render_polynomial_oracle
 
 
 def test_three_variable_monomial_ideal():
@@ -199,6 +199,53 @@ def test_render_refuses_coefficients_past_the_str_limit(coefficient):
     message = r"^render_polynomial: coefficient has 4301 digits \(cap 4300\)$"
     with pytest.raises(BudgetError, match=message):
         render_polynomial(Polynomial(1, [((1,), coefficient)]), ("x",))
+
+
+@st.composite
+def term_lists(draw):
+    """(nvars, [(monomial, coefficient)]): constants, coefficients +-1,
+    integers and fractions, under a scale that may be a large fraction."""
+    nvars = draw(st.integers(1, 3))
+    monomial = st.tuples(*[st.integers(0, 3)] * nvars)
+    coefficient = st.one_of(
+        st.sampled_from([1, -1]),
+        st.integers(-50, 50).filter(bool),
+        st.fractions(-20, 20, max_denominator=12).filter(bool),
+    )
+    terms = draw(st.lists(st.tuples(monomial, coefficient), max_size=6))
+    scale = draw(st.sampled_from([1, -1, Fraction(2, 3), Fraction(-(10**30), 7**20)]))
+    return nvars, [(m, c * scale) for m, c in terms]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(term_lists())
+# a non-integral scale under a negative lead, with a constant term
+@example((2, [((1, 0), Fraction(-3, 2)), ((0, 1), Fraction(1, 2)), ((0, 0), 5)]))
+# coefficients +-1 only, and a constant -1
+@example((1, [((2,), -1), ((1,), 1), ((0,), -1)]))
+def test_render_matches_the_fraction_term_oracle(drawn):
+    nvars, terms = drawn
+    p = Polynomial(nvars, terms)
+    names = ("x", "y", "z")[:nvars]
+    assert render_polynomial(p, names) == render_polynomial_oracle(p, names)
+
+
+@pytest.mark.parametrize("where", ["numerator", "denominator"])
+@pytest.mark.parametrize("value", [2**12900, 10**4300 - 1, 10**4300], ids=["12901-bit", "4300-digit", "4301-digit"])
+def test_render_digit_cap_matches_the_oracle(where, value):
+    # a tail term's numerator, or its denominator, past the bit length below
+    # which no digit is counted: 4,300 digits render, 4,301 raise the oracle's error
+    tail = value if where == "numerator" else Fraction(1, value)
+    p = Polynomial(2, [((1, 0), -1), ((0, 1), tail), ((0, 0), 3)])
+    try:
+        expected = render_polynomial_oracle(p, ("x", "y"))
+    except BudgetError as error:
+        assert value == 10**4300
+        with pytest.raises(BudgetError) as raised:
+            render_polynomial(p, ("x", "y"))
+        assert str(raised.value) == str(error) == "render_polynomial: coefficient has 4301 digits (cap 4300)"
+    else:
+        assert render_polynomial(p, ("x", "y")) == expected
 
 
 def test_unknown_variable():

@@ -132,6 +132,38 @@ def test_division_loop_builds_no_tuple_and_no_fraction():
     assert {"tuple", "Fraction"}.isdisjoint(node.id for node in ast.walk(loop) if isinstance(node, ast.Name))
 
 
+def function_body(module: str, name: str, cls: str | None = None) -> ast.AST:
+    """The definition of the module's top-level function, or of a method."""
+    tree = ast.parse((SOURCE / module).read_text())
+    if cls is not None:
+        (tree,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls]
+    (body,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    return body
+
+
+def test_rendering_reads_the_integer_map():
+    # each coefficient is the scale's numerator times an int over the scale's
+    # denominator, in lowest terms by one gcd; a Fraction per term, or the
+    # Fraction term view, is the cost it was rid of
+    for body in (
+        function_body("presentation.py", "render_polynomial"),
+        function_body("poly.py", "descending_terms", cls="Polynomial"),
+    ):
+        names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+        attributes = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+        assert "Fraction" not in names and {"terms", "sorted_terms"}.isdisjoint(attributes)
+
+
+def test_standard_monomial_count_builds_no_tuple():
+    # the Hilbert-bound count tests divisibility on packed monomials against
+    # the set's packed leads; an exponent tuple there is the cost it was rid of
+    body = function_body("groebner.py", "_standard_monomials")
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    loops = [node for node in ast.walk(body) if isinstance(node, (ast.For, ast.ListComp, ast.GeneratorExp))]
+    built = [node for loop in loops for node in ast.walk(loop) if isinstance(node, ast.Tuple)]
+    assert not built and {"tuple", "le", "map", "monomial_divides"}.isdisjoint(names)
+
+
 def test_echelon_touches_no_fraction():
     # the echelon keeps primitive integer rows and reduces by
     # cross-multiplication; a Fraction row is the cost it was rid of
