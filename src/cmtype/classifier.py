@@ -24,7 +24,7 @@ from .errors import BudgetError, Budgets, DEFAULT_BUDGETS, InputError
 from .families import FamilyTag, binary_form_profile, match_named_family, quadric_rank
 from .invariants import Analysis, RingInvariants, analyze
 from .groebner import normal_form
-from .poly import Polynomial, cleared, unit_vectors
+from .poly import Polynomial, side_by_side, unit_vectors
 from .presentation import RingPresentation
 from .singularity import SingularityReport, singular_locus
 
@@ -115,12 +115,15 @@ def rewrite_in_xm(bundle: Analysis, x_index: int, u_index: int, v_index: int) ->
         raise InputError(f"variable {x_index} is not a nonzerodivisor")
 
     # Column j is x * x_j in R_2 plus a 1 at the tag (-1, j), and a product
-    # is itself plus a 1 at the marker (-2, 0), both cleared of denominators.
-    # Monomials sort above tags, tags above the marker, and the columns are
-    # independent (x is a nonzerodivisor): the residual of a product in their
-    # span is its coefficients at the tags times minus the marker's entry.
+    # is itself plus a 1 at the marker (-2, 0), both over the form's
+    # denominator.  A monomial m is keyed (0, m), so monomials sort above
+    # tags, tags above the marker, and the columns are independent (x is a
+    # nonzerodivisor): the residual of a product in their span is its
+    # coefficients at the tags times minus the marker's entry.
     def vector(monomial, key) -> dict:
-        return cleared({**bundle.quotient.normal(monomial).terms, key: 1})[0]
+        vec, d = side_by_side([bundle.quotient.normal(monomial)])
+        vec[key] = d
+        return vec
 
     x = Polynomial.variable(n, x_index)
     basis_order = [x_index, u_index, v_index] + [

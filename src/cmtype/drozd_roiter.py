@@ -167,8 +167,9 @@ def line_arrangement(lines: Sequence[Polynomial], reduction: Polynomial) -> Line
                     f"lines {i + 1} and {j + 1} are proportional; the product is not squarefree"
                 )
     _check_linear_form(reduction, "reduction")
+    r0, r1 = reduction.coefficient((1, 0)), reduction.coefficient((0, 1))
     for k, (a, b) in enumerate(coeffs, 1):
-        if reduction.evaluate((b, -a)) == 0:
+        if r0 * b == r1 * a:  # the reduction vanishes at (b, -a)
             raise InputError(f"reduction vanishes on line {k}; it is not a minimal reduction")
     return LineArrangement(lines, reduction)
 

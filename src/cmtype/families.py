@@ -21,7 +21,7 @@ from . import linalg
 from .errors import BudgetError, InputError
 from .groebner import normal_form
 from .invariants import Analysis
-from .poly import Polynomial, minors, unit_vectors
+from .poly import Polynomial, from_ints, minors, unit_vectors
 from .presentation import RingPresentation, make_presentation
 
 
@@ -50,7 +50,7 @@ def _determinantal(
     nvars = len(names)
     units = [{m: 1} for m in unit_vectors(nvars)]
     matrix = [[units[i] for i in row] for row in index_matrix]
-    gens = (Polynomial(nvars, det) for det in minors(matrix, 2) if det)
+    gens = (from_ints(nvars, det) for det in minors(matrix, 2) if det)
     return make_presentation(names, dict.fromkeys(gens))
 
 
@@ -157,7 +157,7 @@ def binary_form_profile(f: Polynomial) -> tuple[int, ...]:
         raise InputError("binary_form_profile requires a nonzero form")
     if f.nvars != 2 or not f.is_homogeneous() or f.degree() < 1:
         raise InputError("binary_form_profile requires a binary form of degree >= 1")
-    u = Polynomial(1, [(m[:1], c) for m, c in f.terms.items()])
+    u = from_ints(1, {m[:1]: c for m, c in f.ints.items()}, primitive=True)
     profile = [f.degree() - u.degree()] if u.degree() < f.degree() else []
     degrees = [u.degree()]
     g = derivative = u

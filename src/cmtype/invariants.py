@@ -43,13 +43,13 @@ from .groebner import (
 from .poly import (
     Monomial,
     Polynomial,
-    cleared,
     from_ints,
     minimal_monomials,
     monomial_degree,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
+    side_by_side,
     unit_vectors,
 )
 from .presentation import RingPresentation
@@ -75,7 +75,9 @@ def _poly_add(a: list[int], b: list[int]) -> list[int]:
 
 
 def _numerator(gens: tuple[Monomial, ...], nvars: int) -> list[int]:
-    gens = minimal_monomials(gens)
+    """The numerator of S/(gens) for minimal generators: those free of the
+    pivot plus the pivot variable stay minimal, so only the colon is
+    minimalized before its recursion."""
     if not gens:
         return [1]
     if any(monomial_degree(m) == 0 for m in gens):
@@ -96,7 +98,7 @@ def _numerator(gens: tuple[Monomial, ...], nvars: int) -> list[int]:
         tuple(e - 1 if i == pivot and e > 0 else e for i, e in enumerate(m)) for m in gens
     )
     n_plus = _numerator(plus + (pivot_mono,), nvars)
-    n_colon = _numerator(colon, nvars)
+    n_colon = _numerator(minimal_monomials(colon), nvars)
     return _poly_add(n_plus, [0] + n_colon)
 
 
@@ -229,10 +231,7 @@ class Quotient:
         if not self.basis(d + 1):
             return len(basis)
         images = linalg.Echelon(
-            cleared({
-                (v, t): c for v, m in enumerate(monomials) for t, c in self.normal(monomial_mul(b, m)).terms.items()
-            })[0]
-            for b in basis
+            side_by_side([self.normal(monomial_mul(b, m)) for m in monomials])[0] for b in basis
         )
         return len(basis) - len(images.rows)
 
@@ -322,7 +321,7 @@ def _candidates(rng: random.Random, nvars: int):
         bound = 1 + attempt
         coeffs = [rng.randint(-bound, bound) for _ in range(nvars)]
         if any(coeffs):
-            yield Polynomial(nvars, [(m, c) for m, c in zip(unit_vectors(nvars), coeffs) if c])
+            yield from_ints(nvars, {m: c for m, c in zip(unit_vectors(nvars), coeffs) if c})
 
 
 def _sequential_search(minimal: RingPresentation, dim: int, seed: int, basis_of) -> tuple[Polynomial, ...]:

@@ -3,10 +3,13 @@
 Coefficients are exact, ``fractions.Fraction`` or ``int``, never ``float``;
 nothing in the library ever rounds.  A :class:`Polynomial` is stored as one
 rational scale times a primitive integer map, normalized by
-:func:`from_ints`; the division, the S-polynomial, the quotient forms and
-the Jacobian read the integer map directly, and the coefficient type is
-decided here alone.  A polynomial knows its number of variables, not their
-names: those are a presentation's tuple of strings.  A monomial is a plain
+:func:`from_ints`.  Every reader, from the division, the S-polynomial and
+the quotient forms to the Jacobian and the echelon vectors, takes the
+integer map and the scale as they are, so the coefficient type is decided
+here alone: :func:`derivative_map` differentiates an integer map, and
+:func:`side_by_side` lays several forms over the least common denominator
+of their scales as one integer vector.  A polynomial knows its number of
+variables, not their names: those are a presentation's tuple of strings.  A monomial is a plain
 exponent tuple, one entry per variable, and the position of a variable in
 that tuple fixes its significance in degrevlex (earlier = more significant).
 Only the division kernel of :mod:`cmtype.groebner` packs a monomial into
@@ -28,7 +31,6 @@ import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from operator import add, le
-from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
@@ -124,14 +126,15 @@ class Polynomial:
     coefficient at ``lead``, the degrevlex leading monomial, is positive;
     ``scale`` is a nonzero Fraction.  The zero polynomial has ``ints == {}``,
     scale 1 and lead None.  The form is canonical, so equal polynomials have
-    equal ``(nvars, scale, ints)``.  ``terms`` is the read-only map
-    ``{monomial: scale * c}``, built on first use: its coefficients are ints
-    when the scale is integral and Fractions otherwise, never floats.
+    equal ``(nvars, scale, ints)``.  The coefficient at m is ``scale *
+    ints[m]``; every reader takes ``ints`` and ``scale`` as they are.
     Every polynomial is built by :func:`from_ints`; the constructor checks
-    a term map or a list of ``(monomial, coefficient)`` pairs first.
+    a term map or a list of ``(monomial, coefficient)`` pairs first, for
+    parsed and user input, while an integer map the library computed goes
+    to :func:`from_ints` directly.
     """
 
-    __slots__ = ("nvars", "ints", "scale", "lead", "_terms")
+    __slots__ = ("nvars", "ints", "scale", "lead")
 
     def __new__(cls, nvars: int, terms: Mapping | Iterable[tuple] = ()):
         data: dict[Monomial, int | Fraction] = {}
@@ -172,16 +175,6 @@ class Polynomial:
     # -- basic queries -----------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Monomial, int | Fraction]:
-        try:
-            return self._terms
-        except AttributeError:
-            s = self.scale if self.scale.denominator > 1 else self.scale.numerator
-            view = self.ints if s == 1 else {m: s * c for m, c in self.ints.items()}
-            object.__setattr__(self, "_terms", MappingProxyType(view))
-            return self._terms
-
-    @property
     def is_zero(self) -> bool:
         return not self.ints
 
@@ -196,8 +189,8 @@ class Polynomial:
         degrees = {monomial_degree(m) for m in self.ints}
         return len(degrees) <= 1
 
-    def coefficient(self, m: Monomial) -> int | Fraction:
-        return self.terms.get(tuple(m), 0)
+    def coefficient(self, m: Monomial) -> Fraction:
+        return self.scale * self.ints.get(tuple(m), 0)
 
     def descending_terms(self) -> Iterator[tuple[Monomial, int, int]]:
         """``(m, n, d)`` for each term, in descending degrevlex order: its
@@ -298,12 +291,6 @@ class Polynomial:
 
     # -- structural operations ----------------------------------------------
 
-    def extend(self, extra: int) -> "Polynomial":
-        """Append `extra` fresh variables (exponent 0 everywhere)."""
-        pad = (0,) * extra
-        data = {m + pad: c for m, c in self.ints.items()}
-        return from_ints(self.nvars + extra, data, self.scale, primitive=True)
-
     def permute_variables(self, sigma: Sequence[int]) -> "Polynomial":
         """Relabel variables: old variable i becomes new variable sigma[i]."""
         if sorted(sigma) != list(range(self.nvars)):
@@ -317,32 +304,13 @@ class Polynomial:
         return from_ints(self.nvars, data, self.scale, primitive=True)
 
     def derivative(self, i: int) -> "Polynomial":
-        data: dict[Monomial, int] = {}
-        for m, c in self.ints.items():
-            if m[i] == 0:
-                continue
-            exps = list(m)
-            exps[i] -= 1
-            data[tuple(exps)] = c * m[i]
-        return from_ints(self.nvars, data, self.scale)
-
-    def evaluate(self, values: Sequence[Fraction]) -> Fraction:
-        if len(values) != self.nvars:
-            raise InputError("wrong number of values")
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            term = c
-            for v, e in zip(values, m):
-                if e:
-                    term *= Fraction(v) ** e
-            total += term
-        return total
+        return from_ints(self.nvars, derivative_map(self.ints, i), self.scale)
 
     # -- identity ------------------------------------------------------------
 
     def sort_key(self) -> tuple:
         """A deterministic total key on polynomials (for canonical orderings)."""
-        return (self.degree(), tuple(sorted(self.terms.items())))
+        return (self.degree(), tuple(sorted((m, self.scale * c) for m, c in self.ints.items())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -398,6 +366,31 @@ def cleared(terms: Mapping) -> tuple[dict, Fraction]:
     rationals: ``ints`` integral, the scale 1 over their least common denominator."""
     denominator = math.lcm(*(c.denominator for c in terms.values()))
     return {m: c.numerator * (denominator // c.denominator) for m, c in terms.items()}, Fraction(1, denominator)
+
+
+def derivative_map(ints: Mapping, i: int) -> dict:
+    """The derivative of a term map with respect to variable i, a term map
+    of the same coefficient type: integral for an integer map."""
+    data = {}
+    for m, c in ints.items():
+        if m[i]:
+            exps = list(m)
+            exps[i] -= 1
+            data[tuple(exps)] = c * m[i]
+    return data
+
+
+def side_by_side(forms: Sequence[Polynomial]) -> tuple[dict, int]:
+    """``(vector, d)``: the forms laid side by side as one integer vector,
+    ``{(k, m): c}`` with ``forms[k] = sum of c * x^m over d``, for ``d`` the
+    least common denominator of their scales."""
+    d = math.lcm(*(p.scale.denominator for p in forms))
+    vector = {}
+    for k, p in enumerate(forms):
+        n = p.scale.numerator * (d // p.scale.denominator)
+        for m, c in p.ints.items():
+            vector[k, m] = n * c
+    return vector, d
 
 
 def add_scaled(out: dict, terms: Mapping, c=1, shift: Monomial | None = None) -> dict:

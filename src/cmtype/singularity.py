@@ -6,8 +6,8 @@ Equidimensionality is assumed, not checked; the report says so explicitly and
 consumers must surface that assumption whenever a verdict depends on it.
 
 The Jacobian rows are the integer derivatives of the generators' primitive
-integer maps, ``g * (1 / g.scale)``, so every minor is a nonzero constant
-times the rational one and I + minors is unchanged;
+integer maps, ``g.ints``, so every minor is a nonzero constant times the
+rational one and I + minors is unchanged;
 :func:`cmtype.poly.minors` expands them over integer term maps
 as exterior products of the rows, replacing every monomial product by its
 normal form from the analysis's quotient view, so each minor comes out
@@ -38,7 +38,7 @@ from . import linalg
 from .errors import BudgetError, Budgets, DEFAULT_BUDGETS
 from .groebner import buchberger, hilbert_coefficient
 from .invariants import Analysis, hilbert_series_from_gb
-from .poly import from_ints, minors, monomial_degree
+from .poly import derivative_map, from_ints, minors, monomial_degree
 from .presentation import RingPresentation
 
 
@@ -69,13 +69,12 @@ def singular_locus(bundle: Analysis, *, budgets: Budgets = DEFAULT_BUDGETS) -> S
         )
     codim = nvars - bundle.series.dim
 
-    # Scaling a row by a nonzero constant scales its minors alike, which
-    # leaves I + minors unchanged: differentiate the primitive integer maps.
-    primitive = [g * (1 / g.scale) for g in gens]
     # R = R'[z variables no generator uses]; their Jacobian columns vanish
     used = [j for j in range(nvars) if any(m[j] for g in gens for m in g.ints)]
     z = nvars - len(used)
-    jacobian = [[g.derivative(j).terms for j in used] for g in primitive]
+    # Scaling a row by a nonzero constant scales its minors alike, which
+    # leaves I + minors unchanged: differentiate the primitive integer maps.
+    jacobian = [[derivative_map(g.ints, j) for j in used] for g in gens]
     count = math.comb(len(gens), codim) * math.comb(len(used), codim)
     if count > budgets.minors:
         raise BudgetError(

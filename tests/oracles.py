@@ -87,8 +87,13 @@ from cmtype.presentation import MAX_RENDERED_DIGITS, RingPresentation
 from cmtype.singularity import SingularityReport
 
 
-def leading_term(p: Polynomial) -> tuple[Monomial, int | Fraction]:
-    return p.lead, p.terms[p.lead]
+def terms(p: Polynomial) -> dict[Monomial, Fraction]:
+    """The Fraction term view ``{m: scale * c}`` the oracles read a polynomial through."""
+    return {m: p.scale * c for m, c in p.ints.items()}
+
+
+def leading_term(p: Polynomial) -> tuple[Monomial, Fraction]:
+    return p.lead, terms(p)[p.lead]
 
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial | None:
@@ -113,7 +118,7 @@ def hilbert_function_oracle(generators, nvars: int, degree: int) -> int:
         for m in monomials_of_degree(nvars, shift):
             product = g.mul_term(m, 1)
             row = [Fraction(0)] * len(basis)
-            for mono, coeff in product.terms.items():
+            for mono, coeff in terms(product).items():
                 row[index[mono]] = coeff
             rows.append(row)
     return len(basis) - rank(rows)
@@ -153,7 +158,7 @@ def arrangement_lambda_oracle(lines, reduction) -> int:
 
         def vec(p):
             row = [Fraction(0)] * len(basis)
-            for mono, coeff in p.terms.items():
+            for mono, coeff in terms(p).items():
                 row[index[mono]] = coeff
             return row
 
@@ -176,12 +181,12 @@ def arrangement_lambda_oracle(lines, reduction) -> int:
 def random_homogeneous_polynomial(rng: random.Random, nvars: int, degree: int) -> Polynomial:
     """Random nonzero homogeneous polynomial with small integer coefficients."""
     while True:
-        terms = []
+        pairs = []
         for m in monomials_of_degree(nvars, degree):
             c = rng.randint(-2, 2)
             if c:
-                terms.append((m, c))
-        p = Polynomial(nvars, terms)
+                pairs.append((m, c))
+        p = Polynomial(nvars, pairs)
         if not p.is_zero:
             return p
 
@@ -225,7 +230,7 @@ def linear_change(p: Polynomial, matrix) -> Polynomial:
             img = img + Polynomial.variable(n, j) * Fraction(matrix[i][j])
         images.append(img)
     result = Polynomial.zero(n)
-    for mono, coeff in p.terms.items():
+    for mono, coeff in terms(p).items():
         term = Polynomial.constant(n, coeff)
         for i, e in enumerate(mono):
             for _ in range(e):
@@ -287,7 +292,7 @@ def _substitute(p: Polynomial, i: int, replacement: Polynomial) -> Polynomial:
     """Substitute the i-th variable by a polynomial over the same variables."""
     powers: dict[int, Polynomial] = {0: Polynomial.one(p.nvars)}
     result = Polynomial.zero(p.nvars)
-    for m, c in sorted(p.terms.items()):
+    for m, c in sorted(terms(p).items()):
         e = m[i]
         if e not in powers:
             powers[e] = replacement**e
@@ -771,7 +776,7 @@ def rewrite_in_xm_oracle(
         raise InputError(f"variable {x_index} is not a nonzerodivisor")
 
     def vector(p: Polynomial) -> list:  # p modulo I over the degree-2 standard monomials
-        image = normal_form(p, bundle.quotient.gb).terms
+        image = terms(normal_form(p, bundle.quotient.gb))
         return [image.get(m, 0) for m in bundle.quotient.basis(2)]
 
     x = Polynomial.variable(n, x_index)
@@ -898,7 +903,7 @@ def binary_form_profile_oracle(f: Polynomial) -> tuple[int, ...]:
         raise InputError("binary_form_profile requires a binary form of degree >= 1")
     d = f.degree()
     u = [Fraction(0)] * (d + 1)
-    for m, c in f.terms.items():
+    for m, c in terms(f).items():
         u[m[0]] = Fraction(c)
     u = _utrim(u)
     profile: list[int] = []
@@ -998,8 +1003,8 @@ def render_polynomial_oracle(p: Polynomial, names) -> str:
     if p.is_zero:
         return "0"
     pieces = []
-    terms = sorted(p.terms.items(), key=lambda t: monomial_key(t[0]), reverse=True)
-    for i, (m, c) in enumerate(terms):
+    descending = sorted(terms(p).items(), key=lambda t: monomial_key(t[0]), reverse=True)
+    for i, (m, c) in enumerate(descending):
         _check_digits_oracle(c)
         mono = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, m) if e)
         mag = abs(c)

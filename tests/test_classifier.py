@@ -39,6 +39,7 @@ from oracles import (
     random_invertible_matrix,
     rational_homogeneous_presentations,
     rewrite_in_xm_oracle,
+    terms,
 )
 
 
@@ -183,7 +184,8 @@ class TestDimensionTwoAndUp:
             for i in range(n):
                 form = form + Polynomial.variable(n, i) ** 2
             assert classify(make_presentation(names, [form])).verdict is Verdict.FINITE
-            grown = make_presentation(names + ["t_new"], [form.extend(1)])
+            padded = Polynomial(n + 1, {m + (0,): c for m, c in terms(form).items()})
+            grown = make_presentation(names + ["t_new"], [padded])
             assert classify(grown).verdict is Verdict.COUNTABLE_INFINITE
 
     def test_cubic_hypersurface_surface_is_uncountable(self):

@@ -187,6 +187,9 @@ class TestLineArrangement:
             line_arrangement([X, 2 * X], X + Y)
 
     def test_rejects_vanishing_reduction(self):
-        # x vanishes identically on the branch V(x), so it is no reduction
+        # x vanishes identically on the branch V(x), so it is no reduction;
+        # so does (y - x)/2 on V(x - y), at the point (1, 1)
         with pytest.raises(InputError):
             line_arrangement([X, Y], X)
+        with pytest.raises(InputError, match="line 2"):
+            line_arrangement([X + Y, X - Y], (Y - X) * Fraction(1, 2))

@@ -44,6 +44,7 @@ from oracles import (
     random_invertible_matrix,
     scroll_ideal_oracle,
     support_signatures_oracle,
+    terms,
     veronese_cone_ideal_oracle,
 )
 
@@ -281,7 +282,7 @@ class TestMatchNamedFamily:
         # substitutes v5 for v0, and the certificate refers to the minimal
         # presentation's variables
         relabeled = (g.permute_variables((3, 0, 4, 1, 2)) for g in scroll_ideal((1, 2)).generators)
-        quadrics = [Polynomial(6, [(m + (0,), c) for m, c in g.terms.items()]) for g in relabeled]
+        quadrics = [Polynomial(6, [(m + (0,), c) for m, c in terms(g).items()]) for g in relabeled]
         linear = Polynomial.variable(6, 0) - Polynomial.variable(6, 5)
         pres = make_presentation(
             [f"v{i}" for i in range(6)],

@@ -16,9 +16,9 @@ from cmtype import (
 from cmtype import invariants, linalg, singularity
 from cmtype.families import sum_of_squares
 from cmtype.groebner import normal_form
-from cmtype.poly import minors, unit_vectors
+from cmtype.poly import derivative_map, minors, unit_vectors
 
-from oracles import laplace_minors, rational_homogeneous_presentations, singular_locus_oracle
+from oracles import laplace_minors, rational_homogeneous_presentations, singular_locus_oracle, terms
 
 
 def report_for(text):
@@ -70,7 +70,11 @@ def test_free_variable_increments_singular_dimension():
         pres = parse_presentation(text)
         base = singular_locus(analyze(pres))
         extended = make_presentation(
-            pres.variables + ("t_new",), [g.extend(1) for g in pres.generators]
+            pres.variables + ("t_new",),
+            [
+                Polynomial(pres.nvars + 1, {m + (0,): c for m, c in terms(g).items()})
+                for g in pres.generators
+            ],
         )
         grown = singular_locus(analyze(extended))
         assert grown.singular_dim == base.singular_dim + 1
@@ -125,12 +129,11 @@ def proportional(got: dict, expected: dict) -> bool:
 
 def normal_terms(det: dict, gb) -> dict:
     """The normal form of a term map modulo the ideal of `gb`."""
-    return dict(normal_form(Polynomial(gb.nvars, det), gb).terms)
+    return terms(normal_form(Polynomial(gb.nvars, det), gb))
 
 
 def jacobian_of(pres):
-    primitive = [g * (1 / g.scale) for g in pres.generators]
-    return [[g.derivative(j).terms for j in range(pres.nvars)] for g in primitive]
+    return [[derivative_map(g.ints, j) for j in range(pres.nvars)] for g in pres.generators]
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)

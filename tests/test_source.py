@@ -105,13 +105,32 @@ def test_only_analyze_minimalizes():
     assert callers_of("minimalize_presentation") == {"invariants.analyze"}
 
 
-@pytest.mark.parametrize("name", ["groebner.py", "invariants.py", "singularity.py", "families.py"])
+@pytest.mark.parametrize(
+    "name", ["groebner.py", "invariants.py", "singularity.py", "families.py", "drozd_roiter.py"]
+)
 def test_coefficient_representation_stays_in_poly(name):
     # int or Fraction is decided behind Polynomial: these modules read the
     # primitive integer map and the scale, never a coefficient's denominator
     tree = ast.parse((SOURCE / name).read_text())
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "fractions" not in imported_modules(tree) and "denominator" not in attributes
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "poly.py"], ids=lambda p: p.name)
+def test_only_poly_clears_denominators_or_splits_a_scale(path):
+    # a form is read as its integer map and its scale, and poly alone lays
+    # forms over a common denominator: no other module clears a term map
+    # of rationals or takes a scale apart into numerator and denominator
+    tree = ast.parse(path.read_text())
+    functions = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    called = {getattr(f, "id", getattr(f, "attr", None)) for f in functions}
+    parts = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    split = [
+        node for node in parts
+        if node.attr in ("numerator", "denominator")
+        and getattr(node.value, "attr", getattr(node.value, "id", None)) == "scale"
+    ]
+    assert "cleared" not in called and not split
 
 
 def test_minors_touch_no_fraction():
