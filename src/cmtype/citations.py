@@ -49,6 +49,11 @@ _SOURCES: dict[str, tuple[str, str]] = {
     "dim1-possible-h": (
         "Cor 3.5", "the possible h-vectors are (1), (1,n), or (1,n,1)"
     ),
+    "dim1-h1n1-open": (
+        "tool scope",
+        "Cor 3.5 admits the h-vector (1,n,1), and no cited result decides the "
+        "type of a curve that has it",
+    ),
     "dim1-gw12": ("§3.2 eqn:gw-1,2", "having h-vector (1,2)"),
     "dim1-graded12": (
         "Cor 3.6 (4)", "R is of graded finite type and isomorphic to one of the following"

@@ -293,6 +293,11 @@ def _classify_dim1(bundle: Analysis, assumptions: frozenset[str]) -> Classificat
             assumptions_used=("reduced_asserted",) if "reduced" in assumptions else (),
         )
 
+    if len(h) == 3 and h[2] == 1:
+        # Cor 3.5 admits (1, n, 1), here with n = codim >= 2, and no cited
+        # result decides it; a Gorenstein one is open by Conjecture 5.1 too
+        rules = ("dim1-possible-h", "dim1-h1n1-open") + (("gorenstein-open",) if inv.is_gorenstein else ())
+        return _report(inv, Verdict.OPEN_UNKNOWN, *rules, reason="hvector_1n1_undecided")
     if len(h) >= 3:
         return _report(inv, Verdict.UNCOUNTABLE, "dim1-possible-h")
     # h = (1) would make the ring regular; h = (1,1) would make I a height-1

@@ -13,25 +13,17 @@ On homogeneous input a pair whose degree a lower bound on the Hilbert series
 already settles is discarded unreduced (Traverso, J. Symb. Comp. 1996, with
 the lex form of Froeberg's inequality, Math. Scand. 56, 1985).
 
-Division runs on packed monomials (Bachmann-Schoenemann, ISSAC 1998; the
-heap of Monagan-Pearce, J. Symb. Comp. 46, 2011).  A :class:`DivisorSet`
-packs each element of a basis once: every exponent gets a field of w bits
-and the total degree the field above them, so a product of monomials is a
-sum of ints, the quotient of a divisible pair a difference, and the
-divisibility test and the degrevlex heap key are each a few integer
-operations; the top bit of every field is a guard bit that the divisibility
-test reads.  In degrevlex no exponent in a division exceeds the degree of
-the leading term it starts from, so w is one more than the bit length of
-the largest degree the set must hold, and a larger one (an element, an
-S-pair, an input, a degree to count) repacks the set wider.  ``buchberger``
-grows one set as it adds elements, builds each S-pair from its packed
-entries, counts the standard monomials of its Hilbert bound against the
-set's packed leads, and hands the set to the interreduction, which divides
-each packed entry, in ascending lead order, by one growing set of the
-reduced elements before it: only a smaller lead can divide a tail term.
-The quotient view of :mod:`cmtype.invariants` keeps one set for all its
-forms and standard monomials.  Exponent tuples are packed on the way in
-and unpacked on the way out.
+Division runs in integers on packed monomials (Bachmann-Schoenemann, ISSAC
+1998; the heap of Monagan-Pearce, J. Symb. Comp. 46, 2011): a
+:class:`DivisorSet` packs each element of a basis once, as a primitive
+integer map over monomials of one int each.  ``buchberger`` stays packed
+from its generators to its reduced basis: it divides each S-pair of packed
+entries into a packed remainder that joins the set as it is, counts the
+standard monomials of its Hilbert bound against the packed leads, and
+interreduces the entries in ascending lead order, each by the reduced ones
+before it, making polynomials only of the reduced elements.  The quotient
+view of :mod:`cmtype.invariants` keeps one set for all its forms and
+standard monomials.
 
 The module also holds the one expansion of a Hilbert series
 (:func:`hilbert_coefficient`, :func:`numerator_product`) and the one
@@ -43,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from . import linalg
@@ -80,66 +73,66 @@ class GroebnerBasis(NamedTuple):
 class DivisorSet:
     """The nonzero elements of a basis, each packed once for division.
 
-    Inside the division kernel a monomial is one int.  Each exponent gets a
-    field of ``width`` bits, the variable i at bit i * width, and the total
-    degree sits in the field above them; the top bit of every field is a
-    guard bit, 0 in every monomial the set packs.  A product of monomials is
-    then their sum, the quotient of a divisible pair their difference,
-    ``lm | m`` the one test ``((m | guard) - lm) & guard == guard`` (no
-    field of m | guard borrows from the next), and ``2 * (m & mask) - m`` is
-    an ascending degrevlex key for a min-heap: minus the degree field, plus
-    the exponents read from the last variable down.  No exponent exceeds
-    the degree, and in degrevlex no term of a polynomial exceeds the degree
-    of its leading term, so the width is fixed by the largest degree the
-    set must hold: the fields hold up to 2^(width-1) - 1.  A larger degree
-    (a new element, a higher S-pair, a higher input to divide) repacks
-    every element with a wider field.
+    A monomial is one int: each exponent gets a field of ``width`` bits,
+    the variable i at bit i * width, and the total degree the field above
+    them; the top bit of every field is a guard bit, 0 in every packed
+    monomial.  A product of monomials is then their sum, the quotient of a
+    divisible pair their difference, ``lm | m`` the one test ``((m | guard)
+    - lm) & guard == guard`` (no field of m | guard borrows from the next),
+    and ``2 * (m & mask) - m`` an ascending degrevlex key for a min-heap:
+    minus the degree field, plus the exponents from the last variable down.
+    In degrevlex no term exceeds the degree of its polynomial's lead, so the
+    largest degree the set must hold fixes the width: the fields hold up to
+    2^(width-1) - 1, and a larger degree moves every packed field wider.
 
-    ``entries[k]`` is the packed leading monomial of ``elements[k]``, its
-    integer coefficient and the tail, its other terms as packed pairs.
-    ``standard`` is the packed list of the last degree
-    :func:`_standard_monomials` counted against the set, repacked with it.
+    ``entries[k]`` is the k-th element as a primitive integer map: its
+    packed lead, its positive coefficient there, and its other terms as
+    packed pairs.  No polynomial is kept: the set is built from polynomials
+    and :meth:`add` appends packed remainders.  ``standard`` is the packed
+    list of the last degree :func:`_standard_monomials` counted against the
+    set, repacked with it.
     """
 
     def __init__(self, nvars: int, elements=(), degree: int = 0):
         self.nvars = nvars
-        self.elements = [g for g in elements if g]
-        if any(g.nvars != nvars for g in self.elements):
+        elements = [g for g in elements if g]
+        if any(g.nvars != nvars for g in elements):
             raise InputError("polynomials are over different variable sets")
-        self.standard: list[int] = []
-        self._layout(max([degree, *(g.degree() for g in self.elements)]))
+        self.entries, self.standard, self.width = [], [], 1
+        self._layout(max([degree, *(g.degree() for g in elements)]))
+        pack = self.pack
+        for g in elements:
+            lead = g.lead
+            self.entries.append((pack(lead), g.ints[lead], [(pack(m), c) for m, c in g.ints.items() if m != lead]))
 
     def _layout(self, degree: int):
-        """Pack every element, and the standard monomials, with the
-        narrowest fields that hold the degree."""
-        standard = self.unpacked(dict.fromkeys(self.standard)) if self.standard else ()
+        """The narrowest fields that hold the degree; every packed entry and
+        standard monomial moves its fields there."""
+        old, field = self.width, (1 << self.width) - 1
         width = self.width = degree.bit_length() + 1
+        moves = [(k * old, k * width) for k in range(self.nvars + 1)]
+
+        def repack(m):
+            return sum((m >> s & field) << t for s, t in moves)
+
         self.cap = (1 << width - 1) - 1
         self.shift = self.nvars * width  # the degree field
         self.mask = (1 << self.shift) - 1
         self.guard = sum(1 << k * width + width - 1 for k in range(self.nvars + 1))
-        self.entries = [self._entry(g) for g in self.elements]
-        self.standard = [self.pack(m) for m in standard]
-
-    def _entry(self, g: Polynomial):
-        pack = self.pack
-        lead = g.lead
-        return pack(lead), g.ints[lead], [(pack(m), c) for m, c in g.ints.items() if m != lead]
+        self.entries = [(repack(lm), lc, [(repack(t), c) for t, c in tail]) for lm, lc, tail in self.entries]
+        self.standard = [repack(m) for m in self.standard]
 
     def fit(self, degree: int):
         """Repack wider if the fields cannot hold the degree."""
         if degree > self.cap:
             self._layout(degree)
 
-    def add(self, g: Polynomial):
-        """Append a nonzero element over the same variables."""
-        if g.nvars != self.nvars:
-            raise InputError("polynomials are over different variable sets")
-        self.elements.append(g)
-        if g.degree() > self.cap:
-            self._layout(g.degree())
-        else:
-            self.entries.append(self._entry(g))
+    def add(self, ints: dict[int, int]):
+        """Append a nonzero packed map led by its first key, as
+        :func:`normal_form` returns it, made primitive with a positive lead."""
+        (lead, lc), *tail = ints.items()
+        content = math.gcd(*ints.values()) if lc > 0 else -math.gcd(*ints.values())
+        self.entries.append((lead, lc // content, [(m, c // content) for m, c in tail]))
 
     def pack(self, m: Monomial) -> int:
         width, packed = self.width, sum(m)
@@ -147,17 +140,20 @@ class DivisorSet:
             packed = packed << width | e
         return packed
 
+    def unpack(self, m: int) -> Monomial:
+        field = (1 << self.width) - 1
+        return tuple([m >> s & field for s in range(0, self.shift, self.width)])
+
     def unpacked(self, ints: dict[int, int]) -> dict[Monomial, int]:
         """A packed integer map over exponent tuples, in the same order."""
         shifts, field = range(0, self.shift, self.width), (1 << self.width) - 1
         return {tuple([m >> s & field for s in shifts]): c for m, c in ints.items()}
 
-    def spoly(self, i: int, j: int) -> dict[int, int]:
-        """The S-polynomial of elements i and j, up to a nonzero rational
-        factor, as a packed integer map: (cg/d)*x^qf*f - (cf/d)*x^qg*g over
-        the primitive integer maps, whose leading coefficients cf and cg
-        cancel, d = gcd(cf, cg), lcm = x^qf*lead_f = x^qg*lead_g."""
-        lcm = monomial_lcm(self.elements[i].lead, self.elements[j].lead)
+    def spoly(self, i: int, j: int, lcm: Monomial) -> dict[int, int]:
+        """The S-polynomial of elements i and j, whose leads have the lcm,
+        up to a nonzero rational factor, as a packed integer map:
+        (cg/d)*x^qf*f - (cf/d)*x^qg*g over the primitive maps, d = gcd(cf,
+        cg) of their leading coefficients, lcm = x^qf*lead_f = x^qg*lead_g."""
         self.fit(sum(lcm))
         lcm = self.pack(lcm)
         (lf, cf, tail_f), (lg, cg, tail_g) = self.entries[i], self.entries[j]
@@ -177,28 +173,29 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial of f and g up to a nonzero rational factor, which is all
     division and ``.monic()`` need; see :meth:`DivisorSet.spoly`."""
     divisors = DivisorSet(f.nvars, (f, g))
-    return from_ints(f.nvars, divisors.unpacked(divisors.spoly(0, 1)))
+    return from_ints(f.nvars, divisors.unpacked(divisors.spoly(0, 1, monomial_lcm(f.lead, g.lead))))
 
 
-def normal_form(p: Polynomial | dict[int, int], basis) -> Polynomial:
+def normal_form(p: Polynomial | dict[int, int], basis) -> Polynomial | dict[int, int]:
     """Full remainder of p under division by the basis (no term divisible by a
     leading term survives).  Against a Groebner basis the result is the unique
     normal form; in particular it is zero exactly for ideal members.
 
     The basis is a :class:`DivisorSet`, or a sequence of polynomials or a
-    :class:`GroebnerBasis`, which is packed for this one call.  p is a
-    Polynomial, or a packed integer map from the set's ``spoly``, whose
-    remainder is then one up to a nonzero rational factor, as the S-pair is.
-    The leading remaining term is always divided by the first basis element
-    whose leading monomial divides it.  The division runs in integers on
-    packed monomials: ``work`` starts as the integer map of p, each step
-    subtracts a multiple of the divisor's tail that cancels the leading
-    term, and terms no leading monomial divides move to ``remainder``.  Both
-    maps share one frame: a step that multiplies ``work`` by an integer
-    multiplies ``remainder`` too, their common content is removed, and the
-    integers ``num`` and ``den`` with ``p == scale * num / den * (work +
-    remainder) + (ideal multiples)`` absorb both, so ``scale * num / den *
-    remainder`` is exactly the remainder of dividing p itself.
+    :class:`GroebnerBasis`, packed for this one call.  A Polynomial p gives
+    a Polynomial.  A packed integer map of the set's layout (an S-pair, an
+    entry to interreduce) gives its remainder up to a nonzero rational
+    factor as a packed map in pop order, led by its first key.  The leading
+    remaining term is divided by the first element whose lead divides it:
+    ``work`` starts as the integer map of p, each step subtracts a multiple
+    of the divisor's tail that cancels the leading term, and terms no lead
+    divides move to ``remainder``.  A step that multiplies ``work`` by a =
+    lc / gcd(c, lc) multiplies ``remainder`` too, then divides both by the
+    gcd of a and all their coefficients, folded from a until it reaches 1:
+    only the multiplier's content is stripped, as the remainder is made
+    primitive at the end anyway.  The integers ``num`` and ``den`` with ``p
+    == scale * num / den * (work + remainder) + (ideal multiples)`` absorb
+    both.
     """
     if isinstance(basis, DivisorSet):
         divisors = basis
@@ -253,17 +250,20 @@ def normal_form(p: Polynomial | dict[int, int], basis) -> Polynomial:
                 work[t] = v
             else:
                 del work[t]
-        if a != 1 and (content := gcd(*work.values(), *remainder.values())) > 1:
-            for t in work:
-                work[t] //= content
-            for t in remainder:
-                remainder[t] //= content
-            num *= content
-    ints = divisors.unpacked(remainder)
-    lead = next(iter(ints), None)  # popped first, so the largest
+        if a != 1:
+            for v in chain(work.values(), remainder.values()):
+                if (a := gcd(a, v)) == 1:
+                    break
+            else:
+                for t in work:
+                    work[t] //= a
+                for t in remainder:
+                    remainder[t] //= a
+                num *= a
     if isinstance(p, Polynomial):
-        return from_ints(p.nvars, ints, p.scale * num / den, lead)
-    return from_ints(divisors.nvars, ints, lead=lead)
+        ints = divisors.unpacked(remainder)
+        return from_ints(p.nvars, ints, p.scale * num / den, next(iter(ints), None))  # popped first: the lead
+    return remainder
 
 
 def buchberger(
@@ -300,16 +300,14 @@ def buchberger(
     Discarded pairs count against ``budgets.pairs``, and the reduced basis
     is unique, so the result does not change.
     """
-    gens = [g.monic() for g in pres.generators]
-
-    divisors = DivisorSet(pres.nvars)
+    gens = pres.generators
+    divisors = DivisorSet(pres.nvars, gens)
     leads: list[Monomial] = []
     lcms: dict[tuple[int, int], Monomial] = {}  # open pairs and their lcms
     queue: list[tuple[int, int, int]] = []  # (lcm degree, i, j), pruned pairs included
 
-    def update(f: Polynomial):
-        # Gebauer-Moeller pair pruning (product + chain criteria).
-        mf = f.lead
+    def update(mf: Monomial):
+        # Gebauer-Moeller pair pruning (product + chain criteria) for a new lead
         t = len(leads)
         new_lcms = [monomial_lcm(lead, mf) for lead in leads]
         for (i, j), lcm in list(lcms.items()):
@@ -324,11 +322,10 @@ def buchberger(
                 i = min(members)
                 lcms[i, t] = lcm
                 heapq.heappush(queue, (monomial_degree(lcm), i, t))
-        divisors.add(f)
         leads.append(mf)
 
     for f in gens:
-        update(f)
+        update(f.lead)
 
     if numerator is None:
         numerator, degrees = (1,), [g.degree() for g in gens]
@@ -351,7 +348,7 @@ def buchberger(
         processed += 1
         if processed > budgets.pairs:
             raise BudgetError(f"buchberger: pair budget {budgets.pairs} exceeded")
-        del lcms[i, j]
+        lcm = lcms.pop((i, j))
         while bound is not None and degree < lcm_degree:
             b = hilbert_coefficient(bound, pres.nvars, degree + 1) if degree < top else -1
             if excess or b < 0 or len(standard) * pres.nvars > MAX_STANDARD_CANDIDATES:
@@ -363,10 +360,11 @@ def buchberger(
                 excess = len(standard) - b
         if bound is not None and not excess:
             continue  # in(G) and in(I) agree in degree lcm_degree
-        h = normal_form(divisors.spoly(i, j), divisors)
+        h = normal_form(divisors.spoly(i, j, lcm), divisors)
         if h:
             excess -= 1
-            update(h.monic())
+            divisors.add(h)
+            update(divisors.unpack(next(iter(h))))
 
     return GroebnerBasis(pres.variables, _interreduce(divisors))
 
@@ -440,26 +438,26 @@ def _interreduce(divisors: DivisorSet) -> tuple[Polynomial, ...]:
     """The reduced basis of the Groebner basis the set packs: minimalized
     (no lead divisible by another) and tail-reduced, in canonical order.
 
-    The elements go in ascending lead order, each divided by one growing
-    set of the reduced elements before it, starting from its packed entry.
-    That is enough: a tail term of g lies below the lead of g, and a lead
-    that divides a monomial is at most that monomial, so only a smaller
-    lead, one already in the set, can divide it; the lead of g itself
-    survives, since no lead before it divides it.  An element whose lead a
-    lead before it divides is dropped; of equal leads the first stays.  The
-    reduced basis is unique, so the order of the divisions does not change
-    it.  The set is laid out at the width of ``divisors``, which holds every
-    degree, so the entries are its dividends as they are."""
+    The entries go in ascending lead order, each divided by one growing set
+    of the reduced ones before it.  That is enough: a lead that divides a
+    tail term of g is at most that term, so below the lead of g and already
+    in the set; the lead of g survives, as no lead before it divides it.
+    An entry whose lead one before it divides is dropped; of equal leads the
+    first stays.  The reduced basis is unique, so the order of the
+    divisions does not change it.  The set is laid out at the width of
+    ``divisors``, so the entries are its dividends as they are, and only
+    the reduced elements are unpacked, into monic polynomials."""
     mask, guard = divisors.mask, divisors.guard
     reduced = DivisorSet(divisors.nvars, degree=divisors.cap)
     for lm, lc, tail in sorted(divisors.entries, key=lambda entry: 2 * (entry[0] & mask) - entry[0], reverse=True):
         lm_guarded = lm | guard
-        if any(lm_guarded - entry[0] & guard == guard for entry in reduced.entries):
-            continue
-        dividend = dict(tail)
-        dividend[lm] = lc
-        reduced.add(normal_form(dividend, reduced).monic())
-    return tuple(reversed(reduced.elements))
+        if not any(lm_guarded - entry[0] & guard == guard for entry in reduced.entries):
+            reduced.add(normal_form(dict([(lm, lc), *tail]), reduced))
+    elements = []
+    for lm, lc, tail in reversed(reduced.entries):
+        ints = reduced.unpacked(dict([(lm, lc), *tail]))
+        elements.append(from_ints(reduced.nvars, ints, lead=next(iter(ints)), primitive=True).monic())
+    return tuple(elements)
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,12 @@ MAX_NUMERATOR_DEGREE = 10_000
 
 def hilbert_numerator(monomials: Sequence[Monomial], nvars: int) -> list[int]:
     """N(t) with the Hilbert series of S/(monomials) equal to N(t)/(1-t)^nvars."""
-    gens = minimal_monomials(monomials)
+    return _minimal_numerator(minimal_monomials(monomials), nvars)
+
+
+def _minimal_numerator(gens: tuple[Monomial, ...], nvars: int) -> list[int]:
+    """:func:`hilbert_numerator` of minimal generators, such as the leads of
+    a reduced basis, which need no minimalizing."""
     # Every term of N(t) is +-t^deg lcm(S) for a set S of minimal generators
     # (the Taylor resolution), so deg lcm(all) bounds its degree.
     bound = monomial_degree(functools.reduce(monomial_lcm, gens, (0,) * nvars))
@@ -152,7 +157,8 @@ def _deflate(numerator: list[int]) -> tuple[int, list[int]]:
 
 
 def hilbert_series_from_gb(gb: GroebnerBasis) -> HilbertSeries:
-    numerator = hilbert_numerator(gb.leading_monomials(), gb.nvars)
+    # the leads of a reduced basis are the minimal generators of in(I)
+    numerator = _minimal_numerator(gb.leading_monomials(), gb.nvars)
     if all(c == 0 for c in numerator):
         raise InputError("the ideal is the unit ideal; not a graded ring presentation")
     deflations, hvec = _deflate(numerator)

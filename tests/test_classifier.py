@@ -124,10 +124,37 @@ class TestDimensionOneNonHypersurfaces:
                 assert report.reason == "dr_unsupported"
 
     def test_long_h_vector_is_uncountable(self):
-        # h = (1, 2, 1): artinian part k[x,y]/(x^2, xy, y^3) times a line
-        report = classify_text("ring: x,y,z ; ideal: x^2, x*y, y^3")
+        # h = (1, 2, 1, 1): artinian part k[x,y]/(x^2, xy, y^4) times a line,
+        # an h-vector that Cor 3.5 rules out
+        report = classify_text("ring: x,y,z ; ideal: x^2, x*y, y^4")
+        assert report.invariants.hvector == (1, 2, 1, 1)
         assert report.verdict is Verdict.UNCOUNTABLE
-        assert "Cor 3.5" in citations_of(report)
+        assert [j.rule for j in report.justification] == ["dim1-possible-h"]
+
+    @pytest.mark.parametrize(
+        "ideal, gorenstein",
+        [
+            ("x^2, x*y, y^3", False),  # artinian part k[x,y]/(x^2, xy, y^3) times a line, type 2
+            ("x^2 - y^2, x^2 - z^2", True),  # four points, a complete intersection
+            ("x*y, z^2", True),  # two double points
+        ],
+    )
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_h_1n1_is_open(self, ideal, gorenstein, seed):
+        # Cor 3.5 admits h = (1, n, 1) and no cited result decides it, so the
+        # verdict is open, in any coordinates; Gorenstein ones also cite
+        # Conjecture 5.1
+        pres = parse_presentation(f"ring: x,y,z ; ideal: {ideal}")
+        if seed is not None:
+            matrix = random_invertible_matrix(random.Random(seed), 3)
+            pres = make_presentation(pres.variables, [linear_change(g, matrix) for g in pres.generators])
+        report = classify(pres)
+        assert report.invariants.hvector == (1, 2, 1)
+        assert report.invariants.is_gorenstein is gorenstein
+        assert report.verdict is Verdict.OPEN_UNKNOWN
+        assert report.reason == "hvector_1n1_undecided"
+        rules = ["dim1-possible-h", "dim1-h1n1-open"] + ["gorenstein-open"] * gorenstein
+        assert [j.rule for j in report.justification] == rules
 
     @pytest.mark.parametrize("hvector", [(1,), (1, 1)])
     def test_impossible_curve_hvector_raises(self, monkeypatch, hvector):

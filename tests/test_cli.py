@@ -607,7 +607,7 @@ class TestPinnedDigests:
                 ("classify",),
                 "ring: x, y, z\nideal: x^2 - y*z, y^2 - x*z\n",
                 CLASSIFY_KEYS,
-                "sha256:89094b600518f7b0893c527380f50dfde0bfec6f9503f435a5a1594579ee32e6",
+                "sha256:7ddd9a63fe3eafd2ab1c6b8c0b0ef1eb153e2a0ceb774c26bf76fe2ec2dedab5",
             ),
             (
                 ("classify",),

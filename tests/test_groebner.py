@@ -43,6 +43,25 @@ from oracles import (
 )
 
 
+# bench/workloads.py: gb_pool_item(2, 11), the 5q6v pool member 11
+DENSE_FIVE_QUADRICS = (
+    "ring: x1, x2, x3, x4, x5, x6\n"
+    "ideal: -1*x1^2 - 1*x1*x4 - 2*x1*x5 - 1*x1*x6 - 2*x2^2 - 2*x2*x3 + 2*x2*x5"
+    " + 1*x3^2 - 2*x3*x4 - 1*x3*x5 - 2*x3*x6 - 2*x4^2 - 2*x4*x5 + 2*x5^2,"
+    " -2*x1*x2 + 2*x1*x3 - 2*x1*x4 + 2*x1*x5 - 2*x2^2 + 1*x2*x3 + 2*x2*x4"
+    " - 1*x2*x5 + 1*x2*x6 + 1*x3^2 + 1*x3*x4 - 2*x3*x5 + 2*x4^2 + 1*x4*x5"
+    " + 1*x4*x6 + 2*x5^2 + 1*x5*x6 - 2*x6^2,"
+    " -2*x1^2 + 1*x1*x2 + 1*x1*x3 + 1*x1*x4 + 2*x1*x5 - 1*x1*x6 - 2*x2^2"
+    " + 1*x2*x3 - 1*x2*x4 + 2*x2*x5 - 2*x2*x6 + 2*x3^2 - 1*x3*x4 - 2*x4^2"
+    " + 1*x4*x5 + 2*x4*x6 - 2*x5^2 - 2*x5*x6 + 2*x6^2,"
+    " -2*x1^2 - 1*x1*x2 - 1*x1*x4 + 1*x1*x5 + 2*x1*x6 + 2*x2^2 - 1*x2*x3"
+    " + 1*x2*x5 - 2*x3^2 - 1*x3*x4 - 2*x3*x6 - 1*x4^2 - 2*x4*x5 + 1*x4*x6"
+    " - 1*x5^2 + 2*x5*x6 - 1*x6^2,"
+    " -1*x1^2 + 1*x1*x2 - 2*x1*x3 - 1*x1*x4 - 1*x1*x5 + 2*x1*x6 + 2*x2^2"
+    " - 1*x2*x5 + 2*x3*x4 + 1*x3*x6 - 2*x4^2 + 1*x4*x6 + 2*x5^2 - 2*x5*x6 + 1*x6^2\n"
+)
+
+
 def gb_of(text):
     return buchberger(parse_presentation(text))
 
@@ -58,9 +77,9 @@ def divisions(run, *modules):
 
     def recorded_normal_form(p, basis):
         remainder = nf(p, basis)
-        if not isinstance(p, Polynomial):  # a packed S-pair of the divisor set
+        if not isinstance(p, Polynomial):  # a packed S-pair, and its packed remainder
             p = poly.from_ints(basis.nvars, basis.unpacked(p))
-        log.append((p.ints, remainder.is_zero))
+        log.append((p.ints, not remainder))
         return remainder
 
     with pytest.MonkeyPatch.context() as mp:
@@ -191,28 +210,101 @@ class TestPackedMonomials:
 
     def test_a_set_repacked_mid_run_gives_the_oracle_basis(self, monkeypatch):
         # The S-pair of x^N*y - y^(N+1) and x*y^2 is y^(N+2).  For N = 10^8
-        # all three degrees fit the 28-bit fields the generators need; for
-        # N = 2^27 - 2 the generator fills its fields (degree 2^27 - 1) and
-        # the S-pair repacks the set wider before it is divided.  Only the
-        # layouts of buchberger's own set, the first one laid out, count: the
-        # interreduction lays out a set of its own at the final width.
+        # all three degrees fit the 28-bit fields the generators lay the set
+        # out at; for N = 2^27 - 2 the generator fills its fields (degree
+        # 2^27 - 1) and the S-pair moves the two packed entries wider before
+        # it is divided.  Only the layouts of buchberger's own set, the first
+        # one laid out, count: the interreduction lays out a set of its own
+        # at the final width.
         layouts = []
         layout = groebner.DivisorSet._layout
 
         def recorded_layout(self, degree):
             layout(self, degree)
-            layouts.append((self, len(self.elements), self.width))
+            layouts.append((self, len(self.entries), self.width))
 
         monkeypatch.setattr(groebner.DivisorSet, "_layout", recorded_layout)
-        for n, widths in ((10**8, [1, 28]), (2**27 - 2, [1, 28, 29])):
+        for n, expected in ((10**8, [(0, 28)]), (2**27 - 2, [(0, 28), (2, 29)])):
             pres = parse_presentation(f"ring: x, y ; ideal: x^{n}*y - y^{n + 1}, x*y^2")
             layouts.clear()
             gb = buchberger(pres, budgets=Budgets(degree=10**9))
             first = layouts[0][0]
-            assert [w for s, count, w in layouts if s is first and count <= 2] == widths
+            assert [(count, w) for s, count, w in layouts if s is first] == expected
             assert gb.elements == buchberger_oracle(pres, budgets=Budgets(degree=10**9)).elements
             x, y = (Polynomial.variable(2, i) for i in range(2))
             assert gb.elements == (y ** (n + 2), x**n * y - y ** (n + 1), x * y**2)
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_a_wider_layout_moves_the_packed_fields(self, data):
+        # entries and the standard list move field by field to the wider
+        # layout, as if their exponent tuples were packed there afresh
+        nvars = data.draw(st.integers(1, 4))
+        basis = data.draw(st.lists(polynomials(nvars), max_size=4))
+        divisors = groebner.DivisorSet(nvars, basis)
+        groebner._standard_monomials(divisors, data.draw(st.integers(0, 3)))
+        standard = list(divisors.unpacked(dict.fromkeys(divisors.standard)))
+        degree = data.draw(st.integers(divisors.cap + 1, 2**20))
+        divisors.fit(degree)
+        fresh = groebner.DivisorSet(nvars, basis, degree)
+        assert divisors.width == fresh.width > 1
+        assert divisors.entries == fresh.entries
+        assert divisors.standard == [fresh.pack(m) for m in standard]
+
+
+class TestPackedDivision:
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_a_packed_input_gives_the_oracle_remainder_packed(self, data):
+        # a packed map of the set's layout comes back as the packed remainder
+        # up to a nonzero rational factor, led by its first key, and joins
+        # the set as the primitive map of the oracle's remainder
+        nvars = data.draw(st.integers(1, 4))
+        p = data.draw(polynomials(nvars))
+        basis = data.draw(st.lists(polynomials(nvars), max_size=4))
+        divisors = groebner.DivisorSet(nvars, basis, p.degree())
+        remainder = normal_form({divisors.pack(m): c for m, c in p.ints.items()}, divisors)
+        expected = normal_form_oracle(p, basis)
+        ints = divisors.unpacked(remainder)
+        assert poly.from_ints(nvars, ints).monic() == expected.monic()
+        assert next(iter(ints), None) == expected.lead
+        if remainder:
+            divisors.add(remainder)
+            lm, lc, tail = divisors.entries[-1]
+            assert divisors.unpacked(dict([(lm, lc), *tail])) == expected.ints
+
+    def test_s_pair_remainders_stay_packed_until_the_reduced_basis(self, monkeypatch):
+        # every remainder of the 40 divisions comes back packed and joins the
+        # set as it is; only the 21 reduced elements are unpacked and made
+        # polynomials, once each, in canonical order
+        pres = parse_presentation(DENSE_FIVE_QUADRICS)
+        unpacked, returned, made = [], [], []
+        original_unpacked, nf, original_from_ints = (
+            groebner.DivisorSet.unpacked, groebner.normal_form, groebner.from_ints
+        )
+
+        def recorded_unpacked(self, ints):
+            unpacked.append(original_unpacked(self, ints))
+            return unpacked[-1]
+
+        def recorded_normal_form(p, basis):
+            returned.append(nf(p, basis))
+            return returned[-1]
+
+        def recorded_from_ints(*args, **kwargs):
+            made.append(original_from_ints(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(groebner.DivisorSet, "unpacked", recorded_unpacked)
+        monkeypatch.setattr(groebner, "normal_form", recorded_normal_form)
+        monkeypatch.setattr(groebner, "from_ints", recorded_from_ints)
+        gb = buchberger(pres)
+        monkeypatch.undo()
+        assert len(returned) == 40 and all(type(r) is dict for r in returned)
+        assert len(gb.elements) == 21
+        assert unpacked == [g.ints for g in gb.elements]
+        assert [g.monic() for g in made] == list(gb.elements)
+        assert gb.elements == buchberger_oracle(pres).elements
 
 
 def interreduced_by_the_oracle(basis):
@@ -359,23 +451,6 @@ class TestBuchberger:
             assert ours.elements == tuple(theirs), gens
 
     def test_dense_five_quadrics_compare_few_monomials(self, monkeypatch):
-        # bench/workloads.py: gb_pool_item(2, 11), the 5q6v pool member 11
-        text = (
-            "ring: x1, x2, x3, x4, x5, x6\n"
-            "ideal: -1*x1^2 - 1*x1*x4 - 2*x1*x5 - 1*x1*x6 - 2*x2^2 - 2*x2*x3 + 2*x2*x5"
-            " + 1*x3^2 - 2*x3*x4 - 1*x3*x5 - 2*x3*x6 - 2*x4^2 - 2*x4*x5 + 2*x5^2,"
-            " -2*x1*x2 + 2*x1*x3 - 2*x1*x4 + 2*x1*x5 - 2*x2^2 + 1*x2*x3 + 2*x2*x4"
-            " - 1*x2*x5 + 1*x2*x6 + 1*x3^2 + 1*x3*x4 - 2*x3*x5 + 2*x4^2 + 1*x4*x5"
-            " + 1*x4*x6 + 2*x5^2 + 1*x5*x6 - 2*x6^2,"
-            " -2*x1^2 + 1*x1*x2 + 1*x1*x3 + 1*x1*x4 + 2*x1*x5 - 1*x1*x6 - 2*x2^2"
-            " + 1*x2*x3 - 1*x2*x4 + 2*x2*x5 - 2*x2*x6 + 2*x3^2 - 1*x3*x4 - 2*x4^2"
-            " + 1*x4*x5 + 2*x4*x6 - 2*x5^2 - 2*x5*x6 + 2*x6^2,"
-            " -2*x1^2 - 1*x1*x2 - 1*x1*x4 + 1*x1*x5 + 2*x1*x6 + 2*x2^2 - 1*x2*x3"
-            " + 1*x2*x5 - 2*x3^2 - 1*x3*x4 - 2*x3*x6 - 1*x4^2 - 2*x4*x5 + 1*x4*x6"
-            " - 1*x5^2 + 2*x5*x6 - 1*x6^2,"
-            " -1*x1^2 + 1*x1*x2 - 2*x1*x3 - 1*x1*x4 - 1*x1*x5 + 2*x1*x6 + 2*x2^2"
-            " - 1*x2*x5 + 2*x3*x4 + 1*x3*x6 - 2*x4^2 + 1*x4*x6 + 2*x5^2 - 2*x5*x6 + 1*x6^2\n"
-        )
         calls = {"key": 0, "normal_form": 0}
         key, nf = poly.monomial_key, groebner.normal_form
 
@@ -389,7 +464,7 @@ class TestBuchberger:
 
         monkeypatch.setattr(poly, "monomial_key", counted_key)
         monkeypatch.setattr(groebner, "normal_form", counted_normal_form)
-        gb = groebner.buchberger(parse_presentation(text))
+        gb = groebner.buchberger(parse_presentation(DENSE_FIVE_QUADRICS))
         assert len(gb.elements) == 21
         # Leading terms are memoized and division keeps its own heap, so
         # comparisons stay far below the 212,733 of recomputing every leading term.
