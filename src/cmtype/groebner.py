@@ -8,7 +8,8 @@ output ordering make the reduced basis identical across runs and across
 permutations of the input generators.  Pair pruning uses the
 Gebauer-Moeller refinement of the Buchberger product and chain criteria.
 Open pairs keep the lcm computed when they were made and wait in a heap
-keyed by (lcm degree, pair index), so selection pops instead of rescanning.
+keyed by (lcm degree, pair index), so selection pops instead of rescanning;
+the criteria and the lcms run on the packed leads of the division kernel.
 On homogeneous input a pair whose degree a lower bound on the Hilbert series
 already settles is discarded unreduced (Traverso, J. Symb. Comp. 1996, with
 the lex form of Froeberg's inequality, Math. Scand. 56, 1985).
@@ -44,11 +45,7 @@ from .poly import (
     Monomial,
     Polynomial,
     from_ints,
-    minimal_monomials,
-    monomial_degree,
-    monomial_divides,
     monomial_lcm,
-    monomial_mul,
     monomials_of_degree,
 )
 from .presentation import RingPresentation
@@ -90,7 +87,9 @@ class DivisorSet:
     packed pairs.  No polynomial is kept: the set is built from polynomials
     and :meth:`add` appends packed remainders.  ``standard`` is the packed
     list of the last degree :func:`_standard_monomials` counted against the
-    set, repacked with it.
+    set, and ``pairs`` maps the open pairs (i, j) of :func:`buchberger` to
+    the packed exponents of their leads' lcm, with no degree field (it may
+    exceed the cap); both are repacked with the entries.
     """
 
     def __init__(self, nvars: int, elements=(), degree: int = 0):
@@ -98,7 +97,7 @@ class DivisorSet:
         elements = [g for g in elements if g]
         if any(g.nvars != nvars for g in elements):
             raise InputError("polynomials are over different variable sets")
-        self.entries, self.standard, self.width = [], [], 1
+        self.entries, self.standard, self.pairs, self.width = [], [], {}, 1
         self._layout(max([degree, *(g.degree() for g in elements)]))
         pack = self.pack
         for g in elements:
@@ -121,6 +120,8 @@ class DivisorSet:
         self.guard = sum(1 << k * width + width - 1 for k in range(self.nvars + 1))
         self.entries = [(repack(lm), lc, [(repack(t), c) for t, c in tail]) for lm, lc, tail in self.entries]
         self.standard = [repack(m) for m in self.standard]
+        for pair, m in self.pairs.items():  # in place: buchberger holds the map
+            self.pairs[pair] = repack(m)
 
     def fit(self, degree: int):
         """Repack wider if the fields cannot hold the degree."""
@@ -140,22 +141,28 @@ class DivisorSet:
             packed = packed << width | e
         return packed
 
-    def unpack(self, m: int) -> Monomial:
-        field = (1 << self.width) - 1
-        return tuple([m >> s & field for s in range(0, self.shift, self.width)])
-
     def unpacked(self, ints: dict[int, int]) -> dict[Monomial, int]:
         """A packed integer map over exponent tuples, in the same order."""
         shifts, field = range(0, self.shift, self.width), (1 << self.width) - 1
         return {tuple([m >> s & field for s in shifts]): c for m, c in ints.items()}
 
-    def spoly(self, i: int, j: int, lcm: Monomial) -> dict[int, int]:
-        """The S-polynomial of elements i and j, whose leads have the lcm,
-        up to a nonzero rational factor, as a packed integer map:
-        (cg/d)*x^qf*f - (cf/d)*x^qg*g over the primitive maps, d = gcd(cf,
-        cg) of their leading coefficients, lcm = x^qf*lead_f = x^qg*lead_g."""
-        self.fit(sum(lcm))
-        lcm = self.pack(lcm)
+    def lcms(self, t: int) -> list[int]:
+        """The packed exponents of the lcm of lead t with each lead before
+        it.  Per field, the guard bit of (a | guard) - b is set where a >= b,
+        and that bit less itself moved to the field's foot selects a there."""
+        guard, b, step = self.guard & self.mask, self.entries[t][0] & self.mask, self.width - 1
+        out = []
+        for lm, _, _ in self.entries[:t]:
+            g = (lm | guard) - b & guard
+            out.append(b ^ (lm ^ b) & g - (g >> step))
+        return out
+
+    def spoly(self, i: int, j: int, lcm: int) -> dict[int, int]:
+        """The S-polynomial of elements i and j, whose leads have the packed
+        lcm, of a degree the set holds, up to a nonzero rational factor, as a
+        packed integer map: (cg/d)*x^qf*f - (cf/d)*x^qg*g over the primitive
+        maps, d = gcd(cf, cg) of their leading coefficients, lcm =
+        x^qf*lead_f = x^qg*lead_g."""
         (lf, cf, tail_f), (lg, cg, tail_g) = self.entries[i], self.entries[j]
         d = math.gcd(cf, cg)
         a, b, qf, qg = cg // d, -cf // d, lcm - lf, lcm - lg
@@ -172,8 +179,9 @@ class DivisorSet:
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial of f and g up to a nonzero rational factor, which is all
     division and ``.monic()`` need; see :meth:`DivisorSet.spoly`."""
-    divisors = DivisorSet(f.nvars, (f, g))
-    return from_ints(f.nvars, divisors.unpacked(divisors.spoly(0, 1, monomial_lcm(f.lead, g.lead))))
+    lcm = monomial_lcm(f.lead, g.lead)
+    divisors = DivisorSet(f.nvars, (f, g), sum(lcm))
+    return from_ints(f.nvars, divisors.unpacked(divisors.spoly(0, 1, divisors.pack(lcm))))
 
 
 def normal_form(p: Polynomial | dict[int, int], basis) -> Polynomial | dict[int, int]:
@@ -273,11 +281,15 @@ def buchberger(
     only, not on how its generators are listed or scaled.
 
     Each open pair (i, j) stores the lcm of its leading monomials once, in
-    ``lcms``, and enters the heap ``queue`` under (lcm degree, i, j); the pop
-    is the pair of least lcm degree, ties broken by the smaller index pair.
-    Adding an element computes its lcm with each earlier leading monomial
-    once and prunes open pairs by the chain criterion against the stored
-    lcms; pruned pairs stay in the heap and are skipped when popped.
+    ``lcms`` (the set's ``pairs``, packed, so a widening of the set moves
+    them too), and enters the heap ``queue`` under (lcm degree, i, j); the
+    pop is the pair of least lcm degree, ties broken by the smaller index
+    pair.  Adding an element computes its lcm with each earlier leading
+    monomial once (:meth:`DivisorSet.lcms`) and prunes open pairs by the
+    chain criterion against the stored lcms; pruned pairs stay in the heap
+    and are skipped when popped.  Divisibility is the guard test, a proper
+    divisor is a smaller int, and coprime leads have their sum as lcm.  A
+    pair's lcm is read after the set is fitted to its degree.
 
     Homogeneous input discards the pairs that provably reduce to zero
     (Traverso 1996), reading a lex lower bound B = N(t)/(1-t)^n on HS(S/I).
@@ -302,30 +314,38 @@ def buchberger(
     """
     gens = pres.generators
     divisors = DivisorSet(pres.nvars, gens)
-    leads: list[Monomial] = []
-    lcms: dict[tuple[int, int], Monomial] = {}  # open pairs and their lcms
+    lcms = divisors.pairs  # open pairs and their packed lcms
     queue: list[tuple[int, int, int]] = []  # (lcm degree, i, j), pruned pairs included
 
-    def update(mf: Monomial):
-        # Gebauer-Moeller pair pruning (product + chain criteria) for a new lead
-        t = len(leads)
-        new_lcms = [monomial_lcm(lead, mf) for lead in leads]
-        for (i, j), lcm in list(lcms.items()):
-            if monomial_divides(mf, lcm) and lcm != new_lcms[i] and lcm != new_lcms[j]:
+    def update(t: int):
+        # Gebauer-Moeller pair pruning (product + chain criteria) for lead t
+        entries, mask, field = divisors.entries, divisors.mask, (1 << divisors.width) - 1
+        guard, mf = divisors.guard & mask, entries[t][0] & mask
+        new_lcms = divisors.lcms(t)
+        for (i, j), lcm in [item for item in lcms.items() if (item[1] | guard) - mf & guard == guard]:
+            if lcm != new_lcms[i] and lcm != new_lcms[j]:
                 del lcms[i, j]
-        by_lcm: dict[Monomial, list[int]] = {}
+        by_lcm: dict[int, list[int]] = {}
         for i, lcm in enumerate(new_lcms):
             by_lcm.setdefault(lcm, []).append(i)
-        for lcm in minimal_monomials(by_lcm):
-            members = by_lcm[lcm]
-            if not any(lcm == monomial_mul(leads[i], mf) for i in members):
-                i = min(members)
-                lcms[i, t] = lcm
-                heapq.heappush(queue, (monomial_degree(lcm), i, t))
-        leads.append(mf)
+        minimal: list[int] = []
+        for lcm in sorted(by_lcm):  # a proper divisor is a smaller int: no field borrows
+            lcm_guarded = lcm | guard
+            for m in minimal:
+                if lcm_guarded - m & guard == guard:
+                    break
+            else:
+                minimal.append(lcm)
+                members = by_lcm[lcm]  # ascending
+                for i in members:
+                    if lcm == (entries[i][0] & mask) + mf:  # coprime leads
+                        break
+                else:
+                    lcms[members[0], t] = lcm
+                    heapq.heappush(queue, (lcm % field, members[0], t))  # the degree, below field: 2^width = 1 mod field
 
-    for f in gens:
-        update(f.lead)
+    for t in range(len(divisors.entries)):
+        update(t)
 
     if numerator is None:
         numerator, degrees = (1,), [g.degree() for g in gens]
@@ -348,14 +368,14 @@ def buchberger(
         processed += 1
         if processed > budgets.pairs:
             raise BudgetError(f"buchberger: pair budget {budgets.pairs} exceeded")
-        lcm = lcms.pop((i, j))
+        divisors.fit(lcm_degree)  # one repacking for every degree up to the pair's
+        lcm = lcms.pop((i, j)) | lcm_degree << divisors.shift  # read after the fit that may move it
         while bound is not None and degree < lcm_degree:
             b = hilbert_coefficient(bound, pres.nvars, degree + 1) if degree < top else -1
             if excess or b < 0 or len(standard) * pres.nvars > MAX_STANDARD_CANDIDATES:
                 bound = None
             else:
                 degree += 1
-                divisors.fit(lcm_degree)  # one repacking for every degree up to the pair's
                 standard = _standard_monomials(divisors, degree)
                 excess = len(standard) - b
         if bound is not None and not excess:
@@ -364,7 +384,7 @@ def buchberger(
         if h:
             excess -= 1
             divisors.add(h)
-            update(divisors.unpack(next(iter(h))))
+            update(len(divisors.entries) - 1)
 
     return GroebnerBasis(pres.variables, _interreduce(divisors))
 

@@ -266,6 +266,103 @@ class TestDimensionTwoAndUp:
         assert report.reason == "no_catalog_match"
 
 
+def maximal_minors(names, rows):
+    """The presentation text of the 3x3 minors of a 4x3 matrix of forms."""
+    dets = []
+    for a, b, c in itertools.combinations(rows, 3):
+        dets.append(
+            f"({a[0]})*(({b[1]})*({c[2]}) - ({b[2]})*({c[1]}))"
+            f" - ({a[1]})*(({b[0]})*({c[2]}) - ({b[2]})*({c[0]}))"
+            f" + ({a[2]})*(({b[0]})*({c[1]}) - ({b[1]})*({c[0]}))"
+        )
+    return f"ring: {', '.join(names)} ; ideal: " + ", ".join(dets)
+
+
+# a curve of degree 6 in P^3, whose cone has an isolated singularity, and a
+# surface in P^4, each cut out by the maximal minors of a 4x3 matrix of
+# linear forms: h = (1, 2, 3)
+SEXTIC_CURVE = maximal_minors("xyzw", [["x", "y", "z"], ["y", "z", "w"], ["z", "w", "x"], ["w", "x", "y+z"]])
+SURFACE_IN_P4 = maximal_minors("xyzuv", [["x", "y", "z"], ["y", "z", "u"], ["z", "u", "v"], ["u", "v", "x"]])
+
+# One ring for each rule that concludes finite, countable_infinite or
+# uncountable, and why the rule's quote supports that verdict.
+CITATION_SWEEP = [
+    # §6 lists the polynomial rings among the rings of finite type
+    ("regular-ring", "ring: x,y,z ; ideal:", Verdict.FINITE),
+    # Prop 2.1: an artinian ring has finite type when it is a hypersurface, as k[x]/(x^4) is
+    ("dim0-hypersurface", "ring: x ; ideal: x^4", Verdict.FINITE),
+    # the proof of Prop 2.1 finds uncountably many ideals in an artinian non-hypersurface
+    ("dim0-obstruction", "ring: x,y ; ideal: x^2, x*y, y^2", Verdict.UNCOUNTABLE),
+    # Cor 3.4's list of countable curves holds no hypersurface with h = (1, 1, 1)
+    ("dim1-hypersurface-list", "ring: x,y ; ideal: y^3", Verdict.UNCOUNTABLE),
+    # Cor 3.4 (2) names k[x,y]/(xy), a curve of finite type
+    ("dim1-two-lines", "ring: x,y ; ideal: x*y", Verdict.FINITE),
+    # Cor 3.4 (3) names k[x,y]/(xy(x+y)), which three distinct lines are
+    ("dim1-three-lines", "ring: x,y ; ideal: x^2*y + x*y^2", Verdict.FINITE),
+    # Cor 3.4 (4) names k[x,y]/(xy^2), the D_infinity curve of countable type
+    ("dim1-d-infinity", "ring: x,y ; ideal: x*y^2", Verdict.COUNTABLE_INFINITE),
+    # Cor 3.4 (5) names k[x,y]/(y^2), the A_infinity curve of countable type
+    ("dim1-a-infinity", "ring: x,y ; ideal: y^2", Verdict.COUNTABLE_INFINITE),
+    # §1.1's list of countable hypersurfaces holds no cubic surface cone
+    ("hypersurface-countable-iff", "ring: x,y,z ; ideal: x^3 + y^3 + z^3", Verdict.UNCOUNTABLE),
+    # Remark 1.3 carries the countable type of the completed A_infinity quadric to the graded ring
+    ("completion-transfer", "ring: x,y,z,w ; ideal: x^2 + y^2 + z^2", Verdict.COUNTABLE_INFINITE),
+    # Thm 3.3 excludes every curve with h = (1, n), n >= 3, as four lines through a point have
+    ("dim1-h13", FOUR_LINES, Verdict.UNCOUNTABLE),
+    # Cor 3.5 allows only (1), (1,n) and (1,n,1), and h = (1, 2, 1, 1) is none of them
+    ("dim1-possible-h", "ring: x,y,z ; ideal: x^2, x*y, y^4", Verdict.UNCOUNTABLE),
+    # §3.2 shows the (1,2) curve of its gw-1,2 equation to have countable type
+    ("dim1-gw12", "ring: x,y,z ; ideal: x*y, y*z, z^2", Verdict.COUNTABLE_INFINITE),
+    # Cor 3.6 (4) lists the three-point (1,2) curve among the rings of finite type
+    ("dim1-graded12", "ring: x,y,z ; ideal: x*z - y^2, x^2 - y*z, x*y - z^2", Verdict.FINITE),
+    # §4.1: with an isolated singularity, as this curve's cone has, countable type needs h = (1, c)
+    ("dim2-isolated-minmult", SEXTIC_CURVE, Verdict.UNCOUNTABLE),
+    # §4.2: in dimension 3 countable type needs minimal multiplicity, which h = (1, 2, 3) is not
+    ("dim3-domain-minmult", SURFACE_IN_P4, Verdict.UNCOUNTABLE),
+    # Prop 4.2 gives the two-dimensional scrolls, S(3) among them, finite type
+    ("scroll-2dim-finite", "scroll 3", Verdict.FINITE),
+    # Prop 4.5 lists the scroll S(1,2) among the three-dimensional rings of finite type
+    ("dim3-special-finite", "scroll 1 2", Verdict.FINITE),
+    # the proof of Prop 4.5 finds |k| many indecomposable modules over the other scrolls
+    ("scroll-uncountable", "scroll 2 2", Verdict.UNCOUNTABLE),
+    # §4.1: a Veronese cone past 6 variables has a singular locus of dimension over 1
+    ("veronese-cone-big-singular", "veronese 7", Verdict.UNCOUNTABLE),
+    # the §5 list names the full-rank quadric, A_1, among the rings of finite type
+    ("quadric-a1", "ring: x,y,z,w ; ideal: x^2 + y^2 + z^2 + w^2", Verdict.FINITE),
+    # the §5 list names the corank-one quadric, A_infinity, of countable type
+    ("quadric-a-infinity", "ring: x,y,z,w ; ideal: x^2 + y^2 + z^2", Verdict.COUNTABLE_INFINITE),
+    # §5: a Gorenstein ring of minimal multiplicity has h = (1, 1), a quadric, here of full rank
+    ("gorenstein-minmult", "ring: x,y,z ; ideal: x^2 + y^2 + z^2", Verdict.FINITE),
+]
+
+
+@pytest.mark.parametrize("rule, ring, verdict", CITATION_SWEEP, ids=[entry[0] for entry in CITATION_SWEEP])
+def test_each_concluding_rule_is_reached_by_a_ring(rule, ring, verdict):
+    kind, *params = ring.split()
+    if kind == "scroll":
+        pres = scroll_ideal(tuple(int(a) for a in params))
+    elif kind == "veronese":
+        pres = veronese_cone_ideal(int(params[0]))
+    else:
+        pres = parse_presentation(ring)
+    report = classify(pres)
+    assert report.verdict is verdict and rule in [j.rule for j in report.justification]
+
+
+def test_the_citation_sweep_covers_every_concluding_rule():
+    concluding = {Verdict.FINITE, Verdict.COUNTABLE_INFINITE, Verdict.UNCOUNTABLE}
+    tables = [*classifier_module._BINARY_FORMS.values(), *classifier_module._QUADRICS.values()]
+    tables += [classifier_module._OTHER_BINARY_FORMS, classifier_module._OTHER_QUADRICS]
+    source = Path(classifier_module.__file__).read_text()
+    rules = {rule for verdict, rules in tables if verdict in concluding for rule in rules}
+    for call in ast.walk(ast.parse(source)):
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_report" and len(call.args) > 2:
+            verdict = call.args[1]
+            if isinstance(verdict, ast.Attribute) and verdict.attr.lower() in {v.value for v in concluding}:
+                rules |= {arg.value for arg in call.args[2:] if isinstance(arg, ast.Constant)}
+    assert rules == {entry[0] for entry in CITATION_SWEEP}
+
+
 class TestSummaryCorpus:
     """The full catalog of known verdicts, reproduced in one sweep."""
 

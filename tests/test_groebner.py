@@ -88,6 +88,33 @@ def divisions(run, *modules):
         return run(), log
 
 
+@st.composite
+def widening_presentations(draw):
+    """Two or three forms in two or three variables: one of degree 11..15
+    led by a pure power (an exponent past 3 bits) beside forms of degree
+    2..6, each of 1-3 terms and, unless homogeneous, a term one degree down.
+    The generators lay the set out at 5-bit fields, which S-pairs of degree
+    16 and more widen while other pairs are still open."""
+    nvars, homogeneous = draw(st.integers(2, 3)), draw(st.booleans())
+    coefficient = st.integers(-3, 3).filter(bool)
+    top = draw(st.integers(11, 15))
+    gens = []
+    for d in [top, *draw(st.lists(st.integers(2, 6), min_size=1, max_size=2))]:
+        monomials = draw(st.lists(st.sampled_from(monomials_of_degree(nvars, d)), min_size=1, max_size=3, unique=True))
+        if d == top and (top,) + (0,) * (nvars - 1) not in monomials:
+            monomials[0] = (top,) + (0,) * (nvars - 1)
+        if not homogeneous:
+            monomials.append(draw(st.sampled_from(monomials_of_degree(nvars, d - 1))))
+        gens.append(Polynomial(nvars, [(m, draw(coefficient)) for m in monomials]))
+    return make_presentation([f"x{i}" for i in range(nvars)], gens)
+
+
+def unpack(divisors, m):
+    """The exponent tuple of one packed monomial of the set."""
+    (monomial,) = divisors.unpacked({m: 1})
+    return monomial
+
+
 def assert_oracle_minus_zero_divisions(engine, oracle):
     """The engine's divisions are the oracle's, in order, minus some that the
     oracle reduced to zero."""
@@ -484,23 +511,62 @@ class TestBuchberger:
         assert gb.elements == expected.elements
         assert_oracle_minus_zero_divisions(engine, oracle)
 
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(widening_presentations())
+    def test_packed_pairs_match_the_oracle_through_widenings(self, pres):
+        # every layout moves the open pairs' packed lcms with the leads, and
+        # the engine reduces the oracle's pairs, lcms included, in its order,
+        # minus some that the oracle reduced to zero
+        pairs = {"engine": [], "oracle": []}
+        spoly, layout = groebner.DivisorSet.spoly, groebner.DivisorSet._layout
+
+        def recorded_spoly(self, i, j, lcm):
+            leads = unpack(self, self.entries[i][0]), unpack(self, self.entries[j][0])
+            assert unpack(self, lcm) == poly.monomial_lcm(*leads)  # a stale lcm would not cancel the leads
+            pairs["engine"].append((*leads, unpack(self, lcm)))
+            return spoly(self, i, j, lcm)
+
+        def recorded_spoly_oracle(f, g):
+            pairs["oracle"].append((f.lead, g.lead, poly.monomial_lcm(f.lead, g.lead)))
+            return spoly_oracle(f, g)
+
+        def checked_layout(self, degree):
+            layout(self, degree)
+            for (i, j), lcm in self.pairs.items():
+                leads = unpack(self, self.entries[i][0]), unpack(self, self.entries[j][0])
+                assert lcm == self.pack(poly.monomial_lcm(*leads)) & self.mask
+
+        budgets = Budgets(degree=40)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groebner.DivisorSet, "spoly", recorded_spoly)
+            mp.setattr(groebner.DivisorSet, "_layout", checked_layout)
+            mp.setattr(oracles, "spoly_oracle", recorded_spoly_oracle)
+            gb, engine = divisions(lambda: buchberger(pres, budgets=budgets), groebner)
+            expected, oracle = divisions(lambda: buchberger_oracle(pres, budgets=budgets), groebner, oracles)
+        assert gb.elements == expected.elements
+        assert_oracle_minus_zero_divisions(
+            [(*division, pair) for division, pair in zip(engine, pairs["engine"])],
+            [(*division, pair) for division, pair in zip(oracle, pairs["oracle"])],
+        )
+
     def test_jacobian_ideal_pairs_compute_few_lcms(self, monkeypatch):
         # scroll(2,3) and its 55 distinct reduced minors: a 65-generator
         # Jacobian ideal, as the Fraction minor oracle builds it
         jacobian_ideal = singular_locus_oracle(scroll_ideal((2, 3))).jacobian_ideal
         assert len(jacobian_ideal.generators) == 65
         calls = {"lcm": 0, "normal_form": 0}
-        lcm, nf = groebner.monomial_lcm, groebner.normal_form
+        lcms, nf = groebner.DivisorSet.lcms, groebner.normal_form
 
-        def counted_lcm(*args):
-            calls["lcm"] += 1
-            return lcm(*args)
+        def counted_lcms(self, t):
+            new_lcms = lcms(self, t)
+            calls["lcm"] += len(new_lcms)
+            return new_lcms
 
         def counted_normal_form(*args, **kwargs):
             calls["normal_form"] += 1
             return nf(*args, **kwargs)
 
-        monkeypatch.setattr(groebner, "monomial_lcm", counted_lcm)
+        monkeypatch.setattr(groebner.DivisorSet, "lcms", counted_lcms)
         monkeypatch.setattr(groebner, "normal_form", counted_normal_form)
         buchberger(jacobian_ideal)
         # each pair's lcm is stored once, so nothing rescans the open pairs

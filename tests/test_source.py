@@ -183,6 +183,18 @@ def test_standard_monomial_count_builds_no_tuple():
     assert not built and {"tuple", "le", "map", "monomial_divides"}.isdisjoint(names)
 
 
+def test_pair_bookkeeping_builds_no_tuple():
+    # buchberger's pair criteria, in the nested update too, and the lcms it
+    # stores run on the packed leads of its set; an exponent-tuple helper
+    # there is the cost it was rid of
+    body = function_body("groebner.py", "buchberger")
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    attributes = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    assert {"update"} <= {node.name for node in ast.walk(body) if isinstance(node, ast.FunctionDef)}
+    tuple_helpers = {"monomial_lcm", "monomial_divides", "monomial_mul", "minimal_monomials", "unpack"}
+    assert tuple_helpers.isdisjoint(names | attributes)
+
+
 def test_echelon_touches_no_fraction():
     # the echelon keeps primitive integer rows and reduces by
     # cross-multiplication; a Fraction row is the cost it was rid of
